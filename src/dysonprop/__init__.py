@@ -47,13 +47,11 @@ from .dyson import (
     apriori_bound,
     apriori_tail,
     default_grid,
-    dyson_step,
     evolve_adjoint,
     evolve_block,
     evolve_vector,
     free_propagator,
     interaction_picture,
-    order_zero_term,
 )
 from .oracles import Report, matrix_exp, ode_oracle, oracle_propagator
 from .evolution import (
@@ -63,7 +61,6 @@ from .evolution import (
     heisenberg_residuals,
     heisenberg_track,
     observable_track,
-    propagator_w,
     schrodinger_trajectory,
     strong_split_residual,
     weak_residual,
@@ -122,13 +119,11 @@ __all__ = [
     "apriori_bound",
     "apriori_tail",
     "default_grid",
-    "dyson_step",
     "evolve_adjoint",
     "evolve_block",
     "evolve_vector",
     "free_propagator",
     "interaction_picture",
-    "order_zero_term",
     "Report",
     "matrix_exp",
     "ode_oracle",
@@ -139,7 +134,6 @@ __all__ = [
     "heisenberg_residuals",
     "heisenberg_track",
     "observable_track",
-    "propagator_w",
     "schrodinger_trajectory",
     "strong_split_residual",
     "weak_residual",

@@ -28,13 +28,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .errors import AssumptionViolation, TruncationError
+from .errors import TruncationError
 from .graded import (
+    ENTRY_THRESHOLD,
     GradeCert,
     GradedSpace,
     LinOp,
-    STRUCTURE_RTOL,
     certify,
+    check_free_part,
     grade_sectors,
     support_level,
 )
@@ -149,6 +150,7 @@ class SeriesResult:
     tail_bound: float
     quadrature_estimate: float | None
     per_order_sup_norms: tuple[float, ...]
+    per_order_bounds: tuple[float, ...]  # the a-priori bound of each order
     boundary_sums: np.ndarray  # (panels + 1, dim), running sum at panel edges
     grid: TimeGrid
     cert: GradeCert
@@ -207,16 +209,22 @@ def apriori_tail(
     vec_norm: float,
     increment_rtol: float = TAIL_INCREMENT_RTOL,
     max_terms: int = 5000,
+    alpha: float = 0.0,
 ) -> float:
     """Sum of the a-priori bounds over all orders beyond ``after_order``.
 
-    Terms are accumulated until one more adds less than ``increment_rtol``
-    of the running total; the factorial always wins, so this terminates.
+    With ``alpha > 0`` this bounds the (grade + 1)^{alpha/2}-weighted norm
+    instead: the order-k term carries the sector weight
+    (L + k b + 1)^{alpha/2}.  Terms are accumulated until one more adds less
+    than ``increment_rtol`` of the running total; the factorial always wins,
+    so this terminates.
     """
     total = 0.0
     n = after_order + 1
     for _ in range(max_terms):
         term = apriori_bound(n, duration, rel_bound, grade_shift, support, vec_norm)
+        if alpha:
+            term *= (support + n * grade_shift + 1.0) ** (alpha / 2.0)
         total += term
         if term <= increment_rtol * total:
             break
@@ -245,39 +253,32 @@ class _Prepared:
         return self.rotation @ vecs
 
 
+def _free_spectrum(h_free: LinOp) -> tuple[np.ndarray, np.ndarray | None]:
+    """Energies of h_free and its sector-wise eigenbasis (None when diagonal).
+
+    Diagonalizing sector by sector keeps the grading diagonal in the new
+    basis.
+    """
+    m = h_free.matrix
+    if check_free_part(h_free):
+        return np.real(np.diag(m)).copy(), None
+    space = h_free.space
+    energies = np.zeros(space.dim)
+    rotation = np.zeros((space.dim, space.dim), dtype=complex)
+    for _, idx in grade_sectors(space):
+        vals, vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
+        energies[idx] = vals
+        rotation[np.ix_(idx, idx)] = vecs
+    return energies, rotation
+
+
 def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
     h_free._same_space(h_int)
-    m = h_free.matrix
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if float(np.linalg.norm(m - m.conj().T)) > STRUCTURE_RTOL * scale:
-        raise AssumptionViolation(
-            "free-part-not-hermitian",
-            "the free part of the Hamiltonian must be Hermitian",
-        )
-    space = h_free.space
-    off = np.abs(m - np.diag(np.diag(m))).max() if m.size else 0.0
-    if off <= STRUCTURE_RTOL * scale:
-        energies = np.real(np.diag(m)).copy()
-        rotation = None
-        h_rot = np.array(h_int.matrix, dtype=complex)
-    else:
-        # Diagonalize sector by sector so the grading stays diagonal.
-        g = space.grade_array()
-        mix = np.where(g[:, None] != g[None, :], m, 0.0)
-        if float(np.linalg.norm(mix)) > STRUCTURE_RTOL * scale:
-            raise AssumptionViolation(
-                "free-part-mixes-grades",
-                "the free part must commute with the grading",
-            )
-        energies = np.zeros(space.dim)
-        rotation = np.zeros((space.dim, space.dim), dtype=complex)
-        for _, idx in grade_sectors(space):
-            block = m[np.ix_(idx, idx)]
-            vals, vecs = np.linalg.eigh(block)
-            energies[idx] = vals
-            rotation[np.ix_(idx, idx)] = vecs
-        h_rot = rotation.conj().T @ h_int.matrix @ rotation
-    return _Prepared(space, energies, rotation, h_rot, certify(h_int))
+    energies, rotation = _free_spectrum(h_free)
+    h_rot = h_int.matrix
+    if rotation is not None:
+        h_rot = rotation.conj().T @ h_rot @ rotation
+    return _Prepared(h_free.space, energies, rotation, h_rot, certify(h_int))
 
 
 def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
@@ -286,21 +287,25 @@ def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
     For a diagonal free part with energies E the entries are exactly
     ``h_int[j, k] * exp(i tau (E_j - E_k))``.
     """
-    prep = _prepare(h_free, h_int)
-    phase = np.exp(1j * tau * prep.energies)
-    core = phase[:, None] * prep.h_int_rot * phase.conj()[None, :]
-    if prep.rotation is not None:
-        core = prep.rotation @ core @ prep.rotation.conj().T
+    h_free._same_space(h_int)
+    energies, rotation = _free_spectrum(h_free)
+    core = h_int.matrix
+    if rotation is not None:
+        core = rotation.conj().T @ core @ rotation
+    phase = np.exp(1j * tau * energies)
+    core = phase[:, None] * core * phase.conj()[None, :]
+    if rotation is not None:
+        core = rotation @ core @ rotation.conj().T
     return LinOp(h_free.space, core)
 
 
 def free_propagator(h_free: LinOp, t: float) -> np.ndarray:
     """The unitary  e^{-i t h_free}  as a dense matrix."""
-    prep = _prepare(h_free, LinOp(h_free.space, np.zeros_like(h_free.matrix)))
-    phase = np.exp(-1j * t * prep.energies)
-    if prep.rotation is None:
+    energies, rotation = _free_spectrum(h_free)
+    phase = np.exp(-1j * t * energies)
+    if rotation is None:
         return np.diag(phase)
-    return (prep.rotation * phase[None, :]) @ prep.rotation.conj().T
+    return (rotation * phase[None, :]) @ rotation.conj().T
 
 
 class _GridKernels:
@@ -375,7 +380,11 @@ def _run_block(
     max_order: int,
     keep_terms: bool,
 ) -> tuple[BlockSeriesResult, list[tuple[np.ndarray, np.ndarray]]]:
-    """Core series loop in the rotated basis; block has shape (dim, m)."""
+    """Core series loop in the rotated basis; block has shape (dim, m).
+
+    Adds orders until every column's certified tail is below ``tol`` or
+    ``max_order`` is reached, whichever comes first.
+    """
     kern = _GridKernels(grid, prep.energies)
     dim, m = block.shape
     p, q = grid.panels, grid.nodes_per_panel
@@ -402,15 +411,8 @@ def _run_block(
                 for col in range(m)
             ]
         )
-        if tails.max() < tol:
+        if tails.max() < tol or order >= max_order:
             break
-        if order >= max_order:
-            raise TruncationError(
-                f"series tail {tails.max():.3e} still above tolerance {tol:.3e} "
-                f"at order {max_order}",
-                tail_bound=float(tails.max()),
-                max_order=max_order,
-            )
         g = kern.apply_interaction(prep.h_int_rot, node_vals)
         node_int, edge_int = kern.cumulative_integral(g)
         node_vals = -1j * node_int
@@ -442,6 +444,17 @@ def _run_block(
         grid=grid,
     )
     return result, terms
+
+
+def _require_tail(result: BlockSeriesResult, tol: float, max_order: int) -> None:
+    """Raise TruncationError unless the certified tail is below tol."""
+    if not result.tail_bound < tol:
+        raise TruncationError(
+            f"series tail {result.tail_bound:.3e} still above tolerance {tol:.3e} "
+            f"at order {max_order}",
+            tail_bound=result.tail_bound,
+            max_order=max_order,
+        )
 
 
 def _rotate_terms(
@@ -477,6 +490,7 @@ def evolve_block(
     if blk.ndim == 1:
         blk = blk[:, None]
     result, _ = _run_block(prep, grid, blk, tol, max_order, keep_terms=False)
+    _require_tail(result, tol, max_order)
     return result
 
 
@@ -499,6 +513,7 @@ def evolve_vector(
     prep = _prepare(h_free, h_int)
     vec = np.asarray(xi, dtype=complex).reshape(-1, 1)
     result, raw_terms = _run_block(prep, grid, vec, tol, max_order, keep_terms=True)
+    _require_tail(result, tol, max_order)
     estimate = None
     if estimate_quadrature and grid.panels > 1:
         coarse, _ = _run_block(
@@ -512,6 +527,7 @@ def evolve_vector(
         tail_bound=result.tail_bound,
         quadrature_estimate=estimate,
         per_order_sup_norms=tuple(float(x) for x in result.per_order_sup_norms[:, 0]),
+        per_order_bounds=tuple(float(x) for x in result.per_order_bounds[:, 0]),
         boundary_sums=result.boundary_sums[:, :, 0],
         grid=grid,
         cert=result.cert,
@@ -545,52 +561,6 @@ def evolve_adjoint(
     )
 
 
-def dyson_step(
-    prev: DysonTerm,
-    h_free: LinOp,
-    h_int: LinOp,
-    grid: TimeGrid | None = None,
-) -> DysonTerm:
-    """One order of the recursion applied to a sampled term.
-
-    The integrand is interpolated inside each panel by the polynomial
-    through the panel's own nodes; panel sums accumulate across panels with
-    signed orientation.
-    """
-    grid = grid or prev.grid
-    if (grid.t_start, grid.t_end, grid.panels, grid.nodes_per_panel) != (
-        prev.grid.t_start,
-        prev.grid.t_end,
-        prev.grid.panels,
-        prev.grid.nodes_per_panel,
-    ):
-        raise ValueError("grid does not match the one the term was sampled on")
-    prep = _prepare(h_free, h_int)
-    kern = _GridKernels(grid, prep.energies)
-    nodes = prev.node_values[..., None]
-    if prep.rotation is not None:
-        nodes = np.moveaxis(
-            np.tensordot(prep.rotation.conj().T, nodes, axes=([1], [2])), 0, 2
-        )
-    g = kern.apply_interaction(prep.h_int_rot, nodes)
-    node_int, edge_int = kern.cumulative_integral(g)
-    nv = (-1j * node_int)[..., 0]
-    ev = (-1j * edge_int)[..., 0]
-    if prep.rotation is not None:
-        nv = np.moveaxis(np.tensordot(prep.rotation, nv, axes=([1], [2])), 0, 2)
-        ev = (prep.rotation @ ev.T).T
-    return DysonTerm(prev.order + 1, grid, nv, ev)
-
-
-def order_zero_term(xi: np.ndarray, grid: TimeGrid) -> DysonTerm:
-    """The constant order-0 term equal to xi at every sample."""
-    vec = np.asarray(xi, dtype=complex)
-    p, q = grid.panels, grid.nodes_per_panel
-    nodes = np.broadcast_to(vec, (p, q, vec.size)).copy()
-    edges = np.broadcast_to(vec, (p + 1, vec.size)).copy()
-    return DysonTerm(0, grid, nodes, edges)
-
-
 def coupled_gap(h_free: LinOp, h_int: LinOp) -> float:
     """Largest free-energy gap across the support of the interaction.
 
@@ -602,7 +572,7 @@ def coupled_gap(h_free: LinOp, h_int: LinOp) -> float:
     top = mags.max()
     if top == 0.0:
         return 0.0
-    rows, cols = np.nonzero(mags > 1e-14 * top)
+    rows, cols = np.nonzero(mags > ENTRY_THRESHOLD * top)
     gaps = np.abs(prep.energies[rows] - prep.energies[cols])
     return float(gaps.max()) if gaps.size else 0.0
 

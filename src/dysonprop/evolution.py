@@ -20,6 +20,7 @@ import numpy as np
 from .dyson import (
     DEFAULT_MAX_ORDER,
     TimeGrid,
+    _free_spectrum,
     default_grid,
     evolve_block,
     free_propagator,
@@ -46,6 +47,19 @@ def _as_block(states) -> np.ndarray:
 
 def _block_support(space, block: np.ndarray) -> float:
     return max(support_level(space, block[:, j]) for j in range(block.shape[1]))
+
+
+def _lab_frame(h_free: LinOp, times, blocks) -> np.ndarray:
+    """e^{-i t h_free} applied to each interaction-picture block at its time t."""
+    energies, rotation = _free_spectrum(h_free)
+    out = np.empty((len(times),) + blocks[0].shape, dtype=complex)
+    for k, (t, block) in enumerate(zip(times, blocks)):
+        phase = np.exp(-1j * t * energies)[:, None]
+        if rotation is None:
+            out[k] = phase * block
+        else:
+            out[k] = rotation @ (phase * (rotation.conj().T @ block))
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,15 +132,11 @@ def schrodinger_trajectory(
         panel_multiple=steps,
     )
     result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
-    boundaries = grid.boundaries()
     stride = grid.panels // steps
-    energies, rotation = _free_spectrum(h_free)
-    states = np.empty((steps + 1,) + block.shape, dtype=complex)
-    for k, t in enumerate(times):
-        sums = result.boundary_sums[k * stride]
-        states[k] = _free_phase_apply(energies, rotation, t, sums)
-        if abs(boundaries[k * stride] - t) > 1e-9 * max(1.0, abs(t_end)):
-            raise AssertionError("panel boundaries drifted off the output times")
+    drift = np.abs(grid.boundaries()[::stride] - times).max()
+    if drift > 1e-9 * max(1.0, abs(t_end)):
+        raise AssertionError("panel boundaries drifted off the output times")
+    states = _lab_frame(h_free, times, result.boundary_sums[::stride])
     residuals = schrodinger_defects(times, states, h_free.matrix + h_int.matrix)
     return Trajectory(
         times=times,
@@ -137,37 +147,6 @@ def schrodinger_trajectory(
         residuals=residuals,
         series=result,
     )
-
-
-def _free_spectrum(h_free: LinOp):
-    diag = np.diag(h_free.matrix)
-    if np.allclose(h_free.matrix, np.diag(diag), atol=1e-300):
-        return np.real(diag), None
-    from .dyson import _prepare
-
-    prep = _prepare(h_free, LinOp(h_free.space, np.zeros_like(h_free.matrix)))
-    return prep.energies, prep.rotation
-
-
-def _free_phase_apply(energies, rotation, t: float, block: np.ndarray) -> np.ndarray:
-    """e^{-i t h_free} block, using the spectral data already at hand."""
-    phase = np.exp(-1j * t * energies)
-    if rotation is None:
-        return phase[:, None] * block
-    return rotation @ (phase[:, None] * (rotation.conj().T @ block))
-
-
-def propagator_w(h_free: LinOp, h_int: LinOp, t: float, tol: float) -> LinOp:
-    """Dense W(t) built column by column from one block run.
-
-    Intended for small spaces (cross-checks against the exponential
-    oracle); the cost is one series run with dim columns.
-    """
-    dim = h_free.space.dim
-    grid = default_grid(h_free, h_int, 0.0, t, support=max(h_free.space.grades), tol=tol)
-    result = evolve_block(h_free, h_int, np.eye(dim, dtype=complex), grid, tol)
-    u_mat = result.final()
-    return LinOp(h_free.space, free_propagator(h_free, t) @ u_mat)
 
 
 @dataclass(frozen=True)
@@ -379,13 +358,11 @@ def observable_track(
     )
     back = evolve_block(h_free, h_int, staged, grid_back, tol, max_order=max_order)
     stride = grid_back.panels // steps
-    energies, rotation = _free_spectrum(h_free)
-    states = np.empty((n_times, dim, m), dtype=complex)
-    for k, t in enumerate(fwd.times):
-        # the backward boundary holds U(-t, 0) B W(t) xi; the lab frame
-        # needs the opposite free phase: W(-t) = e^{+i t h0} U(-t, 0).
-        sums = back.boundary_sums[k * stride][:, k * m:(k + 1) * m]
-        states[k] = _free_phase_apply(energies, rotation, -t, sums)
+    # the backward boundary holds U(-t, 0) B W(t) xi; the lab frame
+    # needs the opposite free phase: W(-t) = e^{+i t h0} U(-t, 0).
+    sums = [back.boundary_sums[k * stride][:, k * m:(k + 1) * m]
+            for k in range(n_times)]
+    states = _lab_frame(h_free, -fwd.times, sums)
     return Trajectory(
         times=fwd.times,
         states=states,

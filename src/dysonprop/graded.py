@@ -226,15 +226,32 @@ def support_level(space: GradedSpace, vec: np.ndarray) -> float:
     return float(g[mask].max())
 
 
-def _hermitian_defect(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix - matrix.conj().T))
+def check_free_part(h_free: LinOp) -> bool:
+    """Require a Hermitian free part that preserves the grading sectors.
 
-
-def _sector_mixing(space: GradedSpace, matrix: np.ndarray) -> float:
-    """Frobenius norm of the part of ``matrix`` that changes the grade."""
-    g = space.grade_array()
-    mix = np.where(g[:, None] != g[None, :], matrix, 0.0)
-    return float(np.linalg.norm(mix))
+    Raises AssumptionViolation with a behavioural code otherwise, and returns
+    whether ``h_free`` is diagonal to STRUCTURE_RTOL.  The sector test runs
+    only when off-diagonal entries exist, so a diagonal free part allocates
+    no grade-mask temporary.
+    """
+    m = h_free.matrix
+    scale = max(1.0, float(np.linalg.norm(m)))
+    if float(np.linalg.norm(m - m.conj().T)) > STRUCTURE_RTOL * scale:
+        raise AssumptionViolation(
+            "free-part-not-hermitian",
+            "the free part of the Hamiltonian must be Hermitian",
+        )
+    off = np.abs(m - np.diag(np.diag(m))).max()
+    if off > 0.0:
+        g = h_free.space.grade_array()
+        mix = np.where(g[:, None] != g[None, :], m, 0.0)
+        if float(np.linalg.norm(mix)) > STRUCTURE_RTOL * scale:
+            raise AssumptionViolation(
+                "free-part-mixes-grades",
+                "the free part must commute with the grading (block-diagonal "
+                "over constant-grade sectors)",
+            )
+    return bool(off <= STRUCTURE_RTOL * scale)
 
 
 @dataclass(frozen=True)
@@ -254,18 +271,7 @@ def verify_dynamics_assumptions(h_free: LinOp, h_int: LinOp) -> DynamicsCert:
     AssumptionViolation with a behavioural code otherwise.
     """
     h_free._same_space(h_int)
-    scale = max(1.0, float(np.linalg.norm(h_free.matrix)))
-    if _hermitian_defect(h_free.matrix) > STRUCTURE_RTOL * scale:
-        raise AssumptionViolation(
-            "free-part-not-hermitian",
-            "the free part of the Hamiltonian must be Hermitian",
-        )
-    if _sector_mixing(h_free.space, h_free.matrix) > STRUCTURE_RTOL * scale:
-        raise AssumptionViolation(
-            "free-part-mixes-grades",
-            "the free part must commute with the grading (block-diagonal "
-            "over constant-grade sectors)",
-        )
+    check_free_part(h_free)
     return DynamicsCert(certify(h_int), certify(h_int.H))
 
 

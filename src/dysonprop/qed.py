@@ -66,16 +66,6 @@ def alpha_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(g[0] @ g[mu] for mu in range(4))
 
 
-def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """s_j = (i/2) gamma^k gamma^l for (j, k, l) cyclic."""
-    g = gamma_matrices()
-    return (
-        0.5j * g[2] @ g[3],
-        0.5j * g[3] @ g[1],
-        0.5j * g[1] @ g[2],
-    )
-
-
 def _helicity_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm = float(np.linalg.norm(p))
     if norm < 1e-300:

@@ -152,26 +152,16 @@ def reports_document(reports: Sequence[Report]) -> dict:
 def series_order_rows(result) -> list[tuple]:
     """Per-order sup norms against their certified bounds.
 
-    Columns: order, sup_norm, apriori_bound.  The bound for order n is
-    recomputed from the certificate stored on the result.
+    Columns: order, sup_norm, apriori_bound.  Both are the values stored on
+    the result; a block result reports its worst column in each.
     """
-    from .dyson import apriori_bound
-
     sups = np.asarray(result.per_order_sup_norms, dtype=float)
-    if sups.ndim == 2:  # block result: report the worst column
+    bounds = np.asarray(result.per_order_bounds, dtype=float)
+    if sups.ndim == 2:
         sups = sups.max(axis=1)
-    support = getattr(result, "support_in", None)
-    if support is None:
-        support = int(np.max(result.supports_in))
-    rows = []
-    norm0 = float(sups[0]) if sups.size else 0.0
-    for order, sup in enumerate(sups):
-        bound = apriori_bound(
-            order, result.grid.duration, result.cert.rel_bound,
-            result.cert.grade_shift, support, norm0,
-        )
-        rows.append((order, float(sup), float(bound)))
-    return rows
+        bounds = bounds.max(axis=1)
+    return [(order, float(sup), float(bound))
+            for order, (sup, bound) in enumerate(zip(sups, bounds))]
 
 
 def trajectory_rows(trajectory, residuals=None) -> list[tuple]:

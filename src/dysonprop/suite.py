@@ -16,13 +16,14 @@ import numpy as np
 
 from .dyson import (
     TimeGrid,
-    apriori_bound,
+    _prepare,
+    _rotate_terms,
+    _run_block,
+    apriori_tail,
     default_grid,
-    dyson_step,
     evolve_block,
     evolve_vector,
     free_propagator,
-    order_zero_term,
 )
 from .graded import (
     GradedSpace,
@@ -391,32 +392,6 @@ class ConvergenceTable:
         }
 
 
-def weighted_tail(
-    after_order: int,
-    duration: float,
-    rel_bound: float,
-    grade_shift: float,
-    support: float,
-    alpha: float,
-    vec_norm: float,
-    max_terms: int = 5000,
-    increment_rtol: float = 1e-3,
-) -> float:
-    """Tail of the weighted-norm series: each order-k term carries the plain
-    product bound times the sector weight (L + k b + 1)^{alpha/2}."""
-    total = 0.0
-    k = after_order + 1
-    while k < after_order + max_terms:
-        term = apriori_bound(k, duration, rel_bound, grade_shift, support,
-                             vec_norm)
-        term *= (support + k * grade_shift + 1.0) ** (alpha / 2.0)
-        total += term
-        if term <= increment_rtol * total:
-            break
-        k += 1
-    return total
-
-
 def appendix_convergence(
     h_free: LinOp,
     h_int: LinOp,
@@ -428,9 +403,9 @@ def appendix_convergence(
 ) -> ConvergenceTable:
     """Convergence of partial sums in the grade-weighted sup norms.
 
-    Terms are generated to exactly order ``n_max`` with the public one-order
-    step, with no early stopping, so the table exists even where the
-    tolerance-driven engine would have stopped sooner.
+    Terms are generated to exactly order ``n_max`` by the series kernel with
+    no early stopping, so the table exists even where the tolerance-driven
+    engine would have stopped sooner.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -441,11 +416,12 @@ def appendix_convergence(
     level = support_level(space, xi)
     if grid is None:
         grid = default_grid(h_free, h_int, 0.0, t_end, support=level, tol=1e-10)
-    cert = certify(h_int)
-
-    terms = [order_zero_term(xi, grid)]
-    for _ in range(n_max):
-        terms.append(dyson_step(terms[-1], h_free, h_int, grid))
+    prep = _prepare(h_free, h_int)
+    cert = prep.cert
+    _, raw_terms = _run_block(
+        prep, grid, xi[:, None], tol=0.0, max_order=n_max, keep_terms=True
+    )
+    terms = _rotate_terms(prep, raw_terms, grid)
 
     def stacked(term):
         flat_nodes = term.node_values.reshape(-1, space.dim)
@@ -468,9 +444,9 @@ def appendix_convergence(
             norms[n, a] = max(
                 weighted_norm(space, row, alpha) for row in diff
             )
-            tails[n, a] = weighted_tail(
+            tails[n, a] = apriori_tail(
                 n, grid.duration, cert.rel_bound, cert.grade_shift, level,
-                alpha, vec_norm,
+                vec_norm, alpha=alpha,
             )
     return ConvergenceTable(
         alphas=tuple(float(a) for a in alphas),

@@ -13,13 +13,11 @@ from dysonprop.dyson import (
     apriori_tail,
     coupled_gap,
     default_grid,
-    dyson_step,
     evolve_adjoint,
     evolve_block,
     evolve_vector,
     free_propagator,
     interaction_picture,
-    order_zero_term,
 )
 from dysonprop.errors import TruncationError
 from dysonprop.graded import GradedSpace, LinOp, as_linop
@@ -185,21 +183,15 @@ def test_nilpotent_interaction_truncates_exactly():
 def test_order_one_closed_form():
     delta, g, t = 1.3, 0.4, 0.9
     h0, h1 = two_level(delta, g)
-    term0 = order_zero_term(np.array([1.0, 0.0]), TimeGrid(0.0, t, panels=6))
-    term1 = dyson_step(term0, h0, h1)
+    res = evolve_vector(h0, h1, np.array([1.0, 0.0]), TimeGrid(0.0, t, panels=6),
+                        tol=1e-10)
+    term1 = res.terms[1]
     assert term1.order == 1
     # -i g int_0^t e^{i tau delta} dtau = -g (e^{i t delta} - 1) / delta
     expected = -g * (np.exp(1j * t * delta) - 1.0) / delta
     np.testing.assert_allclose(
         term1.value_at_end(), [0.0, expected], atol=1e-12
     )
-
-
-def test_dyson_step_rejects_foreign_grid():
-    h0, h1 = two_level()
-    term0 = order_zero_term(np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, panels=4))
-    with pytest.raises(ValueError):
-        dyson_step(term0, h0, h1, grid=TimeGrid(0.0, 1.0, panels=5))
 
 
 def test_zero_interaction_gives_identity():
@@ -303,11 +295,12 @@ def test_quadrature_refinement_converges():
 def test_truncation_error_carries_the_tail():
     h0, h1 = two_level(delta=0.0, g=40.0)
     xi = np.array([1.0, 0.0])
-    with pytest.raises(TruncationError) as exc:
-        evolve_vector(h0, h1, xi, TimeGrid(0.0, 1.0, panels=8), tol=1e-10,
-                      max_order=3)
-    assert exc.value.tail_bound > 1.0
-    assert exc.value.max_order == 3
+    for route in (evolve_vector, evolve_block):
+        with pytest.raises(TruncationError) as exc:
+            route(h0, h1, xi, TimeGrid(0.0, 1.0, panels=8), tol=1e-10,
+                  max_order=3)
+        assert exc.value.tail_bound > 1.0
+        assert exc.value.max_order == 3
 
 
 def test_default_grid_aligns_to_multiple():

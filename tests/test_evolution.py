@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from dysonprop.dyson import free_propagator
 from dysonprop.evolution import (
     heisenberg_pairing_track,
     heisenberg_residuals,
     heisenberg_track,
     observable_track,
-    propagator_w,
     schrodinger_trajectory,
     strong_split_residual,
     uniform_times,
@@ -16,11 +16,16 @@ from dysonprop.evolution import (
 )
 from dysonprop.graded import GradedSpace, LinOp, as_linop
 from dysonprop.oracles import matrix_exp
-from dysonprop.suite import random_graded_model
+from dysonprop.suite import dense_propagator, random_graded_model
 
 
 def full_h(model):
     return model.h_free.matrix + model.h_int.matrix
+
+
+def block_free_model():
+    """The small model's sizes with a sector-block (non-diagonal) free part."""
+    return random_graded_model(11, 8, 2, block_free_part=True)
 
 
 def unit(dim, j):
@@ -51,18 +56,19 @@ def test_free_case_is_a_pure_phase():
 
 
 def test_trajectory_matches_full_exponential(small_model):
-    h = full_h(small_model)
     xi = unit(8, 0)
-    traj = schrodinger_trajectory(
-        small_model.h_free, small_model.h_int, xi, t_end=0.8, steps=8, tol=1e-12
-    )
-    for k, t in enumerate(traj.times):
-        want = matrix_exp(-1j * t * h) @ xi
-        assert np.linalg.norm(traj.states[k][:, 0] - want) < 1e-9
-    assert traj.tail_bound < 1e-12
-    np.testing.assert_allclose(traj.at_time(0.4), traj.states[4])
-    with pytest.raises(ValueError):
-        traj.at_time(0.37)
+    for model in (small_model, block_free_model()):
+        h = full_h(model)
+        traj = schrodinger_trajectory(
+            model.h_free, model.h_int, xi, t_end=0.8, steps=8, tol=1e-12
+        )
+        for k, t in enumerate(traj.times):
+            want = matrix_exp(-1j * t * h) @ xi
+            assert np.linalg.norm(traj.states[k][:, 0] - want) < 1e-9
+        assert traj.tail_bound < 1e-12
+        np.testing.assert_allclose(traj.at_time(0.4), traj.states[4])
+        with pytest.raises(ValueError):
+            traj.at_time(0.37)
 
 
 def test_central_difference_defect_scales_quadratically(small_model):
@@ -81,9 +87,11 @@ def test_central_difference_defect_scales_quadratically(small_model):
 
 def test_propagator_w_equals_exponential(small_model):
     t = 0.7
-    w = propagator_w(small_model.h_free, small_model.h_int, t, tol=1e-12)
+    w = free_propagator(small_model.h_free, t) @ dense_propagator(
+        small_model.h_free, small_model.h_int, t, 0.0, 1e-12
+    )
     want = matrix_exp(-1j * t * full_h(small_model))
-    assert np.linalg.norm(w.matrix - want, 2) < 1e-9
+    assert np.linalg.norm(w - want, 2) < 1e-9
 
 
 def test_heisenberg_track_initial_value_and_oracle(small_model):
@@ -121,19 +129,18 @@ def test_heisenberg_residuals_strong_and_weak(small_model):
 
 
 def test_observable_track_agrees_with_dense_route(small_model):
-    rng = np.random.default_rng(8)
-    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    obs = LinOp(small_model.h_free.space, b)
-    xi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    per_state = observable_track(
-        small_model.h_free, small_model.h_int, obs, xi, 0.5, 5, tol=1e-12
-    )
-    dense = heisenberg_track(
-        small_model.h_free, small_model.h_int, obs, 0.5, 5, tol=1e-12
-    )
-    for k in range(6):
-        want = dense.matrices[k] @ xi
-        assert np.linalg.norm(per_state.states[k][:, 0] - want) < 1e-10
+    for model in (small_model, block_free_model()):
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        obs = LinOp(model.h_free.space, b)
+        xi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        per_state = observable_track(
+            model.h_free, model.h_int, obs, xi, 0.5, 5, tol=1e-12
+        )
+        dense = heisenberg_track(model.h_free, model.h_int, obs, 0.5, 5, tol=1e-12)
+        for k in range(6):
+            want = dense.matrices[k] @ xi
+            assert np.linalg.norm(per_state.states[k][:, 0] - want) < 1e-10
 
 
 def test_split_form_matches_commutator_form(small_model):

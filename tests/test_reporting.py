@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dysonprop._version import VERSION
-from dysonprop.dyson import TimeGrid, default_grid, evolve_vector
+from dysonprop.dyson import TimeGrid, default_grid, evolve_block, evolve_vector
 from dysonprop.graded import GradedSpace, LinOp
 from dysonprop.oracles import Report
 from dysonprop.reporting import (
@@ -161,8 +161,6 @@ def test_series_order_rows_both_result_shapes():
     for order, sup, bound in rows:
         assert sup <= bound * (1 + 1e-9)
 
-    from dysonprop.dyson import evolve_block
-
     blk = evolve_block(
         model.h_free, model.h_int, np.eye(5, dtype=complex), grid, tol=1e-10
     )
@@ -170,6 +168,19 @@ def test_series_order_rows_both_result_shapes():
     assert len(rows_b) == blk.achieved_order + 1
     for order, sup, bound in rows_b:
         assert sup <= bound * (1 + 1e-9)
+
+    # fractional grades: the printed bound must be the certified one
+    space = GradedSpace((0.9, 0.9))
+    h0 = LinOp(space, np.zeros((2, 2), dtype=complex))
+    h1 = LinOp(space, 0.6 * np.eye(2, dtype=complex))
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    grid = TimeGrid(0.0, 1.0, panels=4)
+    for res in (evolve_vector(h0, h1, e0, grid, tol=1e-10),
+                evolve_block(h0, h1, e0, grid, tol=1e-10)):
+        rows = series_order_rows(res)
+        assert rows[1][1] == pytest.approx(0.6)
+        for order, sup, bound in rows:
+            assert sup <= bound * (1 + 1e-9)
 
 
 def test_trajectory_rows_leave_endpoint_residuals_empty():

@@ -23,7 +23,6 @@ from dysonprop.suite import (
     identity_suite,
     oracle_reports,
     random_graded_model,
-    weighted_tail,
 )
 
 
@@ -190,13 +189,13 @@ def test_table_json_shape():
 
 def test_weighted_tail_reduces_to_plain_tail_at_alpha_zero():
     args = (2, 1.0, 0.5, 1.0, 0.0)
-    assert weighted_tail(*args, alpha=0.0, vec_norm=1.0) == pytest.approx(
+    assert apriori_tail(*args, vec_norm=1.0, alpha=0.0) == pytest.approx(
         apriori_tail(*args, 1.0), rel=1e-14
     )
     # heavier weights can only grow the tail
-    t0 = weighted_tail(*args, alpha=0.0, vec_norm=1.0)
-    t1 = weighted_tail(*args, alpha=1.0, vec_norm=1.0)
-    t2 = weighted_tail(*args, alpha=2.0, vec_norm=1.0)
+    t0 = apriori_tail(*args, vec_norm=1.0, alpha=0.0)
+    t1 = apriori_tail(*args, vec_norm=1.0, alpha=1.0)
+    t2 = apriori_tail(*args, vec_norm=1.0, alpha=2.0)
     assert t0 <= t1 <= t2
 
 
