@@ -37,8 +37,6 @@ from .graded import (
     relative_bound_constant,
     sector_projector,
     support_level,
-    verify_dynamics_assumptions,
-    verify_observable_assumptions,
     weighted_norm,
 )
 from .dyson import (
@@ -111,8 +109,6 @@ __all__ = [
     "relative_bound_constant",
     "sector_projector",
     "support_level",
-    "verify_dynamics_assumptions",
-    "verify_observable_assumptions",
     "weighted_norm",
     "SeriesResult",
     "TimeGrid",

@@ -61,8 +61,6 @@ from .graded import (
     random_vector,
     support_level,
     vectors_supported_below,
-    verify_dynamics_assumptions,
-    verify_observable_assumptions,
 )
 from .oracles import Report, oracle_propagator
 from .qed import QedConfig, build_model, default_toy_config, eta_unitarity_check, structure_reports
@@ -428,7 +426,6 @@ def _ratio_report(name: str, fine: float, coarse: float, floor: float,
 
 def _run_evolve(cfg: RunConfig) -> list[Report]:
     h_free, h_int = _model_operators(cfg)
-    verify_dynamics_assumptions(h_free, h_int)
     xi = _initial_vector(cfg, h_free.space.dim)
     traj = schrodinger_trajectory(h_free, h_int, xi, cfg.t_end, cfg.steps,
                                   cfg.tol, max_order=cfg.max_order)
@@ -482,13 +479,11 @@ def _run_heisenberg(cfg: RunConfig) -> list[Report]:
             f"field 'model': dimension {dim} exceeds the dense observable-track "
             f"limit {DENSE_TRACK_LIMIT}"
         )
-    verify_dynamics_assumptions(h_free, h_int)
     observable = LinOp.from_json(cfg.observable_doc)
     if observable.space != h_free.space:
         raise ConfigError(
             "field 'observable': graded space does not match the model"
         )
-    verify_observable_assumptions(h_free, observable)
 
     track = heisenberg_track(h_free, h_int, observable, cfg.t_end, cfg.steps,
                              cfg.tol, max_order=cfg.max_order)
@@ -608,7 +603,6 @@ def _run_qed_demo(cfg: RunConfig) -> list[Report]:
 
 def _run_convergence(cfg: RunConfig) -> list[Report]:
     h_free, h_int = _model_operators(cfg)
-    verify_dynamics_assumptions(h_free, h_int)
     xi = _initial_vector(cfg, h_free.space.dim)
     table = appendix_convergence(h_free, h_int, xi, alphas=cfg.alphas,
                                  n_max=cfg.n_max, t_end=cfg.t_end)

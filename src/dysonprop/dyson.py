@@ -22,7 +22,7 @@ so one order costs a single dense mat-mat product over all nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

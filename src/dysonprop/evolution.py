@@ -62,6 +62,60 @@ def _lab_frame(h_free: LinOp, times, blocks) -> np.ndarray:
     return out
 
 
+def _time_index(times: np.ndarray, t: float) -> int:
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-12 * max(1.0, float(np.abs(times).max())):
+        raise ValueError(f"time {t} is not one of the sampled times")
+    return idx
+
+
+def _aligned_steps(times) -> int:
+    """Fewest uniform steps from 0 to max(times) that land on every time.
+
+    Raises ValueError when no count up to 64 does.
+    """
+    t_max = max(times)
+    fractions = [t / t_max for t in times]
+    steps = 1
+    while any(abs(f * steps - round(f * steps)) > 1e-9 for f in fractions):
+        steps += 1
+        if steps > 64:
+            raise ValueError("times do not share a coarse refinement")
+    return steps
+
+
+def _aligned_run(
+    h_free: LinOp,
+    h_int: LinOp,
+    block: np.ndarray,
+    t_end: float,
+    steps: int,
+    tol: float,
+    max_order: int,
+    nodes_per_panel: int = 8,
+):
+    """One block run whose panel edges include steps+1 uniform times from 0.
+
+    Returns (times, states, result, stride): ``states[k]`` is W(times[k])
+    applied to the block and ``result.boundary_sums[k * stride]`` the
+    interaction-picture sum it was read from.
+    """
+    times = uniform_times(t_end, steps)
+    support = _block_support(h_free.space, block)
+    grid = default_grid(
+        h_free, h_int, 0.0, float(t_end), support, tol=tol,
+        nodes_per_panel=nodes_per_panel, max_order=max_order,
+        panel_multiple=steps,
+    )
+    result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
+    stride = grid.panels // steps
+    drift = np.abs(grid.boundaries()[::stride] - times).max()
+    if drift > 1e-9 * max(1.0, abs(t_end)):
+        raise AssertionError("panel boundaries drifted off the output times")
+    states = _lab_frame(h_free, times, result.boundary_sums[::stride])
+    return times, states, result, stride
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States sampled on uniform times, all certified by one series run.
@@ -87,10 +141,7 @@ class Trajectory:
         return self.states[:, :, j]
 
     def at_time(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, float(np.abs(self.times).max())):
-            raise ValueError(f"time {t} is not one of the sampled times")
-        return self.states[idx]
+        return self.states[_time_index(self.times, t)]
 
 
 def schrodinger_defects(
@@ -123,27 +174,17 @@ def schrodinger_trajectory(
     nodes_per_panel: int = 8,
 ) -> Trajectory:
     """W(t) applied to the initial block at steps+1 uniform times from 0."""
-    block = _as_block(states0)
-    times = uniform_times(t_end, steps)
-    support = _block_support(h_free.space, block)
-    grid = default_grid(
-        h_free, h_int, 0.0, float(t_end), support, tol=tol,
-        nodes_per_panel=nodes_per_panel, max_order=max_order,
-        panel_multiple=steps,
+    times, states, result, _ = _aligned_run(
+        h_free, h_int, _as_block(states0), t_end, steps, tol, max_order,
+        nodes_per_panel,
     )
-    result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
-    stride = grid.panels // steps
-    drift = np.abs(grid.boundaries()[::stride] - times).max()
-    if drift > 1e-9 * max(1.0, abs(t_end)):
-        raise AssertionError("panel boundaries drifted off the output times")
-    states = _lab_frame(h_free, times, result.boundary_sums[::stride])
     residuals = schrodinger_defects(times, states, h_free.matrix + h_int.matrix)
     return Trajectory(
         times=times,
         states=states,
         achieved_order=result.achieved_order,
         tail_bound=result.tail_bound,
-        grid=grid,
+        grid=result.grid,
         residuals=residuals,
         series=result,
     )
@@ -251,10 +292,7 @@ class ObservableTrack:
     source: LinOp
 
     def at_time(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, float(np.abs(self.times).max())):
-            raise ValueError(f"time {t} is not one of the sampled times")
-        return self.matrices[idx]
+        return self.matrices[_time_index(self.times, t)]
 
 
 def heisenberg_track(
@@ -351,18 +389,13 @@ def observable_track(
     for k in range(n_times):
         staged[:, k * m:(k + 1) * m] = observable.matrix @ fwd.states[k]
 
-    support = _block_support(h_free.space, staged)
-    grid_back = default_grid(
-        h_free, h_int, 0.0, -float(t_end), support, tol=tol,
-        max_order=max_order, panel_multiple=steps,
+    # back_states[j] holds W(-t_j) B W(t_k) xi for every k; the track keeps
+    # the column group with k = j.
+    _, back_states, back, _ = _aligned_run(
+        h_free, h_int, staged, -t_end, steps, tol, max_order
     )
-    back = evolve_block(h_free, h_int, staged, grid_back, tol, max_order=max_order)
-    stride = grid_back.panels // steps
-    # the backward boundary holds U(-t, 0) B W(t) xi; the lab frame
-    # needs the opposite free phase: W(-t) = e^{+i t h0} U(-t, 0).
-    sums = [back.boundary_sums[k * stride][:, k * m:(k + 1) * m]
-            for k in range(n_times)]
-    states = _lab_frame(h_free, -fwd.times, sums)
+    states = np.stack([back_states[k][:, k * m:(k + 1) * m]
+                       for k in range(n_times)])
     return Trajectory(
         times=fwd.times,
         states=states,

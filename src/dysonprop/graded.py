@@ -254,50 +254,6 @@ def check_free_part(h_free: LinOp) -> bool:
     return bool(off <= STRUCTURE_RTOL * scale)
 
 
-@dataclass(frozen=True)
-class DynamicsCert:
-    """Certificates collected before running the series for (h_free, h_int)."""
-
-    interaction: GradeCert
-    interaction_adjoint: GradeCert
-
-
-def verify_dynamics_assumptions(h_free: LinOp, h_int: LinOp) -> DynamicsCert:
-    """Check the structural requirements on a split Hamiltonian.
-
-    Requires: a Hermitian free part that preserves the grading sectors, and
-    an interaction with finite grade shift and relative bound (automatic in
-    finite dimension; the constants are returned).  Raises
-    AssumptionViolation with a behavioural code otherwise.
-    """
-    h_free._same_space(h_int)
-    check_free_part(h_free)
-    return DynamicsCert(certify(h_int), certify(h_int.H))
-
-
-@dataclass(frozen=True)
-class ObservableCert:
-    """Certificates for an observable entering a conjugated-flow track."""
-
-    observable: GradeCert
-    observable_adjoint: GradeCert
-    free_derivative_bound: float
-
-
-def verify_observable_assumptions(h_free: LinOp, obs: LinOp) -> ObservableCert:
-    """Certify an observable B for conjugated tracks.
-
-    Both B and its adjoint must carry finite grade shifts (always true in a
-    finite truncation; the constants are what matters downstream).  The third
-    number bounds the free-rotation derivative ``[i h_free, B]`` relative to
-    ``(A + 1)^{1/2}``; conjugation by the free flow leaves it unchanged, so a
-    single constant is uniform in time.
-    """
-    h_free._same_space(obs)
-    comm = LinOp(obs.space, 1j * (h_free.matrix @ obs.matrix - obs.matrix @ h_free.matrix))
-    return ObservableCert(certify(obs), certify(obs.H), relative_bound_constant(comm))
-
-
 def grade_sectors(space: GradedSpace) -> list[tuple[float, np.ndarray]]:
     """Indices grouped by grade value, ascending."""
     g = space.grade_array()

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dyson import default_grid, evolve_adjoint, evolve_block, free_propagator
+from .dyson import DEFAULT_MAX_ORDER, evolve_block, free_propagator
+from .evolution import _aligned_run, _aligned_steps
 from .fock import (
+    LEAKAGE_WARN_THRESHOLD,
     BosonMode,
     FermionMode,
     FockBasis,
@@ -29,7 +31,6 @@ from .fock import (
     top_sector_fraction,
 )
 from .graded import (
-    GradedSpace,
     LinOp,
     certify,
     grade_shift_bound,
@@ -407,10 +408,6 @@ class QedModel:
             for j in range(len(el_grid))
             for s in _SPINS
         }
-        self._eta_ph_diag = np.array(
-            [(-1.0) ** bocc_scalar for bocc_scalar in self._scalar_counts()],
-            dtype=complex,
-        )
         self.eta = eta_metric(self.basis)
 
         energies = {m.label: m.energy for m in boson_modes}
@@ -429,10 +426,6 @@ class QedModel:
         self.constants = self._lattice_constants()
 
     # -- factor-space builders ------------------------------------------------
-
-    def _scalar_counts(self):
-        slots = [self.photon_basis.boson_slot(f"ph{i}.0") for i in range(len(self.photon_grid))]
-        return [sum(b[s] for s in slots) for b, _ in self.photon_basis.states]
 
     def photon_annihilator(self, f_values: np.ndarray, mu: int) -> np.ndarray:
         """a_mu(f) on the photon factor for grid samples f (antilinear in f)."""
@@ -603,7 +596,8 @@ def eta_unitarity_check(
     the cap has headroom; the drift |<W psi, eta W phi> - <psi, eta phi>| is
     maximised over pairs and times.  One report covers the pairing, one the
     metric adjoint inverse applied through the adjoint series, and one the
-    top-sector leakage of every evolved state.
+    top-sector leakage of every evolved state.  The times must all be
+    multiples of max(times) / n for some n <= 64, else ValueError.
     """
     rng = np.random.default_rng(seed)
     cap = model.config.photon_cap
@@ -615,60 +609,43 @@ def eta_unitarity_check(
     t_max = max(times)
     if min(times) <= 0:
         raise ValueError("check times must be positive")
-    grid = default_grid(
-        model.h_free, model.h_int, 0.0, t_max, support=level, tol=series_tol,
-        panel_multiple=len(times),
+    steps = _aligned_steps(times)
+    _, states, result, _ = _aligned_run(
+        model.h_free, model.h_int, block, t_max, steps, series_tol,
+        DEFAULT_MAX_ORDER,
     )
-    boundaries = grid.boundaries()
-    result = evolve_block(model.h_free, model.h_int, block, grid, series_tol)
     eta_diag = np.real(np.diag(model.eta.matrix))
     base = np.einsum("dm,d,dm->m", psi.conj(), eta_diag, phi)
 
     drift = 0.0
     leakage = 0.0
-    h_diag = np.real(np.diag(model.h_free.matrix))
     for t in times:
-        idx = int(np.argmin(np.abs(boundaries - t)))
-        if abs(boundaries[idx] - t) > 1e-12 * max(1.0, t_max):
-            raise ValueError(f"time {t} is not aligned with the grid boundaries")
-        u_cols = result.boundary_sums[idx]
-        w_cols = np.exp(-1j * t * h_diag)[:, None] * u_cols
+        w_cols = states[round(t / t_max * steps)]
         w_psi, w_phi = w_cols[:, :pairs], w_cols[:, pairs:]
         pairing = np.einsum("dm,d,dm->m", w_psi.conj(), eta_diag, w_phi)
         drift = max(drift, float(np.max(np.abs(pairing - base))))
         for col in range(w_cols.shape[1]):
             leakage = max(leakage, top_sector_fraction(model.basis, w_cols[:, col]))
 
-    # eta W(t)* eta W(t) = 1 applied to a handful of columns; the adjoint
-    # series supplies U(t, 0)* and the outer eta comes after it.
+    # eta W(t)* eta W(t) = 1 on a handful of columns: the adjoint series
+    # U(t, 0)* runs on the reversed grid under h_int*, after the free phase
+    # e^{i t h0} and before the outer eta.
     sample = min(4, pairs)
-    inverse_residual = 0.0
-    final_idx = len(boundaries) - 1
-    for col in range(sample):
-        w_vec = np.exp(-1j * t_max * h_diag) * result.boundary_sums[final_idx][:, col]
-        rotated = np.exp(1j * t_max * h_diag) * (eta_diag * w_vec)
-        series = evolve_adjoint(
-            model.h_free, model.h_int, rotated, grid, series_tol,
-            estimate_quadrature=False,
-        ).partial_sum
-        back = eta_diag * series
-        inverse_residual = max(
-            inverse_residual, float(np.linalg.norm(back - psi[:, col]))
-        )
-    # W(-t) W(t) = 1 on the same handful, via a backward run.
-    staged = np.empty((model.space.dim, sample), dtype=complex)
-    for col in range(sample):
-        staged[:, col] = (
-            np.exp(-1j * t_max * h_diag) * result.boundary_sums[final_idx][:, col]
-        )
-    grid_back = default_grid(
-        model.h_free, model.h_int, 0.0, -t_max,
-        support=level + result.achieved_order, tol=series_tol,
+    w_final = states[-1][:, :sample]
+    rotated = free_propagator(model.h_free, -t_max) @ (eta_diag[:, None] * w_final)
+    adjoint = evolve_block(
+        model.h_free, model.h_int.H, rotated, result.grid.reversed(), series_tol
+    ).final()
+    inverse_residual = float(
+        np.max(np.linalg.norm(eta_diag[:, None] * adjoint - psi[:, :sample], axis=0))
     )
-    back = evolve_block(model.h_free, model.h_int, staged, grid_back, series_tol)
-    recovered = np.exp(1j * t_max * h_diag)[:, None] * back.boundary_sums[-1]
+    # W(-t) W(t) = 1 on the same handful, via a backward run.
+    _, back, _, _ = _aligned_run(
+        model.h_free, model.h_int, w_final, -t_max, 1, series_tol,
+        DEFAULT_MAX_ORDER,
+    )
     group_residual = float(
-        np.max(np.linalg.norm(recovered - psi[:, :sample], axis=0))
+        np.max(np.linalg.norm(back[-1] - psi[:, :sample], axis=0))
     )
 
     context = {
@@ -681,7 +658,7 @@ def eta_unitarity_check(
         Report("eta-pairing-drift", drift, tol, context),
         Report("metric-adjoint-inverse", inverse_residual, 10 * tol, context),
         Report("group-inverse", group_residual, 10 * tol, context),
-        Report("top-sector-leakage", leakage, 1e-6, context),
+        Report("top-sector-leakage", leakage, LEAKAGE_WARN_THRESHOLD, context),
     ]
 
 

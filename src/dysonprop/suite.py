@@ -9,12 +9,12 @@ target so series runs stay short.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyson import (
+    DEFAULT_MAX_ORDER,
     TimeGrid,
     _prepare,
     _rotate_terms,
@@ -25,6 +25,7 @@ from .dyson import (
     evolve_vector,
     free_propagator,
 )
+from .evolution import _aligned_run, _aligned_steps
 from .graded import (
     GradedSpace,
     LinOp,
@@ -236,25 +237,15 @@ def oracle_reports(
     space = h_free.space
     dim = space.dim
     t_max = max(times)
-    # boundaries must land exactly on the comparison times: panel counts are
-    # kept divisible by the smallest common refinement of times / t_max
-    fractions = [t / t_max for t in times]
-    multiple = 1
-    while any(abs(f * multiple - round(f * multiple)) > 1e-9 for f in fractions):
-        multiple += 1
-        if multiple > 64:
-            raise ValueError("comparison times do not share a coarse refinement")
-    grid = default_grid(
-        h_free, h_int, 0.0, t_max, support=max(space.grades),
-        tol=series_tol, panel_multiple=multiple,
+    steps = _aligned_steps(times)
+    _, _, run, stride = _aligned_run(
+        h_free, h_int, np.eye(dim, dtype=complex), t_max, steps, series_tol,
+        DEFAULT_MAX_ORDER,
     )
-    run = evolve_block(
-        h_free, h_int, np.eye(dim, dtype=complex), grid, series_tol
-    )
-    boundaries = grid.boundaries()
+    boundaries = run.grid.boundaries()
     worst = 0.0
     for t in times:
-        idx = int(np.argmin(np.abs(boundaries - t)))
+        idx = round(t / t_max * steps) * stride
         u_num = run.boundary_sums[idx]
         u_ref = oracle_propagator(h_free, h_int, float(boundaries[idx]), 0.0)
         worst = max(worst, float(np.linalg.norm(u_num - u_ref, 2)))

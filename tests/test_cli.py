@@ -180,11 +180,17 @@ def test_nonhermitian_free_part_exits_three(tmp_path, capsys):
     bad = np.diag([0.0, 1.0, 2.5]).astype(complex)
     bad[0, 1] = 0.4  # upper entry with no mirror
     doc["h_free"] = linop_doc([0, 1, 2], bad)
-    cfg = write_config(
-        tmp_path, {"model": doc, "steps": 4, "out_dir": str(tmp_path)}
-    )
-    assert main(["evolve", cfg]) == 3
-    assert "free-part-not-hermitian" in capsys.readouterr().err
+    obs = linop_doc([0, 1, 2], np.diag([1.0, 0.0, 0.0]))
+    # the engine's own free-part check must stop every model command
+    for command, extra in (("evolve", {"steps": 4}),
+                           ("heisenberg", {"steps": 4, "observable": obs}),
+                           ("convergence", {})):
+        cfg = write_config(
+            tmp_path, {"model": doc, "out_dir": str(tmp_path), **extra},
+            name=f"{command}.json",
+        )
+        assert main([command, cfg]) == 3, command
+        assert "free-part-not-hermitian" in capsys.readouterr().err, command
 
 
 def test_untruncatable_series_exits_four(tmp_path, capsys):

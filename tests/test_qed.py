@@ -232,15 +232,19 @@ def test_structure_reports_all_pass_small_model():
 
 def test_eta_unitarity_check_small_model():
     model = build_model(small_config(cap=3))
-    reports = eta_unitarity_check(
-        model, times=(0.5, 1.0), pairs=4, tol=1e-6, series_tol=1e-9, seed=1
-    )
-    assert [r.check_name for r in reports] == [
-        "eta-pairing-drift",
-        "metric-adjoint-inverse",
-        "group-inverse",
-        "top-sector-leakage",
-    ]
-    assert all(r.passed for r in reports)
+    # (0.25, 1.0) needs four steps, not one per listed time
+    for times in ((0.5, 1.0), (0.25, 1.0)):
+        reports = eta_unitarity_check(
+            model, times=times, pairs=4, tol=1e-6, series_tol=1e-9, seed=1
+        )
+        assert [r.check_name for r in reports] == [
+            "eta-pairing-drift",
+            "metric-adjoint-inverse",
+            "group-inverse",
+            "top-sector-leakage",
+        ]
+        assert all(r.passed for r in reports), times
     with pytest.raises(ValueError):
         eta_unitarity_check(model, times=(0.0, 1.0), pairs=2)
+    with pytest.raises(ValueError):
+        eta_unitarity_check(model, times=(1.0, math.sqrt(2)), pairs=2)
