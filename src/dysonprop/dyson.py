@@ -12,7 +12,7 @@ certified by the product bound
 
 where C is the relative bound constant of the interaction, b its grade
 shift, and L the support level of xi.  Summation stops once the certified
-tail is below the requested tolerance.
+tail, these bounds summed over every later order, is below the tolerance.
 
 Quadrature: composite Gauss-Legendre panels.  Cumulative integrals inside a
 panel integrate the degree-(q-1) interpolant through the panel's own nodes,
@@ -42,8 +42,6 @@ from .graded import (
 
 DEFAULT_MAX_ORDER = 64
 DEFAULT_NODES_PER_PANEL = 8
-# Tail summation stops once one more term adds less than this fraction.
-TAIL_INCREMENT_RTOL = 1e-3
 # Width cap per panel: the product rule from the a-priori bound, and an
 # oscillation cap set by the largest free-energy gap the interaction couples.
 PANEL_PRODUCT_FACTOR = 0.1
@@ -165,6 +163,52 @@ class SeriesResult:
         }
 
 
+def _apriori_table(
+    n_max: int, duration: float, rel_bound: float, grade_shift: float,
+    supports, norms, alpha: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A-priori bounds and closed tails of orders 0..n_max, one column each.
+
+    Row n of ``bounds`` is the product bound times the sector weight
+    (L + n b + 1)^{alpha/2}, infinite once its log passes 700; row n of
+    ``tails`` sums the bounds of every later order.  The term ratio does not
+    grow from order 1 on, so the sum runs to the first K where it is at most
+    1/2 and the term is below e^-40 of order n_max + 1, then adds the
+    geometric remainder ``bounds[K + 1] / (1 - ratio)``.
+    """
+    levels = np.asarray(supports, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    if min(n_max, duration, rel_bound, grade_shift, alpha, *levels, *norms) < 0:
+        raise ValueError("orders and every a-priori input must be non-negative")
+    with np.errstate(divide="ignore"):  # a zero factor has log -inf
+        log_step = np.log(duration) + np.log(rel_bound)
+        log_norms = np.log(norms)
+    first, rows = n_max + 1, n_max + 3
+    while True:
+        k = np.arange(rows, dtype=float)[:, None]
+        reach = np.log(levels + k * grade_shift + 1.0)
+        steps = log_step - np.log(k[1:]) + 0.5 * reach[:-1]  # log(b_{k+1} / b_k)
+        logs = np.cumsum(np.vstack([log_norms, steps]), axis=0) + 0.5 * alpha * reach
+        seg = logs[first:]
+        over = (seg > 700.0).any(axis=0)
+        live = np.isfinite(seg[0]) & ~over
+        run = seg[:, live]
+        halving = np.diff(run, axis=0) <= -math.log(2.0)
+        closed = (halving & (run[:-1] < run[0] - 40.0)).all(axis=1)
+        if closed.any():
+            break
+        rows *= 2
+    last = first + int(closed.argmax())
+    logs = logs[: last + 2]
+    terms = np.where(logs > 700.0, math.inf, np.exp(np.minimum(logs, 700.0)))
+    terms[0] = norms * (levels + 1.0) ** (0.5 * alpha)
+    ratio = np.exp(run[last + 1 - first] - run[last - first])
+    terms[last, live] += terms[last + 1, live] / (1.0 - ratio)
+    tails = np.cumsum(terms[last:0:-1], axis=0)[::-1]
+    tails[:, over] = math.inf
+    return terms[: n_max + 1], tails[: n_max + 1]
+
+
 def apriori_bound(
     order: int,
     duration: float,
@@ -177,27 +221,12 @@ def apriori_bound(
 
     Equals ``duration^n / n! * C^n * prod_{k<n} (L + k b + 1)^{1/2} * ||xi||``
     and reduces to ||xi|| at order 0.  Evaluated in log space so large orders
-    do not overflow.
+    do not overflow; a bound above e^700 is reported as infinite.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if duration < 0 or rel_bound < 0 or vec_norm < 0:
-        raise ValueError("duration, rel_bound and vec_norm must be non-negative")
-    if order == 0:
-        return float(vec_norm)
-    if duration == 0.0 or rel_bound == 0.0 or vec_norm == 0.0:
-        return 0.0
-    ks = np.arange(order, dtype=float)
-    log_prod = 0.5 * np.log(support + ks * grade_shift + 1.0).sum()
-    log_term = (
-        order * (math.log(duration) + math.log(rel_bound))
-        - math.lgamma(order + 1)
-        + log_prod
-        + math.log(vec_norm)
+    bounds, _ = _apriori_table(
+        order, duration, rel_bound, grade_shift, [support], [vec_norm]
     )
-    if log_term > 700.0:  # exp would overflow; the bound is genuinely astronomical
-        return math.inf
-    return float(math.exp(log_term))
+    return float(bounds[order, 0])
 
 
 def apriori_tail(
@@ -207,29 +236,19 @@ def apriori_tail(
     grade_shift: float,
     support: float,
     vec_norm: float,
-    increment_rtol: float = TAIL_INCREMENT_RTOL,
-    max_terms: int = 5000,
     alpha: float = 0.0,
 ) -> float:
     """Sum of the a-priori bounds over all orders beyond ``after_order``.
 
     With ``alpha > 0`` this bounds the (grade + 1)^{alpha/2}-weighted norm
     instead: the order-k term carries the sector weight
-    (L + k b + 1)^{alpha/2}.  Terms are accumulated until one more adds less
-    than ``increment_rtol`` of the running total; the factorial always wins,
-    so this terminates.
+    (L + k b + 1)^{alpha/2}.  Every later order counts: the sum is closed by
+    a geometric remainder, not cut off.
     """
-    total = 0.0
-    n = after_order + 1
-    for _ in range(max_terms):
-        term = apriori_bound(n, duration, rel_bound, grade_shift, support, vec_norm)
-        if alpha:
-            term *= (support + n * grade_shift + 1.0) ** (alpha / 2.0)
-        total += term
-        if term <= increment_rtol * total:
-            break
-        n += 1
-    return total
+    _, tails = _apriori_table(
+        after_order, duration, rel_bound, grade_shift, [support], [vec_norm], alpha
+    )
+    return float(tails[after_order, 0])
 
 
 @dataclass(frozen=True)
@@ -389,30 +408,23 @@ def _run_block(
     dim, m = block.shape
     p, q = grid.panels, grid.nodes_per_panel
     work = prep.to_working(block)
-    supports = np.array([support_level(prep.space, work[:, c]) for c in range(m)])
+    supports = support_level(prep.space, work)
     norms0 = np.linalg.norm(work, axis=0)
-    dt = grid.duration
-    b, c = prep.cert.grade_shift, prep.cert.rel_bound
+    bounds, tails = _apriori_table(
+        max_order, grid.duration, prep.cert.rel_bound, prep.cert.grade_shift,
+        supports, norms0,
+    )
 
     node_vals = np.broadcast_to(work, (p, q, dim, m)).astype(complex)
     edge_vals = np.broadcast_to(work, (p + 1, dim, m)).astype(complex)
     sums = edge_vals.copy()
     sup_norms = [norms0.copy()]
-    bounds = [norms0.copy()]
     terms: list[tuple[np.ndarray, np.ndarray]] = []
     if keep_terms:
         terms.append((node_vals.copy(), edge_vals.copy()))
 
     order = 0
-    while True:
-        tails = np.array(
-            [
-                apriori_tail(order, dt, c, b, supports[col], norms0[col])
-                for col in range(m)
-            ]
-        )
-        if tails.max() < tol or order >= max_order:
-            break
+    while order < max_order and not tails[order].max() < tol:
         g = kern.apply_interaction(prep.h_int_rot, node_vals)
         node_int, edge_int = kern.cumulative_integral(g)
         node_vals = -1j * node_int
@@ -420,14 +432,6 @@ def _run_block(
         sums = sums + edge_vals
         order += 1
         sup_norms.append(_column_norms(node_vals, edge_vals))
-        bounds.append(
-            np.array(
-                [
-                    apriori_bound(order, dt, c, b, supports[col], norms0[col])
-                    for col in range(m)
-                ]
-            )
-        )
         if keep_terms:
             terms.append((node_vals.copy(), edge_vals.copy()))
 
@@ -436,9 +440,9 @@ def _run_block(
     result = BlockSeriesResult(
         boundary_sums=sums,
         achieved_order=order,
-        tail_bounds=tails,
+        tail_bounds=tails[order],
         per_order_sup_norms=np.array(sup_norms),
-        per_order_bounds=np.array(bounds),
+        per_order_bounds=bounds[: order + 1],
         supports_in=supports,
         cert=prep.cert,
         grid=grid,
@@ -600,11 +604,10 @@ def default_grid(
     duration = abs(t_end - t_start)
     if duration == 0.0:
         return TimeGrid(t_start, t_end, panel_multiple, nodes_per_panel)
-    order = 1
-    while order < max_order and apriori_tail(
-        order, duration, cert.rel_bound, cert.grade_shift, support, 1.0
-    ) >= tol:
-        order += 1
+    _, tails = _apriori_table(
+        max(max_order, 1), duration, cert.rel_bound, cert.grade_shift, [support], [1.0]
+    )
+    order = next((n for n in range(1, max_order) if tails[n, 0] < tol), max(max_order, 1))
     reach = support + order * cert.grade_shift + 1.0
     width_caps = [duration]
     if cert.rel_bound > 0:

@@ -45,10 +45,6 @@ def _as_block(states) -> np.ndarray:
     return arr
 
 
-def _block_support(space, block: np.ndarray) -> float:
-    return max(support_level(space, block[:, j]) for j in range(block.shape[1]))
-
-
 def _lab_frame(h_free: LinOp, times, blocks) -> np.ndarray:
     """e^{-i t h_free} applied to each interaction-picture block at its time t."""
     energies, rotation = _free_spectrum(h_free)
@@ -101,7 +97,7 @@ def _aligned_run(
     interaction-picture sum it was read from.
     """
     times = uniform_times(t_end, steps)
-    support = _block_support(h_free.space, block)
+    support = float(support_level(h_free.space, block).max())
     grid = default_grid(
         h_free, h_int, 0.0, float(t_end), support, tol=tol,
         nodes_per_panel=nodes_per_panel, max_order=max_order,

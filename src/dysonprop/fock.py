@@ -130,6 +130,8 @@ class FockBasis:
         self._index = {s: i for i, s in enumerate(self.states)}
         self._boson_index = {m.label: i for i, m in enumerate(spec.bosons)}
         self._fermion_index = {m.label: i for i, m in enumerate(spec.fermions)}
+        self._grades = np.array([float(sum(b)) for b, _ in self.states])
+        self._grades.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -145,7 +147,8 @@ class FockBasis:
         return self._fermion_index[label]
 
     def grades(self) -> np.ndarray:
-        return np.array([float(sum(b)) for b, _ in self.states])
+        """Total boson occupation of each basis state (read-only, shared)."""
+        return self._grades
 
     def graded_space(self) -> GradedSpace:
         return GradedSpace(tuple(self.grades()))

@@ -208,22 +208,23 @@ def weighted_norm(space: GradedSpace, vec: np.ndarray, alpha: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
 
 
-def support_level(space: GradedSpace, vec: np.ndarray) -> float:
+def support_level(space: GradedSpace, vec: np.ndarray) -> float | np.ndarray:
     """Largest grade carried by the numerically non-zero components of vec.
 
     The threshold is relative (ENTRY_THRESHOLD times the largest component)
     so the level is invariant under scaling.  The zero vector sits at the
-    lowest grade present.
+    lowest grade present.  A (dim, m) block gives an array with one level
+    per column.
     """
     v = np.abs(np.asarray(vec, dtype=complex))
-    if v.shape != (space.dim,):
+    if v.ndim not in (1, 2) or v.shape[0] != space.dim:
         raise ValueError(f"vector shape {v.shape} does not match dim {space.dim}")
-    top = v.max()
-    g = space.grade_array()
-    if top == 0.0:
-        return float(g.min())
-    mask = v > ENTRY_THRESHOLD * top
-    return float(g[mask].max())
+    if not np.isfinite(v).all():
+        raise ValueError("vector has non-finite entries")
+    g = space.grade_array().reshape((-1,) + (1,) * (v.ndim - 1))
+    top = v.max(axis=0)
+    levels = np.where(v > ENTRY_THRESHOLD * top, g, g.min()).max(axis=0)
+    return float(levels) if v.ndim == 1 else levels
 
 
 def check_free_part(h_free: LinOp) -> bool:

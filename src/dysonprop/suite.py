@@ -16,10 +16,10 @@ import numpy as np
 from .dyson import (
     DEFAULT_MAX_ORDER,
     TimeGrid,
+    _apriori_table,
     _prepare,
     _rotate_terms,
     _run_block,
-    apriori_tail,
     default_grid,
     evolve_block,
     evolve_vector,
@@ -253,16 +253,12 @@ def oracle_reports(
                "series_tol": series_tol}
     reports = [Report("oracle-propagator-agreement", worst, tol, context)]
 
-    compliance = 0.0
-    for order in range(run.achieved_order + 1):
-        sups = np.atleast_1d(np.asarray(run.per_order_sup_norms[order], dtype=float))
-        bounds = np.atleast_1d(np.asarray(run.per_order_bounds[order], dtype=float))
-        zero = bounds == 0.0
-        if np.any(zero):
-            compliance = max(compliance, float(sups[zero].max()))
-        if np.any(~zero):
-            excess = sups[~zero] / bounds[~zero] - 1.0
-            compliance = max(compliance, float(np.maximum(excess, 0.0).max()))
+    sups, bounds = run.per_order_sup_norms, run.per_order_bounds
+    zero = bounds == 0.0
+    compliance = max(
+        float(sups[zero].max(initial=0.0)),
+        float((sups[~zero] / bounds[~zero] - 1.0).max(initial=0.0)),
+    )
     reports.append(
         Report("order-bound-compliance", compliance, 1e-6, context)
     )
@@ -428,16 +424,16 @@ def appendix_convergence(
     orders = tuple(range(n_max))
     norms = np.zeros((n_max, len(alphas)))
     tails = np.zeros((n_max, len(alphas)))
-    vec_norm = float(np.linalg.norm(xi))
+    for a, alpha in enumerate(alphas):
+        tails[:, a] = _apriori_table(
+            n_max, grid.duration, cert.rel_bound, cert.grade_shift, [level],
+            [np.linalg.norm(xi)], alpha,
+        )[1][:n_max, 0]
     for n in orders:
         diff = partials[n] - limit
         for a, alpha in enumerate(alphas):
             norms[n, a] = max(
                 weighted_norm(space, row, alpha) for row in diff
-            )
-            tails[n, a] = apriori_tail(
-                n, grid.duration, cert.rel_bound, cert.grade_shift, level,
-                vec_norm, alpha=alpha,
             )
     return ConvergenceTable(
         alphas=tuple(float(a) for a in alphas),

@@ -97,6 +97,14 @@ def test_apriori_bound_edges():
         apriori_bound(-1, 1.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         apriori_bound(2, -1.0, 1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        apriori_bound(3, 1.0, 1.0, -1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        apriori_bound(2, 1.0, 1.0, 1.0, -3.0, 1.0)
+    with pytest.raises(ValueError):
+        apriori_tail(0, 1.0, 1.0, -1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        apriori_tail(0, 1.0, 1.0, 1.0, 0.0, 1.0, alpha=-1.0)
 
 
 def test_apriori_bound_overflow_is_inf():
@@ -108,6 +116,24 @@ def test_apriori_tail_dominates_first_term():
     tail = apriori_tail(3, *args)
     assert tail >= apriori_bound(4, *args)
     assert tail <= apriori_bound(4, *args) * 5  # factorial decay is fast here
+
+
+@pytest.mark.parametrize(
+    "args, alpha",
+    [
+        ((0, 1.0, 1.0, 1.0, 0.0, 1.0), 0.0),
+        ((1, 1.5, 1.0, 2.0, 1.0, 1.0), 0.0),
+        ((1, 1.5, 1.0, 2.0, 1.0, 1.0), 1.0),
+    ],
+)
+def test_apriori_tail_is_the_whole_remaining_sum(args, alpha):
+    after, duration, c, b, support, norm = args
+    brute = math.fsum(
+        apriori_bound(n, duration, c, b, support, norm)
+        * (support + n * b + 1.0) ** (alpha / 2.0)
+        for n in range(after + 1, 400)
+    )
+    assert apriori_tail(*args, alpha=alpha) == pytest.approx(brute, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,6 +270,30 @@ def test_block_and_vector_routes_agree():
         )
         np.testing.assert_allclose(blk.final()[:, col], one.partial_sum, atol=1e-13)
     assert blk.per_order_sup_norms.shape[1] == 3
+
+
+def test_block_bounds_match_the_per_column_bounds():
+    from dysonprop.graded import support_level
+
+    model = random_graded_model(seed=3, dim=12, grade_shift=2)
+    space = model.h_free.space
+    block = np.zeros((12, 3), dtype=complex)
+    block[0, 0] = 1.0
+    block[-1, 1] = 0.5
+    block[:, 2] = 3.0 * np.random.default_rng(4).normal(size=12)
+    grid = default_grid(model.h_free, model.h_int, 0.0, 0.7, support=6.0)
+    res = evolve_block(model.h_free, model.h_int, block, grid, tol=1e-11)
+    cert = res.cert
+    assert len(set(res.supports_in)) > 1
+    for j in range(3):
+        args = (0.7, cert.rel_bound, cert.grade_shift, res.supports_in[j],
+                np.linalg.norm(block[:, j]))
+        assert res.supports_in[j] == support_level(space, block[:, j])
+        want = [apriori_bound(n, *args) for n in range(res.achieved_order + 1)]
+        np.testing.assert_allclose(res.per_order_bounds[:, j], want, rtol=1e-13)
+        assert res.tail_bounds[j] == pytest.approx(
+            apriori_tail(res.achieved_order, *args), rel=1e-13
+        )
 
 
 def test_adjoint_route_is_the_conjugate_transpose():

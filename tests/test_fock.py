@@ -55,6 +55,9 @@ def test_vacuum_and_grades():
     g = basis.grades()
     assert g[basis.index_of((2, 1), ())] == 3.0
     assert g.min() == 0.0
+    assert basis.grades() is g
+    with pytest.raises(ValueError):
+        g[0] = 1.0
 
 
 def test_boson_annihilator_matrix_cutoff_two():

@@ -82,6 +82,14 @@ def test_support_level():
     # entries at relative rounding level do not count as support
     assert support_level(space, np.array([1.0, 0.0, 1e-17])) == 0.0
     assert support_level(space, np.zeros(3)) == 0.0
+    block = np.array([[1.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 1e-3, 1e-17]])
+    levels = support_level(space, block)
+    assert levels.tolist() == [support_level(space, col) for col in block.T]
+    assert levels.tolist() == [0.0, 0.0, 2.0, 1.0]
+    with pytest.raises(ValueError):
+        support_level(space, np.array([1.0, np.nan, 0.0]))
 
 
 def test_sector_projector_idempotent():
