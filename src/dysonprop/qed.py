@@ -514,7 +514,13 @@ class QedModel:
             for mu in range(4):
                 a_part = self.photon_field_factor(mu, x)
                 j_part = self.current_factor(mu, x)
-                total += (self.config.coupling * wx * chi) * np.kron(a_part, j_part)
+                # Scaled in place and released before the next term (and
+                # before LinOp copies ``total``): one full-size temporary at
+                # most, since this loop sets the peak memory of the build.
+                term = np.kron(a_part, j_part)
+                term *= self.config.coupling * wx * chi
+                total += term
+                del term
         return LinOp(self.space, total)
 
     def _lattice_constants(self) -> dict:

@@ -33,7 +33,6 @@ from .graded import (
     grade_sectors,
     sector_projector,
     support_level,
-    weighted_norm,
 )
 from .oracles import Report, ode_oracle, oracle_propagator
 
@@ -429,12 +428,12 @@ def appendix_convergence(
             n_max, grid.duration, cert.rel_bound, cert.grade_shift, [level],
             [np.linalg.norm(xi)], alpha,
         )[1][:n_max, 0]
+    # weighted_norm of every stacked row at once: one weight vector per alpha.
+    weights = [(space.grade_array() + 1.0) ** alpha for alpha in alphas]
     for n in orders:
-        diff = partials[n] - limit
-        for a, alpha in enumerate(alphas):
-            norms[n, a] = max(
-                weighted_norm(space, row, alpha) for row in diff
-            )
+        squares = np.abs(partials[n] - limit) ** 2
+        for a, w in enumerate(weights):
+            norms[n, a] = np.sqrt(np.sum(w * squares, axis=1)).max()
     return ConvergenceTable(
         alphas=tuple(float(a) for a in alphas),
         orders=orders,

@@ -9,6 +9,7 @@ from dysonprop.errors import AssumptionViolation
 from dysonprop.graded import (
     GradedSpace,
     LinOp,
+    _spectral_norm,
     as_linop,
     certify,
     check_free_part,
@@ -18,6 +19,7 @@ from dysonprop.graded import (
     support_level,
     weighted_norm,
 )
+from dysonprop.suite import fleet
 
 
 def test_space_roundtrip():
@@ -68,6 +70,44 @@ def test_relative_bound_of_truncated_annihilator():
         a[n - 1, n] = np.sqrt(n)
     c = relative_bound_constant(LinOp(GradedSpace(grades), a))
     assert c == pytest.approx(np.sqrt(4.0 / 5.0), rel=1e-12)
+
+
+def _permuted_block_diagonal(rng):
+    """Rectangular complex blocks on the diagonal, with all-zero rows and
+    columns appended, under random row and column permutations."""
+    shapes = [(3, 5), (4, 1), (1, 4), (6, 6), (2, 3)]
+    m = np.zeros((sum(r for r, _ in shapes) + 3, sum(c for _, c in shapes) + 2),
+                 dtype=complex)
+    r0 = c0 = 0
+    for r, c in shapes:
+        m[r0:r0 + r, c0:c0 + c] = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+        r0, c0 = r0 + r, c0 + c
+    return m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])]
+
+
+def test_block_norm_equals_dense_norm():
+    rng = np.random.default_rng(7)
+    m = _permuted_block_diagonal(rng)
+    dense = np.linalg.norm(m, 2)
+    assert _spectral_norm(m) == pytest.approx(dense, rel=1e-13)
+    scale = rng.uniform(0.2, 1.0, size=m.shape[1])
+    assert _spectral_norm(m, scale) == pytest.approx(
+        np.linalg.norm(m * scale, 2), rel=1e-13
+    )
+    diag = np.diag(rng.normal(size=7) + 1j * rng.normal(size=7))
+    assert _spectral_norm(diag) == pytest.approx(np.linalg.norm(diag, 2), rel=1e-13)
+    assert _spectral_norm(np.zeros((5, 5), dtype=complex)) == 0.0
+    assert LinOp(GradedSpace((0.0,) * 7), diag).norm2() == _spectral_norm(diag)
+
+
+def test_block_norm_is_bit_identical_on_the_fleet():
+    for model in fleet():
+        m = model.h_int.matrix
+        assert _spectral_norm(m) == float(np.linalg.norm(m, 2))
+        g = model.h_int.space.grade_array()
+        assert relative_bound_constant(model.h_int) == float(
+            np.linalg.norm(m * (g + 1.0) ** -0.5, 2)
+        )
 
 
 def test_certify_is_cached():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dysonprop import graded
 from dysonprop.graded import certify, grade_shift_bound
 from dysonprop.qed import (
     MINKOWSKI,
@@ -183,6 +184,32 @@ def test_toy_model_shape_and_constants():
     )
     # certified constant is dominated by the lattice product bound
     assert certify(model.h_int).rel_bound <= c["interaction_bound"] * (1 + 1e-9)
+
+
+def test_certified_constant_equals_the_dense_svd():
+    model = build_model(default_toy_config())
+    weights = (model.space.grade_array() + 1.0) ** -0.5
+    for op in (model.h_int, model.h_int.H):
+        dense = np.linalg.norm(op.matrix * weights, 2)
+        assert certify(op).rel_bound == pytest.approx(dense, rel=1e-13)
+
+
+def test_certify_never_takes_a_dense_norm_of_the_stock_interaction(monkeypatch):
+    # The stock interaction splits into charge/photon-parity blocks, the
+    # largest 78 x 28; a norm of anything taller means the dense path is back.
+    model = build_model(default_toy_config())
+    dense_norm = graded.np.linalg.norm
+    shapes = []
+
+    def recording_norm(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return dense_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(graded.np.linalg, "norm", recording_norm)
+    c = graded.relative_bound_constant(model.h_int)
+    monkeypatch.undo()
+    assert shapes and c > 0.0
+    assert max(shape[0] for shape in shapes) <= 100
 
 
 def test_interaction_raises_grade_by_one():

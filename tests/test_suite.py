@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysonprop.dyson import apriori_tail
+from dysonprop.dyson import (
+    TimeGrid,
+    _prepare,
+    _rotate_terms,
+    _run_block,
+    apriori_tail,
+)
 from dysonprop.graded import (
     GradedSpace,
     LinOp,
     certify,
     grade_shift_bound,
+    weighted_norm,
 )
 from dysonprop.oracles import oracle_propagator
 from dysonprop.suite import (
@@ -225,6 +232,20 @@ def test_appendix_convergence_random_model():
         onset = table.onset(a)
         col = table.norms[onset:, a]
         assert np.all(np.diff(col) < 0.0)
+    # the vectorised norms equal weighted_norm taken row by row
+    grid = TimeGrid(0.0, 1.0, 3, 6)
+    table = appendix_convergence(model.h_free, model.h_int, xi, n_max=8, grid=grid)
+    prep = _prepare(model.h_free, model.h_int)
+    _, raw = _run_block(prep, grid, xi[:, None], tol=0.0, max_order=8, keep_terms=True)
+    rows = [np.concatenate([t.node_values.reshape(-1, 6), t.boundary_values])
+            for t in _rotate_terms(prep, raw, grid)]
+    partials = np.cumsum(rows, axis=0)
+    for n in range(8):
+        for a, alpha in enumerate(table.alphas):
+            assert table.norms[n, a] == max(
+                weighted_norm(model.h_free.space, row, alpha)
+                for row in partials[n] - partials[-1]
+            )
 
 
 def test_appendix_convergence_validation():
