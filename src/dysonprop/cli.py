@@ -499,7 +499,7 @@ def _run_heisenberg(cfg: RunConfig) -> list[Report]:
     floor = _difference_floor(h_total.norm2(), b_norm)
     init_defect = float(np.linalg.norm(track.matrices[0] - observable.matrix, 2))
     reports = [
-        Report("heisenberg-initial-value", init_defect, 0.0, {}),
+        Report("heisenberg-initial-value", init_defect, floor, {}),
         _ratio_report(
             "heisenberg-residual-order", float(strong.max()),
             float(strong_coarse.max()), floor,

@@ -17,6 +17,9 @@ tail, these bounds summed over every later order, is below the tolerance.
 Quadrature: composite Gauss-Legendre panels.  Cumulative integrals inside a
 panel integrate the degree-(q-1) interpolant through the panel's own nodes,
 so one order costs a single dense mat-mat product over all nodes.
+
+Derived model data (free spectrum, rotated interaction, certificate, coupled
+gap) is computed once per operator pair and memoised on the operators.
 """
 
 from __future__ import annotations
@@ -260,6 +263,7 @@ class _Prepared:
     rotation: np.ndarray | None  # columns: eigenbasis; None when already diagonal
     h_int_rot: np.ndarray
     cert: GradeCert
+    gap: float  # see coupled_gap
 
     def to_working(self, vecs: np.ndarray) -> np.ndarray:
         if self.rotation is None:
@@ -275,29 +279,45 @@ class _Prepared:
 def _free_spectrum(h_free: LinOp) -> tuple[np.ndarray, np.ndarray | None]:
     """Energies of h_free and its sector-wise eigenbasis (None when diagonal).
 
-    Diagonalizing sector by sector keeps the grading diagonal in the new
-    basis.
+    Checked and computed once per ``h_free`` (memoised on it).  Diagonalizing
+    sector by sector keeps the grading diagonal in the new basis.
     """
+    if "spectrum" in h_free._memo:
+        return h_free._memo["spectrum"]
     m = h_free.matrix
     if check_free_part(h_free):
-        return np.real(np.diag(m)).copy(), None
-    space = h_free.space
-    energies = np.zeros(space.dim)
-    rotation = np.zeros((space.dim, space.dim), dtype=complex)
-    for _, idx in grade_sectors(space):
-        vals, vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
-        energies[idx] = vals
-        rotation[np.ix_(idx, idx)] = vecs
+        energies, rotation = np.real(np.diag(m)).copy(), None
+    else:
+        space = h_free.space
+        energies = np.zeros(space.dim)
+        rotation = np.zeros((space.dim, space.dim), dtype=complex)
+        for _, idx in grade_sectors(space):
+            vals, vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
+            energies[idx] = vals
+            rotation[np.ix_(idx, idx)] = vecs
+        rotation.setflags(write=False)
+    energies.setflags(write=False)
+    h_free._memo["spectrum"] = energies, rotation
     return energies, rotation
 
 
 def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
+    """Prepared model of one pair, memoised on h_int for this h_free object."""
+    cached_free, prep = h_int._memo.get("prepared", (None, None))
+    if cached_free is h_free:
+        return prep
     h_free._same_space(h_int)
     energies, rotation = _free_spectrum(h_free)
     h_rot = h_int.matrix
     if rotation is not None:
         h_rot = rotation.conj().T @ h_rot @ rotation
-    return _Prepared(h_free.space, energies, rotation, h_rot, certify(h_int))
+        h_rot.setflags(write=False)
+    mags = np.abs(h_rot)
+    rows, cols = np.nonzero(mags > ENTRY_THRESHOLD * mags.max())
+    gap = float(np.abs(energies[rows] - energies[cols]).max(initial=0.0))
+    prep = _Prepared(h_free.space, energies, rotation, h_rot, certify(h_int), gap)
+    h_int._memo["prepared"] = h_free, prep
+    return prep
 
 
 def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
@@ -306,15 +326,11 @@ def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
     For a diagonal free part with energies E the entries are exactly
     ``h_int[j, k] * exp(i tau (E_j - E_k))``.
     """
-    h_free._same_space(h_int)
-    energies, rotation = _free_spectrum(h_free)
-    core = h_int.matrix
-    if rotation is not None:
-        core = rotation.conj().T @ core @ rotation
-    phase = np.exp(1j * tau * energies)
-    core = phase[:, None] * core * phase.conj()[None, :]
-    if rotation is not None:
-        core = rotation @ core @ rotation.conj().T
+    prep = _prepare(h_free, h_int)
+    phase = np.exp(1j * tau * prep.energies)
+    core = phase[:, None] * prep.h_int_rot * phase.conj()[None, :]
+    if prep.rotation is not None:
+        core = prep.rotation @ core @ prep.rotation.conj().T
     return LinOp(h_free.space, core)
 
 
@@ -467,11 +483,10 @@ def _rotate_terms(
     out = []
     for n, (nodes, edges) in enumerate(terms):
         nv = nodes[..., 0]
-        ev = edges[..., 0]
+        ev = prep.from_working(edges[..., 0].T).T
         if prep.rotation is not None:
             nv = np.tensordot(prep.rotation, nv, axes=([1], [2]))
             nv = np.moveaxis(nv, 0, 2)
-            ev = (prep.rotation @ ev.T).T
         out.append(DysonTerm(n, grid, nv, ev))
     return tuple(out)
 
@@ -571,14 +586,7 @@ def coupled_gap(h_free: LinOp, h_int: LinOp) -> float:
     This is the fastest phase the rotated interaction can carry, which is
     what limits the panel width, not the size of the interaction itself.
     """
-    prep = _prepare(h_free, h_int)
-    mags = np.abs(prep.h_int_rot)
-    top = mags.max()
-    if top == 0.0:
-        return 0.0
-    rows, cols = np.nonzero(mags > ENTRY_THRESHOLD * top)
-    gaps = np.abs(prep.energies[rows] - prep.energies[cols])
-    return float(gaps.max()) if gaps.size else 0.0
+    return _prepare(h_free, h_int).gap
 
 
 def default_grid(
@@ -600,7 +608,8 @@ def default_grid(
     the fastest coupled phase resolved.  ``panel_multiple`` rounds the count
     up to a multiple, which aligns panel edges with output times.
     """
-    cert = certify(h_int)
+    prep = _prepare(h_free, h_int)
+    cert = prep.cert
     duration = abs(t_end - t_start)
     if duration == 0.0:
         return TimeGrid(t_start, t_end, panel_multiple, nodes_per_panel)
@@ -612,9 +621,8 @@ def default_grid(
     width_caps = [duration]
     if cert.rel_bound > 0:
         width_caps.append(PANEL_PRODUCT_FACTOR / (cert.rel_bound * math.sqrt(reach)))
-    gap = coupled_gap(h_free, h_int)
-    if gap > 0:
-        width_caps.append(PANEL_PHASE_FACTOR / gap)
+    if prep.gap > 0:
+        width_caps.append(PANEL_PHASE_FACTOR / prep.gap)
     width = min(width_caps)
     panels = max(1, math.ceil(duration / width))
     panels = min(max_panels, panels)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .dyson import (
     DEFAULT_MAX_ORDER,
+    DEFAULT_NODES_PER_PANEL,
     TimeGrid,
-    _free_spectrum,
+    _prepare,
     default_grid,
     evolve_block,
     free_propagator,
@@ -43,19 +44,6 @@ def _as_block(states) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("states must be a vector or a (dim, columns) block")
     return arr
-
-
-def _lab_frame(h_free: LinOp, times, blocks) -> np.ndarray:
-    """e^{-i t h_free} applied to each interaction-picture block at its time t."""
-    energies, rotation = _free_spectrum(h_free)
-    out = np.empty((len(times),) + blocks[0].shape, dtype=complex)
-    for k, (t, block) in enumerate(zip(times, blocks)):
-        phase = np.exp(-1j * t * energies)[:, None]
-        if rotation is None:
-            out[k] = phase * block
-        else:
-            out[k] = rotation @ (phase * (rotation.conj().T @ block))
-    return out
 
 
 def _time_index(times: np.ndarray, t: float) -> int:
@@ -88,7 +76,7 @@ def _aligned_run(
     steps: int,
     tol: float,
     max_order: int,
-    nodes_per_panel: int = 8,
+    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
 ):
     """One block run whose panel edges include steps+1 uniform times from 0.
 
@@ -108,7 +96,12 @@ def _aligned_run(
     drift = np.abs(grid.boundaries()[::stride] - times).max()
     if drift > 1e-9 * max(1.0, abs(t_end)):
         raise AssertionError("panel boundaries drifted off the output times")
-    states = _lab_frame(h_free, times, result.boundary_sums[::stride])
+    # W(t) = e^{-i t h_free} U(t, 0), the free phase taken in the eigenbasis.
+    prep = _prepare(h_free, h_int)
+    states = np.empty((steps + 1,) + block.shape, dtype=complex)
+    for k, (t, sums) in enumerate(zip(times, result.boundary_sums[::stride])):
+        phase = np.exp(-1j * t * prep.energies)[:, None]
+        states[k] = prep.from_working(phase * prep.to_working(sums))
     return times, states, result, stride
 
 
@@ -167,7 +160,7 @@ def schrodinger_trajectory(
     steps: int,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-    nodes_per_panel: int = 8,
+    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
 ) -> Trajectory:
     """W(t) applied to the initial block at steps+1 uniform times from 0."""
     times, states, result, _ = _aligned_run(

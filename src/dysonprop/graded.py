@@ -87,13 +87,13 @@ def _from_pairs(pairs: Sequence[Sequence[float]], dim: int) -> np.ndarray:
 class LinOp:
     """A dense operator attached to a graded space.
 
-    Immutable once constructed; certificate metadata is computed lazily and
-    cached.  Arithmetic helpers return new instances on the same space.
+    Immutable once constructed; derived data is computed lazily and memoised
+    in ``_memo``.  Arithmetic helpers return new instances on the same space.
     """
 
     space: GradedSpace
     matrix: np.ndarray
-    _cert: GradeCert | None = field(default=None, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -231,10 +231,9 @@ def relative_bound_constant(op: LinOp) -> float:
 
 def certify(op: LinOp) -> GradeCert:
     """Compute (and cache) the grade-shift / relative-bound certificate."""
-    if op._cert is None:
-        cert = GradeCert(grade_shift_bound(op), relative_bound_constant(op))
-        object.__setattr__(op, "_cert", cert)
-    return op._cert
+    if "cert" not in op._memo:
+        op._memo["cert"] = GradeCert(grade_shift_bound(op), relative_bound_constant(op))
+    return op._memo["cert"]
 
 
 def weighted_norm(space: GradedSpace, vec: np.ndarray, alpha: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .dyson import free_propagator
+from .dyson import _prepare, free_propagator
 from .errors import StiffnessError
 from .graded import LinOp
 
@@ -83,8 +83,6 @@ def ode_oracle(
     An embedded Runge-Kutta pair (DOP853) supplies the reference solution in
     the rotated picture; failure to advance raises StiffnessError.
     """
-    from .dyson import _prepare  # local import to keep module load light
-
     prep = _prepare(h_free, h_int)
     y0 = prep.to_working(np.asarray(xi, dtype=complex).reshape(-1, 1))[:, 0]
     energies = prep.energies

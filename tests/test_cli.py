@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from dysonprop import cli
 from dysonprop.cli import main
+from dysonprop.suite import fleet
 
 
 def linop_doc(grades, matrix):
@@ -283,6 +285,65 @@ def test_heisenberg_requires_even_steps(tmp_path):
         },
     )
     assert main(["heisenberg", cfg]) == 2
+
+
+def _initial_value_report(tmp_path):
+    doc = json.loads((tmp_path / "heisenberg.json").read_text())
+    (report,) = [r for r in doc["reports"]
+                 if r["check_name"] == "heisenberg-initial-value"]
+    return report
+
+
+def test_heisenberg_initial_value_is_graded_against_the_rounding_floor(
+    tmp_path, monkeypatch
+):
+    # A sector-block free part: the t = 0 matrix has been rotated into the
+    # free eigenbasis and back, so it carries a rounding residual.
+    model = fleet()[9]
+    rng = np.random.default_rng(3)
+    obs = rng.normal(size=(model.space.dim,) * 2)
+    obs = obs + obs.T
+    grades = list(model.space.grades)
+    doc = {
+        "model": {"h_free": model.h_free.to_json(), "h_int": model.h_int.to_json()},
+        "observable": linop_doc(grades, obs),
+        "t_end": 0.5,
+        "steps": 8,
+        "out_dir": str(tmp_path),
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["heisenberg", cfg]) == 0
+    report = _initial_value_report(tmp_path)
+    assert 0.0 < report["residual"] <= report["tolerance"] < 1e-9
+
+    # A diagonal free part is not rotated: the t = 0 matrix is exact.
+    diag_cfg = write_config(
+        tmp_path,
+        {
+            "model": pair_model_doc(),
+            "observable": linop_doc([0, 1, 2], np.diag([1.0, 2.0, 3.0])),
+            "t_end": 0.5,
+            "steps": 8,
+            "out_dir": str(tmp_path),
+        },
+        name="diag.json",
+    )
+    assert main(["heisenberg", diag_cfg]) == 0
+    assert _initial_value_report(tmp_path)["residual"] == 0.0
+
+    # A t = 0 matrix that is wrong beyond rounding still fails the check.
+    real_track = cli.heisenberg_track
+
+    def wrong_start(*args, **kwargs):
+        track = real_track(*args, **kwargs)
+        track.matrices[0] += 1e-6
+        return track
+
+    monkeypatch.setattr(cli, "heisenberg_track", wrong_start)
+    assert main(["heisenberg", cfg]) == 1
+    report = _initial_value_report(tmp_path)
+    assert report["passed"] is False
+    assert report["residual"] > report["tolerance"]
 
 
 def test_qed_demo_small_model(tmp_path, capsys):

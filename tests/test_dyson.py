@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dysonprop import dyson
 from dysonprop.dyson import (
     TimeGrid,
+    _prepare,
     apriori_bound,
     apriori_tail,
     coupled_gap,
@@ -20,9 +22,10 @@ from dysonprop.dyson import (
     interaction_picture,
 )
 from dysonprop.errors import TruncationError
-from dysonprop.graded import GradedSpace, LinOp, as_linop
+from dysonprop.evolution import schrodinger_trajectory
+from dysonprop.graded import GradedSpace, LinOp, as_linop, certify
 from dysonprop.oracles import oracle_propagator
-from dysonprop.suite import random_graded_model
+from dysonprop.suite import fleet, random_graded_model
 
 
 def two_level(delta=1.0, g=0.3):
@@ -185,6 +188,59 @@ def test_coupled_gap_reads_the_supported_entries():
     m[1, 0] = 1.0  # couples gap 1, not the gap-10 pair
     assert coupled_gap(h0, LinOp(space, m)) == pytest.approx(1.0)
     assert coupled_gap(h0, LinOp(space, np.zeros((3, 3)))) == 0.0
+
+
+# ------------------------------------------------------ prepared model
+
+def test_one_preparation_per_operator_pair(monkeypatch):
+    model = fleet(count=10)[9]  # sector-block free part
+    calls = []
+    real_check = dyson.check_free_part
+
+    def counted(h_free):
+        calls.append(h_free)
+        return real_check(h_free)
+
+    monkeypatch.setattr(dyson, "check_free_part", counted)
+    h_free, h_int = model.h_free, model.h_int
+    grid = default_grid(h_free, h_int, 0.0, 0.6, support=0.0)
+    evolve_block(h_free, h_int, np.eye(model.space.dim)[:, :2], grid, 1e-10)
+    schrodinger_trajectory(h_free, h_int, np.eye(model.space.dim)[:, 0],
+                           0.6, 3, 1e-10)
+    assert len(calls) == 1 and calls[0] is h_free
+    prep = _prepare(h_free, h_int)
+    assert prep.rotation is not None
+    assert _prepare(h_free, h_int) is prep
+    assert prep.cert is certify(h_int)
+    assert prep.gap == coupled_gap(h_free, h_int)
+
+
+def test_same_interaction_with_another_free_part():
+    model = fleet(count=10)[9]
+    h_int = model.h_int
+    diagonal = LinOp(model.space, np.diag(np.linspace(-1.0, 2.0, model.space.dim)))
+    eye = np.eye(model.space.dim)
+    for h_free in (model.h_free, diagonal, model.h_free):
+        prep = _prepare(h_free, h_int)
+        assert (prep.rotation is None) == (h_free is diagonal)
+        grid = default_grid(h_free, h_int, 0.0, 0.7, support=max(model.space.grades))
+        u = evolve_block(h_free, h_int, eye, grid, 1e-10).final()
+        ref = oracle_propagator(h_free, h_int, 0.7, 0.0)
+        assert np.abs(u - ref).max() < 1e-9
+
+
+def test_linop_equality_and_repr_ignore_the_memo():
+    # One-by-one operators: the generated equality can compare their arrays.
+    space = GradedSpace((0.0,))
+    h_free = LinOp(space, [[0.5]])
+    h_int = LinOp(space, [[0.3]])
+    twin = LinOp(space, [[0.3]])
+    before = repr(h_int)
+    _prepare(h_free, h_int)
+    assert set(h_int._memo) == {"cert", "prepared"} and not twin._memo
+    assert h_int == twin
+    assert repr(h_int) == repr(twin) == before
+    assert "_memo" not in before
 
 
 # -------------------------------------------------------- series values
