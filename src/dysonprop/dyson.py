@@ -16,7 +16,8 @@ tail, these bounds summed over every later order, is below the tolerance.
 
 Quadrature: composite Gauss-Legendre panels.  Cumulative integrals inside a
 panel integrate the degree-(q-1) interpolant through the panel's own nodes,
-so one order costs a single dense mat-mat product over all nodes.
+so one order costs one mat-mat product over all nodes per independent block
+of the rotated interaction (a single dense product when it has one block).
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
@@ -37,6 +38,8 @@ from .graded import (
     GradeCert,
     GradedSpace,
     LinOp,
+    _blocks,
+    _op_blocks,
     certify,
     check_free_part,
     grade_sectors,
@@ -262,6 +265,9 @@ class _Prepared:
     energies: np.ndarray  # real, length dim
     rotation: np.ndarray | None  # columns: eigenbasis; None when already diagonal
     h_int_rot: np.ndarray
+    # (rows, cols, h_int_rot[rows][:, cols]) per independent block of
+    # h_int_rot; None when its non-zero pattern is one component.
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None
     cert: GradeCert
     gap: float  # see coupled_gap
 
@@ -308,14 +314,29 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
         return prep
     h_free._same_space(h_int)
     energies, rotation = _free_spectrum(h_free)
-    h_rot = h_int.matrix
-    if rotation is not None:
-        h_rot = rotation.conj().T @ h_rot @ rotation
+    if rotation is None:
+        h_rot, labels = h_int.matrix, _op_blocks(h_int)  # shared with certify
+    else:
+        h_rot = rotation.conj().T @ h_int.matrix @ rotation
         h_rot.setflags(write=False)
-    mags = np.abs(h_rot)
-    rows, cols = np.nonzero(mags > ENTRY_THRESHOLD * mags.max())
-    gap = float(np.abs(energies[rows] - energies[cols]).max(initial=0.0))
-    prep = _Prepared(h_free.space, energies, rotation, h_rot, certify(h_int), gap)
+        labels = _blocks(h_rot)
+    blocks = None if labels is None else tuple(
+        (rows, cols, np.ascontiguousarray(h_rot[np.ix_(rows, cols)]))
+        for rows, cols in labels
+    )
+    # Entries outside every block are exact zeros, so the gap reads the blocks.
+    whole = np.arange(h_rot.shape[0])
+    parts = blocks or ((whole, whole, h_rot),)
+    mags = [np.abs(b) for _, _, b in parts]
+    top = max(mag.max() for mag in mags)
+    gap = 0.0
+    for (rows, cols, _), mag in zip(parts, mags):
+        r, c = np.nonzero(mag > ENTRY_THRESHOLD * top)
+        spread = np.abs(energies[rows[r]] - energies[cols[c]]).max(initial=0.0)
+        gap = max(gap, float(spread))
+    prep = _Prepared(
+        h_free.space, energies, rotation, h_rot, blocks, certify(h_int), gap
+    )
     h_int._memo["prepared"] = h_free, prep
     return prep
 
@@ -354,15 +375,35 @@ class _GridKernels:
         self.nodes = grid.nodes()
         self.weights = w
         self.partial = s
-        # e^{-i tau E} at every node, shape (P, q, dim)
+        # e^{-i tau E} and e^{+i tau E} at every node, shape (P, q, dim)
         self.phase_minus = np.exp(-1j * self.nodes[:, :, None] * energies[None, None, :])
+        self.phase_plus = self.phase_minus.conj()
 
-    def apply_interaction(self, h_rot: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """h_int(tau_node) applied nodewise to values of shape (P, q, d, m)."""
-        x = self.phase_minus[..., None] * values
-        y = np.tensordot(h_rot, x, axes=([1], [2]))  # (d, P, q, m)
-        y = np.moveaxis(y, 0, 2)
-        return self.phase_minus.conj()[..., None] * y
+    def apply_interaction(self, prep: _Prepared, values: np.ndarray) -> np.ndarray:
+        """h_int(tau_node) applied nodewise to values of shape (P, q, d, m).
+
+        One product per independent block of the rotated interaction, on the
+        (d, P*q*m) layout; rows in no block stay zero.  With one component
+        this is a single dense product.
+        """
+        p, q, d, m = values.shape
+        if prep.blocks is None:
+            x = self.phase_minus[..., None] * values
+            y = np.tensordot(prep.h_int_rot, x, axes=([1], [2]))  # (d, P, q, m)
+        else:
+            x = np.empty((d, p, q, m), dtype=complex)
+            np.multiply(
+                np.moveaxis(self.phase_minus, 2, 0)[..., None],
+                np.moveaxis(values, 2, 0),
+                out=x,
+            )
+            x = x.reshape(d, p * q * m)
+            y = np.zeros_like(x)
+            for rows, cols, block in prep.blocks:
+                y[rows] = block @ x[cols]
+            y = y.reshape(d, p, q, m)
+        del x  # freed before the output is allocated, to lower the peak memory
+        return self.phase_plus[..., None] * np.moveaxis(y, 0, 2)
 
     def cumulative_integral(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Integrate nodal data g from t_start up to every node and edge.
@@ -441,7 +482,7 @@ def _run_block(
 
     order = 0
     while order < max_order and not tails[order].max() < tol:
-        g = kern.apply_interaction(prep.h_int_rot, node_vals)
+        g = kern.apply_interaction(prep, node_vals)
         node_int, edge_int = kern.cumulative_integral(g)
         node_vals = -1j * node_int
         edge_vals = -1j * edge_int

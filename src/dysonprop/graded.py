@@ -112,8 +112,14 @@ class LinOp:
 
     @property
     def H(self) -> "LinOp":
-        """Conjugate transpose on the same space."""
-        return LinOp(self.space, self.matrix.conj().T)
+        """Conjugate transpose on the same space, built once per operator.
+
+        Only this operator's memo holds the adjoint, so ``h.H.H`` is a new
+        operator and no reference cycle forms.
+        """
+        if "adjoint" not in self._memo:
+            self._memo["adjoint"] = LinOp(self.space, self.matrix.conj().T)
+        return self._memo["adjoint"]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=complex)
@@ -139,7 +145,7 @@ class LinOp:
     __rmul__ = __mul__
 
     def norm2(self) -> float:
-        return _spectral_norm(self.matrix)
+        return _spectral_norm(self.matrix, _op_blocks(self))
 
     def _same_space(self, other: "LinOp") -> None:
         if other.space.grades != self.space.grades:
@@ -158,14 +164,13 @@ class LinOp:
         return LinOp(space, _from_pairs(doc["matrix"], space.dim))
 
 
-def _spectral_norm(matrix: np.ndarray, col_scale: np.ndarray | None = None) -> float:
-    """Exact 2-norm of ``matrix * col_scale``, one SVD per independent block.
+def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Row and column indices of each independent block of ``matrix``.
 
     The blocks are the connected components of the bipartite row/column
-    graph of the exact non-zero pattern (``matrix != 0``), so the norm is the
-    largest block norm and nothing is dropped.  Column scaling is applied to
-    each block only.  A matrix with a single component goes through one
-    dense ``np.linalg.norm(., 2)`` of the whole scaled matrix.
+    graph of the exact non-zero pattern (``matrix != 0``), each with at least
+    one row and one column; all-zero rows and columns lie in no block.
+    Returns None when the pattern is one component.
     """
     n_rows, n_cols = matrix.shape
     rows, cols = np.nonzero(matrix)
@@ -175,22 +180,48 @@ def _spectral_norm(matrix: np.ndarray, col_scale: np.ndarray | None = None) -> f
     )
     count, labels = connected_components(graph, directed=False)
     if count == 1:
-        scaled = matrix if col_scale is None else matrix * col_scale
-        return float(np.linalg.norm(scaled, 2))
+        return None
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(count + 1))
-    top = 0.0
+    out = []
     for lo, hi in zip(starts[:-1], starts[1:]):
         nodes = order[lo:hi]
         block_rows = nodes[nodes < n_rows]
         block_cols = nodes[nodes >= n_rows] - n_rows
-        if block_rows.size == 0 or block_cols.size == 0:
-            continue
+        if block_rows.size and block_cols.size:
+            out.append((block_rows, block_cols))
+    return out
+
+
+def _spectral_norm(
+    matrix: np.ndarray,
+    blocks: list[tuple[np.ndarray, np.ndarray]] | None,
+    col_scale: np.ndarray | None = None,
+) -> float:
+    """Exact 2-norm of ``matrix * col_scale``, one SVD per independent block.
+
+    ``blocks`` is ``_blocks(matrix)``, so the norm is the largest block norm
+    and nothing is dropped.  Column scaling is applied to each block only.
+    A matrix with a single component goes through one dense
+    ``np.linalg.norm(., 2)`` of the whole scaled matrix.
+    """
+    if blocks is None:
+        scaled = matrix if col_scale is None else matrix * col_scale
+        return float(np.linalg.norm(scaled, 2))
+    top = 0.0
+    for block_rows, block_cols in blocks:
         block = matrix[np.ix_(block_rows, block_cols)]
         if col_scale is not None:
             block = block * col_scale[block_cols]
         top = max(top, float(np.linalg.norm(block, 2)))
     return top
+
+
+def _op_blocks(op: LinOp) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """``_blocks`` of the operator's matrix, labelled once (memoised)."""
+    if "blocks" not in op._memo:
+        op._memo["blocks"] = _blocks(op.matrix)
+    return op._memo["blocks"]
 
 
 def sector_projector(space: GradedSpace, level: float) -> LinOp:
@@ -223,10 +254,10 @@ def relative_bound_constant(op: LinOp) -> float:
 
     Computed exactly as the largest singular value of ``op`` right-scaled by
     ``diag((grade + 1)^{-1/2})``, taken block by block over the independent
-    blocks of the exact non-zero pattern of ``op`` (``_spectral_norm``).
+    blocks of the exact non-zero pattern of ``op`` (``_op_blocks``).
     """
     g = op.space.grade_array()
-    return _spectral_norm(op.matrix, (g + 1.0) ** -0.5)
+    return _spectral_norm(op.matrix, _op_blocks(op), (g + 1.0) ** -0.5)
 
 
 def certify(op: LinOp) -> GradeCert:
@@ -270,22 +301,33 @@ def check_free_part(h_free: LinOp) -> bool:
     """Require a Hermitian free part that preserves the grading sectors.
 
     Raises AssumptionViolation with a behavioural code otherwise, and returns
-    whether ``h_free`` is diagonal to STRUCTURE_RTOL.  The sector test runs
-    only when off-diagonal entries exist, so a diagonal free part allocates
-    no grade-mask temporary.
+    whether ``h_free`` is diagonal to STRUCTURE_RTOL.  An exactly diagonal
+    free part is checked on its diagonal alone; otherwise the sector test
+    runs when any off-diagonal entry is non-zero.
     """
     m = h_free.matrix
-    scale = max(1.0, float(np.linalg.norm(m)))
-    # m - m^H, then the off-diagonal magnitudes: one full-size buffer at a
-    # time, as the free part of a large model is itself a dense matrix.
-    skew = np.conjugate(m.T, order="C")
-    np.subtract(m, skew, out=skew)
-    if float(np.linalg.norm(skew)) > STRUCTURE_RTOL * scale:
+    diag = np.diagonal(m)
+    diagonal = np.count_nonzero(m) == np.count_nonzero(diag)
+    if diagonal:
+        # Every non-zero entry is on the diagonal: m - m^H is 2i Im(diag)
+        # and no entry mixes grades, so nothing full-size is allocated.
+        scale = max(1.0, float(np.linalg.norm(diag)))
+        skew_norm = 2.0 * float(np.linalg.norm(diag.imag))
+    else:
+        scale = max(1.0, float(np.linalg.norm(m)))
+        # m - m^H, then the off-diagonal magnitudes: one full-size buffer at
+        # a time, as the free part of a large model is itself a dense matrix.
+        skew = np.conjugate(m.T, order="C")
+        np.subtract(m, skew, out=skew)
+        skew_norm = float(np.linalg.norm(skew))
+        del skew
+    if skew_norm > STRUCTURE_RTOL * scale:
         raise AssumptionViolation(
             "free-part-not-hermitian",
             "the free part of the Hamiltonian must be Hermitian",
         )
-    del skew
+    if diagonal:
+        return True
     mags = np.abs(m)
     np.fill_diagonal(mags, 0.0)
     off = mags.max()

@@ -86,6 +86,7 @@ def ode_oracle(
     prep = _prepare(h_free, h_int)
     y0 = prep.to_working(np.asarray(xi, dtype=complex).reshape(-1, 1))[:, 0]
     energies = prep.energies
+    # Dense on purpose, not prep.blocks: an independent check of the block apply.
     h_rot = prep.h_int_rot
 
     def rhs(tau, y):

@@ -1,5 +1,6 @@
 """Series engine: grids, certified bounds, and agreement with closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dysonprop import dyson
 from dysonprop.dyson import (
     TimeGrid,
     _prepare,
+    _run_block,
     apriori_bound,
     apriori_tail,
     coupled_gap,
@@ -23,7 +25,13 @@ from dysonprop.dyson import (
 )
 from dysonprop.errors import TruncationError
 from dysonprop.evolution import schrodinger_trajectory
-from dysonprop.graded import GradedSpace, LinOp, as_linop, certify
+from dysonprop.graded import (
+    GradedSpace,
+    LinOp,
+    as_linop,
+    certify,
+    vectors_supported_below,
+)
 from dysonprop.oracles import oracle_propagator
 from dysonprop.suite import fleet, random_graded_model
 
@@ -237,10 +245,98 @@ def test_linop_equality_and_repr_ignore_the_memo():
     twin = LinOp(space, [[0.3]])
     before = repr(h_int)
     _prepare(h_free, h_int)
-    assert set(h_int._memo) == {"cert", "prepared"} and not twin._memo
+    assert set(h_int._memo) == {"blocks", "cert", "prepared"} and not twin._memo
     assert h_int == twin
     assert repr(h_int) == repr(twin) == before
     assert "_memo" not in before
+
+
+def test_adjoint_is_built_and_prepared_once(monkeypatch):
+    space = GradedSpace((0.0,))
+    one = LinOp(space, [[0.3 + 0.4j]])
+    assert one.H is one.H
+    assert one.H == LinOp(space, one.matrix.conj().T)
+    adj = one.H
+    assert "adjoint" not in adj._memo  # one direction only: no reference cycle
+    assert adj.H is not one
+
+    model = random_graded_model(seed=13, dim=6, grade_shift=1)
+    h_int = model.h_int
+    np.testing.assert_array_equal(h_int.H.matrix, h_int.matrix.conj().T)
+    grid = default_grid(model.h_free, h_int, 0.0, 0.6, support=6.0)
+    certified = []
+    real_certify = dyson.certify
+
+    def counted(op):
+        certified.append(op)
+        return real_certify(op)
+
+    monkeypatch.setattr(dyson, "certify", counted)
+    xi = np.eye(6)[:, 2]
+    for _ in range(2):
+        evolve_adjoint(model.h_free, h_int, xi, grid, tol=1e-12,
+                       estimate_quadrature=False)
+    assert len(certified) == 1 and certified[0] is h_int.H
+
+
+# -------------------------------------------------------- block apply
+
+def test_block_apply_matches_the_single_product(toy_model):
+    h_free, h_int = toy_model.h_free, toy_model.h_int
+    prep = _prepare(h_free, h_int)
+    assert prep.rotation is None and len(prep.blocks) == 32
+    assert max(b.shape for _, _, b in prep.blocks) == (78, 28)
+    rng = np.random.default_rng(5)
+    level = toy_model.config.photon_cap - 2
+    block = vectors_supported_below(rng, toy_model.space, level, 3)
+    grid = default_grid(h_free, h_int, 0.0, 0.4, support=level, tol=1e-9)
+    by_blocks, _ = _run_block(prep, grid, block, 1e-9, 64, keep_terms=False)
+    dense, _ = _run_block(dataclasses.replace(prep, blocks=None), grid, block,
+                          1e-9, 64, keep_terms=False)
+    # The block path reads the blocks alone, never the dense d x d matrix.
+    blind = dataclasses.replace(prep, h_int_rot=np.zeros_like(prep.h_int_rot))
+    blind_run, _ = _run_block(blind, grid, block, 1e-9, 64, keep_terms=False)
+    np.testing.assert_array_equal(blind_run.boundary_sums, by_blocks.boundary_sums)
+    assert by_blocks.achieved_order == dense.achieved_order > 1
+    for name in ("boundary_sums", "tail_bounds", "per_order_sup_norms"):
+        got, want = getattr(by_blocks, name), getattr(dense, name)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_block_apply_with_zero_rows_under_a_rotated_free_part():
+    # Sectors of sizes 2, 3, 2, 2, 2, 1 at grades 0..5; the interaction maps
+    # sector 0 to 1, 2 to 3 and 3 to 0, so sectors 4 and 5 (and the rows of
+    # sector 2, the columns of sector 1) are all zero.
+    rng = np.random.default_rng(21)
+    sizes = (2, 3, 2, 2, 2, 1)
+    grades = np.repeat(np.arange(6.0), sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    sector = [np.arange(starts[k], starts[k + 1]) for k in range(6)]
+    dim = grades.size
+    h0 = np.zeros((dim, dim), dtype=complex)
+    for idx in sector:
+        a = rng.normal(size=(idx.size,) * 2) + 1j * rng.normal(size=(idx.size,) * 2)
+        h0[np.ix_(idx, idx)] = a + a.conj().T
+    h1 = np.zeros((dim, dim), dtype=complex)
+    for to, frm in ((1, 0), (3, 2), (0, 3)):
+        shape = (sizes[to], sizes[frm])
+        entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h1[np.ix_(sector[to], sector[frm])] = entries
+    perm = rng.permutation(dim)
+    space = GradedSpace(tuple(grades[perm]))
+    h_free = LinOp(space, h0[np.ix_(perm, perm)])
+    h_int = LinOp(space, 0.4 * h1[np.ix_(perm, perm)])
+    prep = _prepare(h_free, h_int)
+    assert prep.rotation is not None and len(prep.blocks) == 3
+    t = 0.8
+    grid = default_grid(h_free, h_int, 0.0, t, support=5.0, tol=1e-11)
+    u = evolve_block(h_free, h_int, np.eye(dim), grid, 1e-11).final()
+    assert np.abs(u - oracle_propagator(h_free, h_int, t, 0.0)).max() < 1e-9
+
+
+def test_fleet_takes_the_single_product_path(fleet_models):
+    for model in fleet_models:
+        assert _prepare(model.h_free, model.h_int).blocks is None
 
 
 # -------------------------------------------------------- series values

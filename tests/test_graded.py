@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from dysonprop.errors import AssumptionViolation
 from dysonprop.graded import (
+    STRUCTURE_RTOL,
     GradedSpace,
     LinOp,
+    _blocks,
     _spectral_norm,
     as_linop,
     certify,
@@ -89,21 +91,24 @@ def test_block_norm_equals_dense_norm():
     rng = np.random.default_rng(7)
     m = _permuted_block_diagonal(rng)
     dense = np.linalg.norm(m, 2)
-    assert _spectral_norm(m) == pytest.approx(dense, rel=1e-13)
+    assert _spectral_norm(m, _blocks(m)) == pytest.approx(dense, rel=1e-13)
     scale = rng.uniform(0.2, 1.0, size=m.shape[1])
-    assert _spectral_norm(m, scale) == pytest.approx(
+    assert _spectral_norm(m, _blocks(m), scale) == pytest.approx(
         np.linalg.norm(m * scale, 2), rel=1e-13
     )
     diag = np.diag(rng.normal(size=7) + 1j * rng.normal(size=7))
-    assert _spectral_norm(diag) == pytest.approx(np.linalg.norm(diag, 2), rel=1e-13)
-    assert _spectral_norm(np.zeros((5, 5), dtype=complex)) == 0.0
-    assert LinOp(GradedSpace((0.0,) * 7), diag).norm2() == _spectral_norm(diag)
+    diag_norm = _spectral_norm(diag, _blocks(diag))
+    assert diag_norm == pytest.approx(np.linalg.norm(diag, 2), rel=1e-13)
+    zero = np.zeros((5, 5), dtype=complex)
+    assert _blocks(zero) == [] and _spectral_norm(zero, []) == 0.0
+    assert LinOp(GradedSpace((0.0,) * 7), diag).norm2() == diag_norm
 
 
 def test_block_norm_is_bit_identical_on_the_fleet():
     for model in fleet():
         m = model.h_int.matrix
-        assert _spectral_norm(m) == float(np.linalg.norm(m, 2))
+        assert _blocks(m) is None
+        assert _spectral_norm(m, None) == float(np.linalg.norm(m, 2))
         g = model.h_int.space.grade_array()
         assert relative_bound_constant(model.h_int) == float(
             np.linalg.norm(m * (g + 1.0) ** -0.5, 2)
@@ -197,3 +202,60 @@ def test_shift_bound_never_exceeds_grade_range(seed):
     assert 0.0 <= b <= grades.max() - grades.min()
     # and the a-priori constant is bounded by the plain operator norm
     assert relative_bound_constant(op) <= np.linalg.norm(m, 2) + 1e-12
+
+
+def _dense_free_part_verdict(m, grades):
+    """check_free_part's verdict through full-size temporaries only."""
+    scale = max(1.0, float(np.linalg.norm(m)))
+    if float(np.linalg.norm(m - m.conj().T)) > STRUCTURE_RTOL * scale:
+        return "free-part-not-hermitian"
+    off = np.abs(m - np.diag(np.diag(m))).max()
+    g = np.asarray(grades)
+    if off > 0.0 and float(np.linalg.norm(
+            np.where(g[:, None] != g[None, :], m, 0.0))) > STRUCTURE_RTOL * scale:
+        return "free-part-mixes-grades"
+    return bool(off <= STRUCTURE_RTOL * scale)
+
+
+def _free_part_verdict(op):
+    try:
+        return check_free_part(op)
+    except AssumptionViolation as exc:
+        return exc.code
+
+
+def test_diagonal_free_part_with_an_imaginary_entry_is_rejected():
+    space = GradedSpace((0.0, 1.0, 1.0))
+    bad = LinOp(space, np.diag([1.0, 2.0 + 1e-6j, 3.0]))
+    with pytest.raises(AssumptionViolation) as exc:
+        check_free_part(bad)
+    assert exc.value.code == "free-part-not-hermitian"
+    assert check_free_part(LinOp(space, np.diag([1.0, 2.0 + 1e-14j, 3.0]))) is True
+
+
+def test_free_part_verdicts_match_the_dense_check(fleet_models):
+    rng = np.random.default_rng(31)
+    grades = (0.0, 0.0, 1.0, 1.0, 2.0)
+    herm = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    herm = herm + herm.conj().T
+    sector = np.where(np.equal.outer(grades, grades), herm, 0.0)
+    tilt = np.zeros((5, 5), dtype=complex)
+    tilt[1, 0], tilt[0, 1] = 1e-13, 3e-13
+    cases = [
+        np.diag(rng.normal(size=5)),
+        np.diag(rng.normal(size=5) + 1e-9j * rng.normal(size=5)),
+        np.diag(rng.normal(size=5) + 1e-15j * rng.normal(size=5)),
+        np.zeros((5, 5)),
+        sector,
+        sector + tilt,
+        herm,
+        rng.normal(size=(5, 5)),
+    ]
+    ops = [LinOp(GradedSpace(grades), m) for m in cases]
+    ops += [model.h_free for model in fleet_models]
+    verdicts = [_free_part_verdict(op) for op in ops]
+    assert verdicts == [
+        _dense_free_part_verdict(op.matrix, op.space.grades) for op in ops
+    ]
+    assert {True, False, "free-part-not-hermitian",
+            "free-part-mixes-grades"} <= set(verdicts)
