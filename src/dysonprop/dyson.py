@@ -17,7 +17,10 @@ tail, these bounds summed over every later order, is below the tolerance.
 Quadrature: composite Gauss-Legendre panels.  Cumulative integrals inside a
 panel integrate the degree-(q-1) interpolant through the panel's own nodes,
 so one order costs one mat-mat product over all nodes per independent block
-of the rotated interaction (a single dense product when it has one block).
+of the rotated interaction.  Every order is held node-major, as (q, d, P*m)
+arrays (q nodes per panel, dimension d, P panels, m columns), so the panel
+integrals are products of the quadrature weights with a (q, .) view and no
+order transposes its values.
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
@@ -160,14 +163,6 @@ class SeriesResult:
     cert: GradeCert
     support_in: float
 
-    def to_json(self) -> dict:
-        return {
-            "achieved_order": self.achieved_order,
-            "tail_bound": self.tail_bound,
-            "per_order_sup_norms": list(self.per_order_sup_norms),
-            "result": [[float(z.real), float(z.imag)] for z in self.partial_sum],
-        }
-
 
 def _apriori_table(
     n_max: int, duration: float, rel_bound: float, grade_shift: float,
@@ -266,8 +261,9 @@ class _Prepared:
     rotation: np.ndarray | None  # columns: eigenbasis; None when already diagonal
     h_int_rot: np.ndarray
     # (rows, cols, h_int_rot[rows][:, cols]) per independent block of
-    # h_int_rot; None when its non-zero pattern is one component.
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None
+    # h_int_rot, as labelled by graded._blocks (whole-axis slices when its
+    # non-zero pattern is one component; no block when it is zero).
+    blocks: tuple[tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray], ...]
     cert: GradeCert
     gap: float  # see coupled_gap
 
@@ -320,19 +316,17 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
         h_rot = rotation.conj().T @ h_int.matrix @ rotation
         h_rot.setflags(write=False)
         labels = _blocks(h_rot)
-    blocks = None if labels is None else tuple(
-        (rows, cols, np.ascontiguousarray(h_rot[np.ix_(rows, cols)]))
+    blocks = tuple(
+        (rows, cols, np.ascontiguousarray(h_rot[rows][:, cols]))
         for rows, cols in labels
     )
     # Entries outside every block are exact zeros, so the gap reads the blocks.
-    whole = np.arange(h_rot.shape[0])
-    parts = blocks or ((whole, whole, h_rot),)
-    mags = [np.abs(b) for _, _, b in parts]
-    top = max(mag.max() for mag in mags)
+    mags = [np.abs(b) for _, _, b in blocks]
+    top = max((mag.max() for mag in mags), default=0.0)
     gap = 0.0
-    for (rows, cols, _), mag in zip(parts, mags):
+    for (rows, cols, _), mag in zip(blocks, mags):
         r, c = np.nonzero(mag > ENTRY_THRESHOLD * top)
-        spread = np.abs(energies[rows[r]] - energies[cols[c]]).max(initial=0.0)
+        spread = np.abs(energies[rows][r] - energies[cols][c]).max(initial=0.0)
         gap = max(gap, float(spread))
     prep = _Prepared(
         h_free.space, energies, rotation, h_rot, blocks, certify(h_int), gap
@@ -365,60 +359,53 @@ def free_propagator(h_free: LinOp, t: float) -> np.ndarray:
 
 
 class _GridKernels:
-    """Precomputed quadrature data bound to one grid and one energy vector."""
+    """Precomputed quadrature data bound to one grid and one energy vector.
+
+    Nodal data is node-major: shape (q, d, P*m), panel-major within the last
+    axis, so element [j, i, p*m + c] belongs to node j of panel p, column c.
+    """
 
     def __init__(self, grid: TimeGrid, energies: np.ndarray):
-        x, w, s = _reference_rule(grid.nodes_per_panel)
-        self.grid = grid
+        _, self.weights, self.partial = _reference_rule(grid.nodes_per_panel)
         bnd = grid.boundaries()
         self.halfw = 0.5 * (bnd[1:] - bnd[:-1])  # signed
-        self.nodes = grid.nodes()
-        self.weights = w
-        self.partial = s
-        # e^{-i tau E} and e^{+i tau E} at every node, shape (P, q, dim)
-        self.phase_minus = np.exp(-1j * self.nodes[:, :, None] * energies[None, None, :])
+        # e^{-i tau E} and e^{+i tau E} at every node, shape (q, d, P, 1)
+        nodes = grid.nodes().T[:, None, :, None]
+        self.phase_minus = np.exp(-1j * nodes * energies[None, :, None, None])
         self.phase_plus = self.phase_minus.conj()
 
     def apply_interaction(self, prep: _Prepared, values: np.ndarray) -> np.ndarray:
-        """h_int(tau_node) applied nodewise to values of shape (P, q, d, m).
+        """h_int(tau_node) applied nodewise to values of shape (q, d, P*m).
 
-        One product per independent block of the rotated interaction, on the
-        (d, P*q*m) layout; rows in no block stay zero.  With one component
-        this is a single dense product.
+        One product per independent block of the rotated interaction; rows
+        in no block stay zero.
         """
-        p, q, d, m = values.shape
-        if prep.blocks is None:
-            x = self.phase_minus[..., None] * values
-            y = np.tensordot(prep.h_int_rot, x, axes=([1], [2]))  # (d, P, q, m)
-        else:
-            x = np.empty((d, p, q, m), dtype=complex)
-            np.multiply(
-                np.moveaxis(self.phase_minus, 2, 0)[..., None],
-                np.moveaxis(values, 2, 0),
-                out=x,
-            )
-            x = x.reshape(d, p * q * m)
-            y = np.zeros_like(x)
-            for rows, cols, block in prep.blocks:
-                y[rows] = block @ x[cols]
-            y = y.reshape(d, p, q, m)
-        del x  # freed before the output is allocated, to lower the peak memory
-        return self.phase_plus[..., None] * np.moveaxis(y, 0, 2)
+        q, d, _ = values.shape
+        p = self.halfw.size
+        x = (self.phase_minus * values.reshape(q, d, p, -1)).reshape(values.shape)
+        y = np.zeros_like(x)
+        for rows, cols, block in prep.blocks:
+            y[:, rows] = block @ x[:, cols]
+        phased = y.reshape(q, d, p, -1)
+        phased *= self.phase_plus
+        return y
 
     def cumulative_integral(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate nodal data g from t_start up to every node and edge.
+        """Integrate nodal data g (q, d, P*m) from t_start up to every node and edge.
 
-        Returns (node integrals (P, q, d, m), edge integrals (P + 1, d, m)).
+        Returns (node integrals (q, d, P*m), edge integrals (d, P + 1, m)).
         """
-        p = g.shape[0]
-        full = np.tensordot(self.weights, g, axes=([0], [1]))  # (P, d, m)
-        full *= self.halfw[:, None, None]
-        part = np.tensordot(self.partial, g, axes=([1], [1]))  # (q, P, d, m)
-        part = np.moveaxis(part, 0, 1) * self.halfw[:, None, None, None]
-        edges = np.zeros((p + 1,) + g.shape[2:], dtype=complex)
-        np.cumsum(full, axis=0, out=edges[1:])
-        nodes = edges[:-1, None, :, :] + part
-        return nodes, edges
+        q, d, _ = g.shape
+        p = self.halfw.size
+        flat = g.view(float).reshape(q, -1)  # real weights act on re and im alike
+        full = (self.weights @ flat).view(complex).reshape(d, p, -1)
+        full *= self.halfw[:, None]
+        part = (self.partial @ flat).view(complex).reshape(q, d, p, -1)
+        part *= self.halfw[:, None]
+        edges = np.zeros((d, p + 1, full.shape[-1]), dtype=complex)
+        np.cumsum(full, axis=1, out=edges[:, 1:])
+        part += edges[:, :-1]
+        return part.reshape(g.shape), edges
 
 
 @dataclass
@@ -443,9 +430,12 @@ class BlockSeriesResult:
 
 
 def _column_norms(node_vals: np.ndarray, edge_vals: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(node_vals, axis=2).max(axis=(0, 1))
-    e = np.linalg.norm(edge_vals, axis=1).max(axis=0)
-    return np.maximum(n, e)
+    """Largest 2-norm of each column over nodes (q, d, P*m) and edges (d, P+1, m)."""
+    m = edge_vals.shape[-1]
+    nf, ef = node_vals.view(float), edge_vals.view(float)  # (re, im) side by side
+    n = np.einsum("qdk,qdk->qk", nf, nf).reshape(-1, m, 2).sum(axis=2)
+    e = np.einsum("dpk,dpk->pk", ef, ef).reshape(-1, m, 2).sum(axis=2)
+    return np.sqrt(np.maximum(n.max(axis=0), e.max(axis=0)))
 
 
 def _run_block(
@@ -472,30 +462,30 @@ def _run_block(
         supports, norms0,
     )
 
-    node_vals = np.broadcast_to(work, (p, q, dim, m)).astype(complex)
-    edge_vals = np.broadcast_to(work, (p + 1, dim, m)).astype(complex)
-    sums = edge_vals.copy()
-    sup_norms = [norms0.copy()]
+    node_vals = np.tile(work, (q, 1, p))  # (q, d, P*m)
+    edge_vals = np.tile(work[:, None, :], (1, p + 1, 1))  # (d, P + 1, m)
+    sums = edge_vals
+    sup_norms = [norms0]
     terms: list[tuple[np.ndarray, np.ndarray]] = []
     if keep_terms:
-        terms.append((node_vals.copy(), edge_vals.copy()))
+        terms.append((node_vals, edge_vals))
 
     order = 0
     while order < max_order and not tails[order].max() < tol:
-        g = kern.apply_interaction(prep, node_vals)
-        node_int, edge_int = kern.cumulative_integral(g)
-        node_vals = -1j * node_int
-        edge_vals = -1j * edge_int
+        node_vals, edge_vals = kern.cumulative_integral(
+            kern.apply_interaction(prep, node_vals)
+        )
+        node_vals *= -1j
+        edge_vals *= -1j
         sums = sums + edge_vals
         order += 1
         sup_norms.append(_column_norms(node_vals, edge_vals))
         if keep_terms:
-            terms.append((node_vals.copy(), edge_vals.copy()))
+            terms.append((node_vals, edge_vals))
 
-    if prep.rotation is not None:
-        sums = np.moveaxis(np.tensordot(prep.rotation, sums, axes=([1], [1])), 0, 1)
+    sums = prep.from_working(sums.reshape(dim, -1)).reshape(dim, p + 1, m)
     result = BlockSeriesResult(
-        boundary_sums=sums,
+        boundary_sums=np.moveaxis(sums, 1, 0),
         achieved_order=order,
         tail_bounds=tails[order],
         per_order_sup_norms=np.array(sup_norms),
@@ -521,13 +511,11 @@ def _require_tail(result: BlockSeriesResult, tol: float, max_order: int) -> None
 def _rotate_terms(
     prep: _Prepared, terms: list[tuple[np.ndarray, np.ndarray]], grid: TimeGrid
 ) -> tuple[DysonTerm, ...]:
+    """Single-column terms in the original basis, in the DysonTerm shapes."""
     out = []
     for n, (nodes, edges) in enumerate(terms):
-        nv = nodes[..., 0]
-        ev = prep.from_working(edges[..., 0].T).T
-        if prep.rotation is not None:
-            nv = np.tensordot(prep.rotation, nv, axes=([1], [2]))
-            nv = np.moveaxis(nv, 0, 2)
+        nv = prep.from_working(nodes).transpose(2, 0, 1)  # (P, q, d)
+        ev = prep.from_working(edges[..., 0]).T  # (P + 1, d)
         out.append(DysonTerm(n, grid, nv, ev))
     return tuple(out)
 

@@ -126,9 +126,6 @@ class Trajectory:
     residuals: np.ndarray | None = None
     series: object = None
 
-    def column(self, j: int) -> np.ndarray:
-        return self.states[:, :, j]
-
     def at_time(self, t: float) -> np.ndarray:
         return self.states[_time_index(self.times, t)]
 
@@ -194,10 +191,6 @@ class HeisenbergTrack:
     xi_states: np.ndarray
     achieved_order: int
     tail_bound: float
-
-    def to_rows(self):
-        for k, t in enumerate(self.times):
-            yield (float(t), self.values[k])
 
 
 def heisenberg_pairing_track(

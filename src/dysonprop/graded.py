@@ -121,9 +121,6 @@ class LinOp:
             self._memo["adjoint"] = LinOp(self.space, self.matrix.conj().T)
         return self._memo["adjoint"]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
     def __matmul__(self, other: "LinOp") -> "LinOp":
         self._same_space(other)
         return LinOp(self.space, self.matrix @ other.matrix)
@@ -164,13 +161,14 @@ class LinOp:
         return LinOp(space, _from_pairs(doc["matrix"], space.dim))
 
 
-def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray | slice]]:
     """Row and column indices of each independent block of ``matrix``.
 
     The blocks are the connected components of the bipartite row/column
     graph of the exact non-zero pattern (``matrix != 0``), each with at least
-    one row and one column; all-zero rows and columns lie in no block.
-    Returns None when the pattern is one component.
+    one row and one column; all-zero rows and columns lie in no block.  A
+    pattern that is one component is one block of whole-axis slices, so
+    ``matrix[rows][:, cols]`` is then a view of the matrix itself.
     """
     n_rows, n_cols = matrix.shape
     rows, cols = np.nonzero(matrix)
@@ -180,7 +178,7 @@ def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
     )
     count, labels = connected_components(graph, directed=False)
     if count == 1:
-        return None
+        return [(slice(None), slice(None))]
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(count + 1))
     out = []
@@ -195,29 +193,24 @@ def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
 
 def _spectral_norm(
     matrix: np.ndarray,
-    blocks: list[tuple[np.ndarray, np.ndarray]] | None,
+    blocks: list[tuple[np.ndarray | slice, np.ndarray | slice]],
     col_scale: np.ndarray | None = None,
 ) -> float:
     """Exact 2-norm of ``matrix * col_scale``, one SVD per independent block.
 
     ``blocks`` is ``_blocks(matrix)``, so the norm is the largest block norm
     and nothing is dropped.  Column scaling is applied to each block only.
-    A matrix with a single component goes through one dense
-    ``np.linalg.norm(., 2)`` of the whole scaled matrix.
     """
-    if blocks is None:
-        scaled = matrix if col_scale is None else matrix * col_scale
-        return float(np.linalg.norm(scaled, 2))
     top = 0.0
     for block_rows, block_cols in blocks:
-        block = matrix[np.ix_(block_rows, block_cols)]
+        block = matrix[block_rows][:, block_cols]
         if col_scale is not None:
             block = block * col_scale[block_cols]
         top = max(top, float(np.linalg.norm(block, 2)))
     return top
 
 
-def _op_blocks(op: LinOp) -> list[tuple[np.ndarray, np.ndarray]] | None:
+def _op_blocks(op: LinOp) -> list[tuple[np.ndarray | slice, np.ndarray | slice]]:
     """``_blocks`` of the operator's matrix, labelled once (memoised)."""
     if "blocks" not in op._memo:
         op._memo["blocks"] = _blocks(op.matrix)

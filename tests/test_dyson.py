@@ -30,6 +30,7 @@ from dysonprop.graded import (
     LinOp,
     as_linop,
     certify,
+    random_vector,
     vectors_supported_below,
 )
 from dysonprop.oracles import oracle_propagator
@@ -291,7 +292,8 @@ def test_block_apply_matches_the_single_product(toy_model):
     block = vectors_supported_below(rng, toy_model.space, level, 3)
     grid = default_grid(h_free, h_int, 0.0, 0.4, support=level, tol=1e-9)
     by_blocks, _ = _run_block(prep, grid, block, 1e-9, 64, keep_terms=False)
-    dense, _ = _run_block(dataclasses.replace(prep, blocks=None), grid, block,
+    whole = ((slice(None), slice(None), prep.h_int_rot),)
+    dense, _ = _run_block(dataclasses.replace(prep, blocks=whole), grid, block,
                           1e-9, 64, keep_terms=False)
     # The block path reads the blocks alone, never the dense d x d matrix.
     blind = dataclasses.replace(prep, h_int_rot=np.zeros_like(prep.h_int_rot))
@@ -336,7 +338,10 @@ def test_block_apply_with_zero_rows_under_a_rotated_free_part():
 
 def test_fleet_takes_the_single_product_path(fleet_models):
     for model in fleet_models:
-        assert _prepare(model.h_free, model.h_int).blocks is None
+        prep = _prepare(model.h_free, model.h_int)
+        (rows, cols, block), = prep.blocks
+        assert rows == cols == slice(None)
+        assert np.shares_memory(block, prep.h_int_rot)  # a view, not a copy
 
 
 # -------------------------------------------------------- series values
@@ -376,10 +381,16 @@ def test_zero_interaction_gives_identity():
     h0, _ = two_level()
     zero = LinOp(h0.space, np.zeros((2, 2), dtype=complex))
     xi = np.array([0.6, 0.8j])
-    res = evolve_vector(h0, zero, xi, TimeGrid(0.0, 2.0, panels=2), tol=1e-12)
+    grid = TimeGrid(0.0, 2.0, panels=2)
+    res = evolve_vector(h0, zero, xi, grid, tol=1e-12)
     np.testing.assert_allclose(res.partial_sum, xi, atol=1e-15)
     assert res.achieved_order == 0
     assert res.tail_bound == 0.0
+    prep = _prepare(h0, zero)
+    assert prep.blocks == () and prep.gap == 0.0
+    values = np.ones((grid.nodes_per_panel, 2, grid.panels), dtype=complex)
+    applied = dyson._GridKernels(grid, prep.energies).apply_interaction(prep, values)
+    assert applied.shape == values.shape and not applied.any()
 
 
 def test_series_matches_exponential_oracle():
@@ -393,6 +404,26 @@ def test_series_matches_exponential_oracle():
         np.testing.assert_allclose(res.partial_sum, want, atol=1e-9)
         assert res.tail_bound < 1e-12
         assert res.quadrature_estimate < 1e-9
+
+
+def test_node_values_follow_the_grid_nodes():
+    # Every node value against the propagator at that node's own time, so a
+    # swap of panels and nodes cannot pass as a sup over all nodes would.
+    model = fleet(count=10)[9]  # sector-block free part
+    h_free, h_int = model.h_free, model.h_int
+    assert _prepare(h_free, h_int).rotation is not None
+    xi = random_vector(np.random.default_rng(17), model.space.dim)
+    grid = default_grid(h_free, h_int, 0.3, 1.1, support=max(model.space.grades))
+    assert grid.panels >= 2
+    res = evolve_vector(h_free, h_int, xi, grid, tol=1e-12,
+                        estimate_quadrature=False)
+    values = sum(term.node_values for term in res.terms)
+    nodes = grid.nodes()
+    assert values.shape == nodes.shape + (model.space.dim,)
+    for p in range(grid.panels):
+        for j in range(grid.nodes_per_panel):
+            want = oracle_propagator(h_free, h_int, nodes[p, j], grid.t_start) @ xi
+            assert np.abs(values[p, j] - want).max() < 1e-9
 
 
 def test_per_order_norms_respect_their_bounds():
