@@ -20,7 +20,10 @@ so one order costs one mat-mat product over all nodes per independent block
 of the rotated interaction.  Every order is held node-major, as (q, d, P*m)
 arrays (q nodes per panel, dimension d, P panels, m columns), so the panel
 integrals are products of the quadrature weights with a (q, .) view and no
-order transposes its values.
+order transposes its values.  The kernel orders the basis so that each
+block's rows are one contiguous range and every block product writes its
+rows in place; the factor -i times the panel half-width rides on the second
+phase multiply, and a run without kept terms reuses two order buffers.
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
@@ -43,6 +46,7 @@ from .graded import (
     LinOp,
     _blocks,
     _op_blocks,
+    _submatrix,
     certify,
     check_free_part,
     grade_sectors,
@@ -260,10 +264,17 @@ class _Prepared:
     energies: np.ndarray  # real, length dim
     rotation: np.ndarray | None  # columns: eigenbasis; None when already diagonal
     h_int_rot: np.ndarray
-    # (rows, cols, h_int_rot[rows][:, cols]) per independent block of
-    # h_int_rot, as labelled by graded._blocks (whole-axis slices when its
-    # non-zero pattern is one component; no block when it is zero).
-    blocks: tuple[tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray], ...]
+    # The kernel's basis: its index i is prepared index order[i], and
+    # prepared index j is its index unorder[j].  Each block's rows are one
+    # contiguous range in it, followed by the rows in no block.  Both are
+    # slice(None) when the non-zero pattern is one component.
+    order: np.ndarray | slice
+    unorder: np.ndarray | slice
+    # (rows, cols, block) per independent block of h_int_rot, as labelled by
+    # graded._blocks, indexed in the kernel's basis: rows is a slice, cols
+    # gathers the block's columns.  One component is one block of whole-axis
+    # slices and a view of h_int_rot; a zero interaction has no block.
+    blocks: tuple[tuple[slice, np.ndarray | slice, np.ndarray], ...]
     cert: GradeCert
     gap: float  # see coupled_gap
 
@@ -316,20 +327,33 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
         h_rot = rotation.conj().T @ h_int.matrix @ rotation
         h_rot.setflags(write=False)
         labels = _blocks(h_rot)
-    blocks = tuple(
-        (rows, cols, np.ascontiguousarray(h_rot[rows][:, cols]))
-        for rows, cols in labels
-    )
+    mats = [np.ascontiguousarray(_submatrix(h_rot, r, c)) for r, c in labels]
     # Entries outside every block are exact zeros, so the gap reads the blocks.
-    mags = [np.abs(b) for _, _, b in blocks]
+    mags = [np.abs(b) for b in mats]
     top = max((mag.max() for mag in mags), default=0.0)
     gap = 0.0
-    for (rows, cols, _), mag in zip(blocks, mags):
+    for (rows, cols), mag in zip(labels, mags):
         r, c = np.nonzero(mag > ENTRY_THRESHOLD * top)
         spread = np.abs(energies[rows][r] - energies[cols][c]).max(initial=0.0)
         gap = max(gap, float(spread))
+    if labels and isinstance(labels[0][0], slice):  # one component
+        order = unorder = slice(None)
+        blocks = ((slice(None), slice(None), mats[0]),)
+    else:
+        covered = [rows for rows, _ in labels]
+        idle = np.ones(h_rot.shape[0], dtype=bool)
+        for rows in covered:
+            idle[rows] = False
+        order = np.concatenate(covered + [np.flatnonzero(idle)])
+        unorder = np.argsort(order)
+        ends = np.cumsum([0] + [rows.size for rows in covered]).tolist()
+        blocks = tuple(
+            (slice(lo, hi), unorder[cols], mat)
+            for lo, hi, (_, cols), mat in zip(ends, ends[1:], labels, mats)
+        )
     prep = _Prepared(
-        h_free.space, energies, rotation, h_rot, blocks, certify(h_int), gap
+        h_free.space, energies, rotation, h_rot, order, unorder, blocks,
+        certify(h_int), gap,
     )
     h_int._memo["prepared"] = h_free, prep
     return prep
@@ -363,49 +387,56 @@ class _GridKernels:
 
     Nodal data is node-major: shape (q, d, P*m), panel-major within the last
     axis, so element [j, i, p*m + c] belongs to node j of panel p, column c.
+    The energies are those of the kernel's basis (``_Prepared.order``).
     """
 
     def __init__(self, grid: TimeGrid, energies: np.ndarray):
         _, self.weights, self.partial = _reference_rule(grid.nodes_per_panel)
+        self.panels = grid.panels
         bnd = grid.boundaries()
-        self.halfw = 0.5 * (bnd[1:] - bnd[:-1])  # signed
-        # e^{-i tau E} and e^{+i tau E} at every node, shape (q, d, P, 1)
+        halfw = 0.5 * (bnd[1:] - bnd[:-1])  # signed
+        # e^{-i tau E} and -i h_p e^{+i tau E} at every node, shape (q, d, P, 1):
+        # the second carries the recursion's -i and panel p's half-width h_p.
         nodes = grid.nodes().T[:, None, :, None]
         self.phase_minus = np.exp(-1j * nodes * energies[None, :, None, None])
         self.phase_plus = self.phase_minus.conj()
+        self.phase_plus *= (-1j * halfw)[:, None]
 
-    def apply_interaction(self, prep: _Prepared, values: np.ndarray) -> np.ndarray:
-        """h_int(tau_node) applied nodewise to values of shape (q, d, P*m).
+    def apply_interaction(
+        self, prep: _Prepared, values: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """-i h_p h_int(tau_node) applied nodewise to values (q, d, P*m), into out.
 
-        One product per independent block of the rotated interaction; rows
-        in no block stay zero.
+        ``values`` is overwritten by its phased copy.  Each independent block
+        of the rotated interaction writes its contiguous rows of ``out`` in
+        place; rows in no block are not written, so they keep the zeros
+        ``out`` was allocated with.
         """
         q, d, _ = values.shape
-        p = self.halfw.size
-        x = (self.phase_minus * values.reshape(q, d, p, -1)).reshape(values.shape)
-        y = np.zeros_like(x)
+        x = values.reshape(q, d, self.panels, -1)
+        x *= self.phase_minus
         for rows, cols, block in prep.blocks:
-            y[:, rows] = block @ x[:, cols]
-        phased = y.reshape(q, d, p, -1)
-        phased *= self.phase_plus
-        return y
+            np.matmul(block, values[:, cols], out=out[:, rows])
+        y = out.reshape(q, d, self.panels, -1)
+        y *= self.phase_plus
+        return out
 
-    def cumulative_integral(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def cumulative_integral(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Integrate nodal data g (q, d, P*m) from t_start up to every node and edge.
 
-        Returns (node integrals (q, d, P*m), edge integrals (d, P + 1, m)).
+        g already carries each panel's half-width (``phase_plus``).  The node
+        integrals go to ``out`` (q, d, P*m); returns the edge integrals
+        (d, P + 1, m).
         """
         q, d, _ = g.shape
-        p = self.halfw.size
         flat = g.view(float).reshape(q, -1)  # real weights act on re and im alike
-        full = (self.weights @ flat).view(complex).reshape(d, p, -1)
-        full *= self.halfw[:, None]
-        part = (self.partial @ flat).view(complex).reshape(q, d, p, -1)
-        part *= self.halfw[:, None]
-        edges = np.zeros((d, p + 1, full.shape[-1]), dtype=complex)
+        full = (self.weights @ flat).view(complex).reshape(d, self.panels, -1)
+        edges = np.zeros((d, self.panels + 1, full.shape[-1]), dtype=complex)
         np.cumsum(full, axis=1, out=edges[:, 1:])
+        np.matmul(self.partial, flat, out=out.view(float).reshape(q, -1))
+        part = out.reshape(q, d, self.panels, -1)
         part += edges[:, :-1]
-        return part.reshape(g.shape), edges
+        return edges
 
 
 @dataclass
@@ -449,9 +480,12 @@ def _run_block(
     """Core series loop in the rotated basis; block has shape (dim, m).
 
     Adds orders until every column's certified tail is below ``tol`` or
-    ``max_order`` is reached, whichever comes first.
+    ``max_order`` is reached, whichever comes first.  The loop runs in the
+    kernel's basis (``prep.order``); sums and kept terms leave it in the
+    prepared basis.  Without kept terms an order is built in the buffer of
+    the order before, so two order-sized buffers serve the whole run.
     """
-    kern = _GridKernels(grid, prep.energies)
+    kern = _GridKernels(grid, prep.energies[prep.order])
     dim, m = block.shape
     p, q = grid.panels, grid.nodes_per_panel
     work = prep.to_working(block)
@@ -462,28 +496,29 @@ def _run_block(
         supports, norms0,
     )
 
-    node_vals = np.tile(work, (q, 1, p))  # (q, d, P*m)
-    edge_vals = np.tile(work[:, None, :], (1, p + 1, 1))  # (d, P + 1, m)
-    sums = edge_vals
+    node_vals = np.tile(work[prep.order], (q, 1, p))  # (q, d, P*m)
+    edge_vals = np.tile(work[prep.order, None, :], (1, p + 1, 1))  # (d, P + 1, m)
+    applied = np.zeros_like(node_vals)  # rows in no block stay zero
+    sums = edge_vals.copy()
     sup_norms = [norms0]
     terms: list[tuple[np.ndarray, np.ndarray]] = []
-    if keep_terms:
-        terms.append((node_vals, edge_vals))
 
     order = 0
-    while order < max_order and not tails[order].max() < tol:
-        node_vals, edge_vals = kern.cumulative_integral(
-            kern.apply_interaction(prep, node_vals)
-        )
-        node_vals *= -1j
-        edge_vals *= -1j
-        sums = sums + edge_vals
+    while True:
+        if keep_terms:
+            terms.append((node_vals[:, prep.unorder], edge_vals[prep.unorder]))
+        if order >= max_order or tails[order].max() < tol:
+            break
+        if keep_terms:
+            node_vals = node_vals.copy()  # the kept order stays as it is
+        kern.apply_interaction(prep, node_vals, out=applied)
+        edge_vals = kern.cumulative_integral(applied, out=node_vals)
+        sums += edge_vals
         order += 1
         sup_norms.append(_column_norms(node_vals, edge_vals))
-        if keep_terms:
-            terms.append((node_vals, edge_vals))
 
-    sums = prep.from_working(sums.reshape(dim, -1)).reshape(dim, p + 1, m)
+    sums = prep.from_working(sums[prep.unorder].reshape(dim, -1))
+    sums = sums.reshape(dim, p + 1, m)
     result = BlockSeriesResult(
         boundary_sums=np.moveaxis(sums, 1, 0),
         achieved_order=order,

@@ -142,10 +142,12 @@ def schrodinger_defects(
     if len(times) < 3:
         return out
     dt = float(times[1] - times[0])
-    for k in range(1, len(times) - 1):
-        diff = (states[k + 1] - states[k - 1]) / (2.0 * dt)
-        defect = diff + 1j * (h_total @ states[k])
-        out[k] = float(np.linalg.norm(defect, axis=0).max())
+    # One product over every interior time: columns ordered (time, column).
+    interior = np.moveaxis(states[1:-1], 0, 1)  # (d, times - 2, ...)
+    h_psi = (h_total @ interior.reshape(len(h_total), -1)).reshape(interior.shape)
+    defect = (states[2:] - states[:-2]) / (2.0 * dt) + 1j * np.moveaxis(h_psi, 1, 0)
+    norms = np.linalg.norm(defect, axis=1)  # over d, per time and column
+    out[1:-1] = norms.reshape(len(times) - 2, -1).max(axis=1)
     return out
 
 

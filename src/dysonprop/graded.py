@@ -168,7 +168,7 @@ def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray | s
     graph of the exact non-zero pattern (``matrix != 0``), each with at least
     one row and one column; all-zero rows and columns lie in no block.  A
     pattern that is one component is one block of whole-axis slices, so
-    ``matrix[rows][:, cols]`` is then a view of the matrix itself.
+    ``_submatrix(matrix, rows, cols)`` is then a view of the matrix itself.
     """
     n_rows, n_cols = matrix.shape
     rows, cols = np.nonzero(matrix)
@@ -191,6 +191,18 @@ def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray | s
     return out
 
 
+def _submatrix(
+    matrix: np.ndarray, rows: np.ndarray | slice, cols: np.ndarray | slice
+) -> np.ndarray:
+    """The block ``matrix[rows][:, cols]``, gathered once as ``np.ix_`` does.
+
+    Either index may be a slice; whole-axis slices on both give a view.
+    """
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return matrix[rows, cols]
+    return matrix[np.ix_(rows, cols)]
+
+
 def _spectral_norm(
     matrix: np.ndarray,
     blocks: list[tuple[np.ndarray | slice, np.ndarray | slice]],
@@ -203,7 +215,7 @@ def _spectral_norm(
     """
     top = 0.0
     for block_rows, block_cols in blocks:
-        block = matrix[block_rows][:, block_cols]
+        block = _submatrix(matrix, block_rows, block_cols)
         if col_scale is not None:
             block = block * col_scale[block_cols]
         top = max(top, float(np.linalg.norm(block, 2)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dysonprop.graded import (
     as_linop,
     certify,
     random_vector,
+    support_level,
     vectors_supported_below,
 )
 from dysonprop.oracles import oracle_propagator
@@ -292,9 +294,11 @@ def test_block_apply_matches_the_single_product(toy_model):
     block = vectors_supported_below(rng, toy_model.space, level, 3)
     grid = default_grid(h_free, h_int, 0.0, 0.4, support=level, tol=1e-9)
     by_blocks, _ = _run_block(prep, grid, block, 1e-9, 64, keep_terms=False)
+    # The one-block reference works in the prepared basis itself.
     whole = ((slice(None), slice(None), prep.h_int_rot),)
-    dense, _ = _run_block(dataclasses.replace(prep, blocks=whole), grid, block,
-                          1e-9, 64, keep_terms=False)
+    single = dataclasses.replace(prep, order=slice(None), unorder=slice(None),
+                                 blocks=whole)
+    dense, _ = _run_block(single, grid, block, 1e-9, 64, keep_terms=False)
     # The block path reads the blocks alone, never the dense d x d matrix.
     blind = dataclasses.replace(prep, h_int_rot=np.zeros_like(prep.h_int_rot))
     blind_run, _ = _run_block(blind, grid, block, 1e-9, 64, keep_terms=False)
@@ -341,7 +345,81 @@ def test_fleet_takes_the_single_product_path(fleet_models):
         prep = _prepare(model.h_free, model.h_int)
         (rows, cols, block), = prep.blocks
         assert rows == cols == slice(None)
+        assert prep.order == prep.unorder == slice(None)
         assert np.shares_memory(block, prep.h_int_rot)  # a view, not a copy
+
+
+def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
+    models = [toy_model, fleet_models[9], fleet_models[19]]
+    for model in models:
+        prep = _prepare(model.h_free, model.h_int)
+        dim = model.space.dim
+        order = np.arange(dim)[prep.order]
+        np.testing.assert_array_equal(order[np.arange(dim)[prep.unorder]],
+                                      np.arange(dim))
+        stop = 0
+        for rows, cols, block in prep.blocks:
+            assert isinstance(rows, slice) and rows.step is None
+            start, end, _ = rows.indices(dim)
+            assert start == stop < end  # each range starts where the last ended
+            stop = end
+            got = prep.h_int_rot[np.ix_(order[rows], order[cols])]
+            np.testing.assert_array_equal(block, got)
+        # Rows past the last block are the interaction's all-zero rows.
+        assert not prep.h_int_rot[order[stop:]].any()
+
+
+def test_run_without_kept_terms_reuses_two_order_buffers(toy_model, fleet_models):
+    # The design holds two order-sized buffers (the order's node values and
+    # the apply output).  The (d, P + 1, m) edge arrays, the per-grid phase
+    # tables and the block gathers add well under one more order at these
+    # sizes, so the peak stays below three orders; building every order
+    # afresh needs at least four.
+    cases = [(fleet_models[19], TimeGrid(0.0, 0.5, 16, 8), 64),
+             (toy_model, TimeGrid(0.0, 0.2, 4, 8), 32)]
+    for model, grid, m in cases:
+        prep = _prepare(model.h_free, model.h_int)
+        dim = model.space.dim
+        block = np.eye(dim, dtype=complex)[:, :m]
+        order_bytes = 16 * grid.nodes_per_panel * dim * grid.panels * m
+        tracemalloc.start()
+        try:
+            result, terms = _run_block(prep, grid, block, 1e-10, 64, keep_terms=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.achieved_order >= 3 and terms == []
+        assert peak < 3 * order_bytes, peak / order_bytes
+
+
+def test_kept_terms_are_not_overwritten(toy_model, fleet_models):
+    rng = np.random.default_rng(8)
+    fleet_xi = random_vector(rng, fleet_models[9].space.dim)
+    level = toy_model.config.photon_cap - 2
+    toy_xi = vectors_supported_below(rng, toy_model.space, level, 1)[:, 0]
+    for model, xi, t in ((fleet_models[9], fleet_xi, 0.9), (toy_model, toy_xi, 0.4)):
+        h_free, h_int = model.h_free, model.h_int
+        support = support_level(model.space, xi)
+        grid = default_grid(h_free, h_int, 0.0, t, support=support, tol=1e-10)
+        res = evolve_vector(h_free, h_int, xi, grid, tol=1e-10,
+                            estimate_quadrature=False)
+        assert res.achieved_order >= 3 and len(res.terms) == res.achieved_order + 1
+        sups = [term.sup_norm for term in res.terms]
+        np.testing.assert_allclose(sups, res.per_order_sup_norms, rtol=1e-12)
+        edges = sum(term.boundary_values for term in res.terms)
+        scale = np.abs(res.boundary_sums).max()
+        assert np.abs(edges - res.boundary_sums).max() <= 1e-14 * scale
+        # Each kept order's node values still give the next order's panel
+        # increments: -i h_p sum_j w_j h_int(tau_pj) U_n(tau_pj) xi.
+        _, weights, _ = dyson._reference_rule(grid.nodes_per_panel)
+        halfw = 0.5 * np.diff(grid.boundaries())
+        rotated = [[interaction_picture(h_free, h_int, tau).matrix for tau in row]
+                   for row in grid.nodes()]
+        for lower, upper in zip(res.terms, res.terms[1:]):
+            want = [-1j * h * sum(w * (m @ v) for w, m, v in zip(weights, mats, vals))
+                    for h, mats, vals in zip(halfw, rotated, lower.node_values)]
+            step = np.diff(upper.boundary_values, axis=0)
+            assert np.abs(step - want).max() <= 1e-12 * np.abs(step).max()
 
 
 # -------------------------------------------------------- series values
@@ -389,7 +467,8 @@ def test_zero_interaction_gives_identity():
     prep = _prepare(h0, zero)
     assert prep.blocks == () and prep.gap == 0.0
     values = np.ones((grid.nodes_per_panel, 2, grid.panels), dtype=complex)
-    applied = dyson._GridKernels(grid, prep.energies).apply_interaction(prep, values)
+    kern = dyson._GridKernels(grid, prep.energies)
+    applied = kern.apply_interaction(prep, values, out=np.zeros_like(values))
     assert applied.shape == values.shape and not applied.any()
 
 
@@ -456,8 +535,6 @@ def test_block_and_vector_routes_agree():
 
 
 def test_block_bounds_match_the_per_column_bounds():
-    from dysonprop.graded import support_level
-
     model = random_graded_model(seed=3, dim=12, grade_shift=2)
     space = model.h_free.space
     block = np.zeros((12, 3), dtype=complex)
@@ -492,8 +569,6 @@ def test_adjoint_route_is_the_conjugate_transpose():
 
 def test_support_growth_per_order():
     """Order n of the series lives at grade at most L + n*b."""
-    from dysonprop.graded import support_level
-
     model = random_graded_model(seed=17, dim=8, grade_shift=2)
     xi = np.zeros(8, dtype=complex)
     xi[0] = 1.0

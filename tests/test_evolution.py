@@ -9,6 +9,7 @@ from dysonprop.evolution import (
     heisenberg_residuals,
     heisenberg_track,
     observable_track,
+    schrodinger_defects,
     schrodinger_trajectory,
     strong_split_residual,
     uniform_times,
@@ -83,6 +84,24 @@ def test_central_difference_defect_scales_quadratically(small_model):
     r_f = np.nanmax(fine.residuals)
     assert r_c / r_f == pytest.approx(4.0, rel=0.05)
     assert np.isnan(coarse.residuals[0]) and np.isnan(coarse.residuals[-1])
+
+
+def test_batched_defects_match_the_per_time_loop(small_model):
+    block = np.eye(8)[:, [1, 4]]
+    traj = schrodinger_trajectory(
+        small_model.h_free, small_model.h_int, block, 0.4, 40, tol=1e-13
+    )
+    h = full_h(small_model)
+    got = schrodinger_defects(traj.times, traj.states, h)
+    dt = traj.times[1] - traj.times[0]
+    eps = np.finfo(float).eps
+    assert np.isnan(got[0]) and np.isnan(got[-1])
+    for k in range(1, len(traj.times) - 1):
+        psi = traj.states[k]
+        diff = (traj.states[k + 1] - traj.states[k - 1]) / (2.0 * dt)
+        want = np.linalg.norm(diff + 1j * (h @ psi), axis=0).max()
+        # Only the rounding of H psi differs: d eps ||H||_F ||psi|| bounds it.
+        assert abs(got[k] - want) <= 8 * eps * np.linalg.norm(h) * np.linalg.norm(psi)
 
 
 def test_propagator_w_equals_exponential(small_model):
