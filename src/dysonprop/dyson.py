@@ -40,13 +40,12 @@ from numpy.polynomial import legendre as npleg
 
 from .errors import TruncationError
 from .graded import (
-    ENTRY_THRESHOLD,
     GradeCert,
     GradedSpace,
     LinOp,
     _blocks,
     _op_blocks,
-    _submatrix,
+    _support_differences,
     certify,
     check_free_part,
     grade_sectors,
@@ -59,6 +58,8 @@ DEFAULT_NODES_PER_PANEL = 8
 # oscillation cap set by the largest free-energy gap the interaction couples.
 PANEL_PRODUCT_FACTOR = 0.1
 PANEL_PHASE_FACTOR = 0.7
+# Panel count cap, applied before rounding up to a panel multiple.
+MAX_PANELS = 4096
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +68,8 @@ def _reference_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     S[m, j] = integral_{-1}^{x_m} of the j-th Lagrange basis polynomial
     through the nodes, so ``S @ g`` integrates the interpolant of nodal data
-    g from the left panel edge to each node.
+    g from the left panel edge to each node.  Every grid shares the cached
+    arrays, so they are read-only.
     """
     if q < 2:
         raise ValueError("nodes_per_panel must be at least 2")
@@ -78,6 +80,8 @@ def _reference_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in range(q):
         anti = npleg.legint(coeffs[:, j], lbnd=-1)
         s[:, j] = npleg.legval(x, anti)
+    for arr in (x, w, s):
+        arr.setflags(write=False)
     return x, w, s
 
 
@@ -270,10 +274,11 @@ class _Prepared:
     # slice(None) when the non-zero pattern is one component.
     order: np.ndarray | slice
     unorder: np.ndarray | slice
-    # (rows, cols, block) per independent block of h_int_rot, as labelled by
-    # graded._blocks, indexed in the kernel's basis: rows is a slice, cols
-    # gathers the block's columns.  One component is one block of whole-axis
-    # slices and a view of h_int_rot; a zero interaction has no block.
+    # (rows, cols, block) per independent block of h_int_rot, as gathered by
+    # graded._blocks (for a diagonal free part, the very arrays certify read),
+    # indexed in the kernel's basis: rows is a slice, cols gathers the
+    # block's columns.  One component is one block of whole-axis slices
+    # holding all of h_int_rot; a zero interaction has no block.
     blocks: tuple[tuple[slice, np.ndarray | slice, np.ndarray], ...]
     cert: GradeCert
     gap: float  # see coupled_gap
@@ -327,20 +332,12 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
         h_rot = rotation.conj().T @ h_int.matrix @ rotation
         h_rot.setflags(write=False)
         labels = _blocks(h_rot)
-    mats = [np.ascontiguousarray(_submatrix(h_rot, r, c)) for r, c in labels]
-    # Entries outside every block are exact zeros, so the gap reads the blocks.
-    mags = [np.abs(b) for b in mats]
-    top = max((mag.max() for mag in mags), default=0.0)
-    gap = 0.0
-    for (rows, cols), mag in zip(labels, mags):
-        r, c = np.nonzero(mag > ENTRY_THRESHOLD * top)
-        spread = np.abs(energies[rows][r] - energies[cols][c]).max(initial=0.0)
-        gap = max(gap, float(spread))
+    gap = float(np.abs(_support_differences(labels, energies)).max(initial=0.0))
     if labels and isinstance(labels[0][0], slice):  # one component
         order = unorder = slice(None)
-        blocks = ((slice(None), slice(None), mats[0]),)
+        blocks = tuple(labels)
     else:
-        covered = [rows for rows, _ in labels]
+        covered = [rows for rows, _, _ in labels]
         idle = np.ones(h_rot.shape[0], dtype=bool)
         for rows in covered:
             idle[rows] = False
@@ -349,7 +346,7 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
         ends = np.cumsum([0] + [rows.size for rows in covered]).tolist()
         blocks = tuple(
             (slice(lo, hi), unorder[cols], mat)
-            for lo, hi, (_, cols), mat in zip(ends, ends[1:], labels, mats)
+            for lo, hi, (_, cols, mat) in zip(ends, ends[1:], labels)
         )
     prep = _Prepared(
         h_free.space, energies, rotation, h_rot, order, unorder, blocks,
@@ -660,10 +657,8 @@ def default_grid(
     t_end: float,
     support: float,
     tol: float = 1e-10,
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
     max_order: int = DEFAULT_MAX_ORDER,
     panel_multiple: int = 1,
-    max_panels: int = 4096,
 ) -> TimeGrid:
     """Panel count satisfying both width caps for the given run.
 
@@ -676,7 +671,7 @@ def default_grid(
     cert = prep.cert
     duration = abs(t_end - t_start)
     if duration == 0.0:
-        return TimeGrid(t_start, t_end, panel_multiple, nodes_per_panel)
+        return TimeGrid(t_start, t_end, panel_multiple)
     _, tails = _apriori_table(
         max(max_order, 1), duration, cert.rel_bound, cert.grade_shift, [support], [1.0]
     )
@@ -689,7 +684,7 @@ def default_grid(
         width_caps.append(PANEL_PHASE_FACTOR / prep.gap)
     width = min(width_caps)
     panels = max(1, math.ceil(duration / width))
-    panels = min(max_panels, panels)
+    panels = min(MAX_PANELS, panels)
     if panels % panel_multiple:
         panels += panel_multiple - panels % panel_multiple
-    return TimeGrid(t_start, t_end, panels, nodes_per_panel)
+    return TimeGrid(t_start, t_end, panels)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .dyson import (
     DEFAULT_MAX_ORDER,
-    DEFAULT_NODES_PER_PANEL,
     TimeGrid,
     _prepare,
     default_grid,
@@ -76,7 +75,6 @@ def _aligned_run(
     steps: int,
     tol: float,
     max_order: int,
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
 ):
     """One block run whose panel edges include steps+1 uniform times from 0.
 
@@ -88,8 +86,7 @@ def _aligned_run(
     support = float(support_level(h_free.space, block).max())
     grid = default_grid(
         h_free, h_int, 0.0, float(t_end), support, tol=tol,
-        nodes_per_panel=nodes_per_panel, max_order=max_order,
-        panel_multiple=steps,
+        max_order=max_order, panel_multiple=steps,
     )
     result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
     stride = grid.panels // steps
@@ -159,12 +156,10 @@ def schrodinger_trajectory(
     steps: int,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
 ) -> Trajectory:
     """W(t) applied to the initial block at steps+1 uniform times from 0."""
     times, states, result, _ = _aligned_run(
-        h_free, h_int, _as_block(states0), t_end, steps, tol, max_order,
-        nodes_per_panel,
+        h_free, h_int, _as_block(states0), t_end, steps, tol, max_order
     )
     residuals = schrodinger_defects(times, states, h_free.matrix + h_int.matrix)
     return Trajectory(

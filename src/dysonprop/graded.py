@@ -4,10 +4,15 @@ A grading is a non-negative weight per basis vector (for Fock models: the
 total boson occupation).  Operators carry two certificates derived from the
 grading: the largest upward grade shift their support allows, and the
 relative bound constant ``C`` with ``||T v|| <= C ||(A + 1)^{1/2} v||`` where
-``A`` is the diagonal grading operator.  ``C`` and ``LinOp.norm2`` are exact
-spectral norms, taken block by block over the independent blocks of the
-matrix's exact non-zero pattern (for the QED interaction: the charge and
-photon-parity sectors), so no dense SVD of the full matrix is needed.
+``A`` is the diagonal grading operator.
+
+One block list per operator (``_op_blocks``) serves every reader.  The blocks
+come from the matrix's exact non-zero pattern (for the QED interaction: the
+charge and photon-parity sectors) and are gathered once.  ``C`` and
+``LinOp.norm2`` are exact spectral norms taken block by block, so no dense
+SVD of the full matrix is needed.  The grade shift, and the series engine's
+coupled gap, come from the entries inside the blocks above ``ENTRY_THRESHOLD``
+times the largest magnitude; the series kernel applies the same blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ ENTRY_THRESHOLD = 1e-14
 
 # Hermiticity and sector-commutation checks are relative to this factor.
 STRUCTURE_RTOL = 1e-12
+
+# (rows, cols, block) of one independent block of a matrix; see _blocks.
+_Block = tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,7 @@ class LinOp:
     __rmul__ = __mul__
 
     def norm2(self) -> float:
-        return _spectral_norm(self.matrix, _op_blocks(self))
+        return _spectral_norm(_op_blocks(self))
 
     def _same_space(self, other: "LinOp") -> None:
         if other.space.grades != self.space.grades:
@@ -161,14 +169,16 @@ class LinOp:
         return LinOp(space, _from_pairs(doc["matrix"], space.dim))
 
 
-def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray | slice]]:
-    """Row and column indices of each independent block of ``matrix``.
+def _blocks(matrix: np.ndarray) -> list[_Block]:
+    """``(rows, cols, block)`` for each independent block of ``matrix``.
 
     The blocks are the connected components of the bipartite row/column
     graph of the exact non-zero pattern (``matrix != 0``), each with at least
-    one row and one column; all-zero rows and columns lie in no block.  A
-    pattern that is one component is one block of whole-axis slices, so
-    ``_submatrix(matrix, rows, cols)`` is then a view of the matrix itself.
+    one row and one column; all-zero rows and columns lie in no block.
+    ``block`` is ``matrix[np.ix_(rows, cols)]``, gathered once into a
+    read-only contiguous array.  A pattern that is one component is one
+    block of whole-axis slices whose ``block`` is the matrix itself (made
+    C-contiguous).
     """
     n_rows, n_cols = matrix.shape
     rows, cols = np.nonzero(matrix)
@@ -178,7 +188,7 @@ def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray | s
     )
     count, labels = connected_components(graph, directed=False)
     if count == 1:
-        return [(slice(None), slice(None))]
+        return [(slice(None), slice(None), np.ascontiguousarray(matrix))]
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(count + 1))
     out = []
@@ -187,43 +197,44 @@ def _blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray | s
         block_rows = nodes[nodes < n_rows]
         block_cols = nodes[nodes >= n_rows] - n_rows
         if block_rows.size and block_cols.size:
-            out.append((block_rows, block_cols))
+            block = np.ascontiguousarray(matrix[np.ix_(block_rows, block_cols)])
+            block.setflags(write=False)
+            out.append((block_rows, block_cols, block))
     return out
 
 
-def _submatrix(
-    matrix: np.ndarray, rows: np.ndarray | slice, cols: np.ndarray | slice
-) -> np.ndarray:
-    """The block ``matrix[rows][:, cols]``, gathered once as ``np.ix_`` does.
-
-    Either index may be a slice; whole-axis slices on both give a view.
-    """
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return matrix[rows, cols]
-    return matrix[np.ix_(rows, cols)]
-
-
-def _spectral_norm(
-    matrix: np.ndarray,
-    blocks: list[tuple[np.ndarray | slice, np.ndarray | slice]],
-    col_scale: np.ndarray | None = None,
-) -> float:
-    """Exact 2-norm of ``matrix * col_scale``, one SVD per independent block.
+def _spectral_norm(blocks: list[_Block], col_scale: np.ndarray | None = None) -> float:
+    """Exact 2-norm of a matrix times ``col_scale``, one SVD per block.
 
     ``blocks`` is ``_blocks(matrix)``, so the norm is the largest block norm
     and nothing is dropped.  Column scaling is applied to each block only.
     """
     top = 0.0
-    for block_rows, block_cols in blocks:
-        block = _submatrix(matrix, block_rows, block_cols)
+    for _, block_cols, block in blocks:
         if col_scale is not None:
             block = block * col_scale[block_cols]
         top = max(top, float(np.linalg.norm(block, 2)))
     return top
 
 
-def _op_blocks(op: LinOp) -> list[tuple[np.ndarray | slice, np.ndarray | slice]]:
-    """``_blocks`` of the operator's matrix, labelled once (memoised)."""
+def _support_differences(blocks: list[_Block], values: np.ndarray) -> np.ndarray:
+    """``values[i] - values[j]`` over the supported entries (i, j) of the blocks.
+
+    An entry is supported when its magnitude exceeds ``ENTRY_THRESHOLD``
+    times the largest magnitude in any block; entries outside every block
+    are exact zeros, so this is the thresholded support of the whole matrix.
+    """
+    mags = [np.abs(block) for _, _, block in blocks]
+    top = max((mag.max() for mag in mags), default=0.0)
+    out = [np.empty(0)]
+    for (rows, cols, _), mag in zip(blocks, mags):
+        r, c = np.nonzero(mag > ENTRY_THRESHOLD * top)
+        out.append(values[rows][r] - values[cols][c])
+    return np.concatenate(out)
+
+
+def _op_blocks(op: LinOp) -> list[_Block]:
+    """``_blocks`` of the operator's matrix, labelled and gathered once (memoised)."""
     if "blocks" not in op._memo:
         op._memo["blocks"] = _blocks(op.matrix)
     return op._memo["blocks"]
@@ -238,20 +249,13 @@ def sector_projector(space: GradedSpace, level: float) -> LinOp:
 def grade_shift_bound(op: LinOp) -> float:
     """Largest upward grade shift carried by the support of ``op``.
 
-    Entries with magnitude at most ``ENTRY_THRESHOLD`` times the largest
-    entry are ignored, so the number is invariant under scaling.  The zero
-    operator shifts by 0.
+    The blocks come from the exact non-zero pattern (``_op_blocks``); inside
+    them, entries with magnitude at most ``ENTRY_THRESHOLD`` times the
+    largest entry are ignored, so the number is invariant under scaling.
+    The zero operator shifts by 0.
     """
-    m = np.abs(op.matrix)
-    top = m.max()
-    if top == 0.0:
-        return 0.0
-    g = op.space.grade_array()
-    rows, cols = np.nonzero(m > ENTRY_THRESHOLD * top)
-    if rows.size == 0:
-        return 0.0
-    shift = np.max(g[rows] - g[cols])
-    return float(max(0.0, shift))
+    shifts = _support_differences(_op_blocks(op), op.space.grade_array())
+    return float(shifts.max(initial=0.0))
 
 
 def relative_bound_constant(op: LinOp) -> float:
@@ -262,7 +266,7 @@ def relative_bound_constant(op: LinOp) -> float:
     blocks of the exact non-zero pattern of ``op`` (``_op_blocks``).
     """
     g = op.space.grade_array()
-    return _spectral_norm(op.matrix, _op_blocks(op), (g + 1.0) ** -0.5)
+    return _spectral_norm(_op_blocks(op), (g + 1.0) ** -0.5)
 
 
 def certify(op: LinOp) -> GradeCert:

@@ -495,14 +495,8 @@ class QedModel:
     def lift_photon(self, op: np.ndarray) -> LinOp:
         return LinOp(self.space, np.kron(op, np.eye(self.fermion_basis.dim)))
 
-    def lift_fermion(self, op: np.ndarray) -> LinOp:
-        return LinOp(self.space, np.kron(np.eye(self.photon_basis.dim), op))
-
     def photon_field(self, mu: int, x: Sequence[float]) -> LinOp:
         return self.lift_photon(self.photon_field_factor(mu, x))
-
-    def current(self, mu: int, x: Sequence[float]) -> LinOp:
-        return self.lift_fermion(self.current_factor(mu, x))
 
     def _assemble_interaction(self) -> LinOp:
         dim_f = self.fermion_basis.dim

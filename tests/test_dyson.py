@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dysonprop import dyson
 from dysonprop.dyson import (
+    DEFAULT_NODES_PER_PANEL,
     TimeGrid,
     _prepare,
     _run_block,
@@ -27,10 +28,12 @@ from dysonprop.dyson import (
 from dysonprop.errors import TruncationError
 from dysonprop.evolution import schrodinger_trajectory
 from dysonprop.graded import (
+    ENTRY_THRESHOLD,
     GradedSpace,
     LinOp,
     as_linop,
     certify,
+    grade_shift_bound,
     random_vector,
     support_level,
     vectors_supported_below,
@@ -65,6 +68,12 @@ def test_grid_reversal_swaps_endpoints():
     assert (rev.t_start, rev.t_end) == (-1.5, 0.25)
     assert rev.reversed() == grid
     assert rev.duration == grid.duration == 1.75
+
+
+def test_reference_rule_is_read_only():
+    for arr in dyson._reference_rule(DEFAULT_NODES_PER_PANEL):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_grid_validation():
@@ -201,6 +210,25 @@ def test_coupled_gap_reads_the_supported_entries():
     assert coupled_gap(h0, LinOp(space, np.zeros((3, 3)))) == 0.0
 
 
+def _dense_support(matrix):
+    """Rows and columns of the entries above the relative entry threshold."""
+    mags = np.abs(matrix)
+    return np.nonzero(mags > ENTRY_THRESHOLD * mags.max())
+
+
+def test_block_shift_and_gap_match_the_dense_formulas(toy_model, fleet_models):
+    models = [(m.h_free, m.h_int) for m in (*fleet_models, toy_model)]
+    models.append(_three_block_model())
+    for h_free, h_int in models:
+        g = h_int.space.grade_array()
+        rows, cols = _dense_support(h_int.matrix)
+        assert grade_shift_bound(h_int) == float(max(0.0, np.max(g[rows] - g[cols])))
+        prep = _prepare(h_free, h_int)
+        rows, cols = _dense_support(prep.h_int_rot)
+        e = prep.energies
+        assert coupled_gap(h_free, h_int) == float(np.abs(e[rows] - e[cols]).max())
+
+
 # ------------------------------------------------------ prepared model
 
 def test_one_preparation_per_operator_pair(monkeypatch):
@@ -309,10 +337,11 @@ def test_block_apply_matches_the_single_product(toy_model):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_block_apply_with_zero_rows_under_a_rotated_free_part():
-    # Sectors of sizes 2, 3, 2, 2, 2, 1 at grades 0..5; the interaction maps
-    # sector 0 to 1, 2 to 3 and 3 to 0, so sectors 4 and 5 (and the rows of
-    # sector 2, the columns of sector 1) are all zero.
+def _three_block_model():
+    """Sectors of sizes 2, 3, 2, 2, 2, 1 at grades 0..5 under a permutation,
+    with a non-diagonal free part; the interaction maps sector 0 to 1, 2 to 3
+    and 3 to 0, so sectors 4 and 5 (and the rows of sector 2, the columns of
+    sector 1) are all zero."""
     rng = np.random.default_rng(21)
     sizes = (2, 3, 2, 2, 2, 1)
     grades = np.repeat(np.arange(6.0), sizes)
@@ -332,12 +361,29 @@ def test_block_apply_with_zero_rows_under_a_rotated_free_part():
     space = GradedSpace(tuple(grades[perm]))
     h_free = LinOp(space, h0[np.ix_(perm, perm)])
     h_int = LinOp(space, 0.4 * h1[np.ix_(perm, perm)])
+    return h_free, h_int
+
+
+def test_block_apply_with_zero_rows_under_a_rotated_free_part():
+    h_free, h_int = _three_block_model()
+    dim = h_free.dim
     prep = _prepare(h_free, h_int)
     assert prep.rotation is not None and len(prep.blocks) == 3
     t = 0.8
     grid = default_grid(h_free, h_int, 0.0, t, support=5.0, tol=1e-11)
     u = evolve_block(h_free, h_int, np.eye(dim), grid, 1e-11).final()
     assert np.abs(u - oracle_propagator(h_free, h_int, t, 0.0)).max() < 1e-9
+
+
+def test_diagonal_free_part_reuses_the_certified_blocks(toy_model, fleet_models):
+    for model in (toy_model, *fleet_models):
+        prep = _prepare(model.h_free, model.h_int)
+        if prep.rotation is not None:
+            continue
+        certified = model.h_int._memo["blocks"]
+        assert len(prep.blocks) == len(certified) > 0
+        for (_, _, block), (_, _, gathered) in zip(prep.blocks, certified):
+            assert block is gathered
 
 
 def test_fleet_takes_the_single_product_path(fleet_models):

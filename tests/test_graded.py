@@ -1,5 +1,7 @@
 """Graded spaces, operator certificates, and the wire format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,28 +93,41 @@ def test_block_norm_equals_dense_norm():
     rng = np.random.default_rng(7)
     m = _permuted_block_diagonal(rng)
     dense = np.linalg.norm(m, 2)
-    assert _spectral_norm(m, _blocks(m)) == pytest.approx(dense, rel=1e-13)
+    assert _spectral_norm(_blocks(m)) == pytest.approx(dense, rel=1e-13)
     scale = rng.uniform(0.2, 1.0, size=m.shape[1])
-    assert _spectral_norm(m, _blocks(m), scale) == pytest.approx(
+    assert _spectral_norm(_blocks(m), scale) == pytest.approx(
         np.linalg.norm(m * scale, 2), rel=1e-13
     )
     diag = np.diag(rng.normal(size=7) + 1j * rng.normal(size=7))
-    diag_norm = _spectral_norm(diag, _blocks(diag))
+    diag_norm = _spectral_norm(_blocks(diag))
     assert diag_norm == pytest.approx(np.linalg.norm(diag, 2), rel=1e-13)
     zero = np.zeros((5, 5), dtype=complex)
-    assert _blocks(zero) == [] and _spectral_norm(zero, []) == 0.0
+    assert _blocks(zero) == [] and _spectral_norm([]) == 0.0
     assert LinOp(GradedSpace((0.0,) * 7), diag).norm2() == diag_norm
 
 
 def test_block_norm_is_bit_identical_on_the_fleet():
     for model in fleet():
         m = model.h_int.matrix
-        assert _blocks(m) == [(slice(None), slice(None))]
-        assert _spectral_norm(m, _blocks(m)) == float(np.linalg.norm(m, 2))
+        assert [(r, c) for r, c, _ in _blocks(m)] == [(slice(None), slice(None))]
+        assert _spectral_norm(_blocks(m)) == float(np.linalg.norm(m, 2))
         g = model.h_int.space.grade_array()
         assert relative_bound_constant(model.h_int) == float(
             np.linalg.norm(m * (g + 1.0) ** -0.5, 2)
         )
+
+
+def test_fresh_certify_stays_below_one_dense_float_array(toy_model):
+    h_int = toy_model.h_int
+    fresh = LinOp(h_int.space, h_int.matrix)
+    tracemalloc.start()
+    try:
+        cert = certify(fresh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert == certify(h_int)
+    assert peak < 8 * fresh.dim ** 2, peak
 
 
 def test_certify_is_cached():
