@@ -43,7 +43,6 @@ from .graded import (
     GradeCert,
     GradedSpace,
     LinOp,
-    _blocks,
     _op_blocks,
     _support_differences,
     certify,
@@ -267,18 +266,22 @@ class _Prepared:
     space: GradedSpace
     energies: np.ndarray  # real, length dim
     rotation: np.ndarray | None  # columns: eigenbasis; None when already diagonal
-    h_int_rot: np.ndarray
+    # The interaction in the eigenbasis; None when the free part is diagonal,
+    # where it is h_int itself (held here, it would form a reference cycle
+    # through h_int's memo).
+    h_int_rot: LinOp | None
     # The kernel's basis: its index i is prepared index order[i], and
     # prepared index j is its index unorder[j].  Each block's rows are one
     # contiguous range in it, followed by the rows in no block.  Both are
     # slice(None) when the non-zero pattern is one component.
     order: np.ndarray | slice
     unorder: np.ndarray | slice
-    # (rows, cols, block) per independent block of h_int_rot, as gathered by
-    # graded._blocks (for a diagonal free part, the very arrays certify read),
-    # indexed in the kernel's basis: rows is a slice, cols gathers the
-    # block's columns.  One component is one block of whole-axis slices
-    # holding all of h_int_rot; a zero interaction has no block.
+    # (rows, cols, block) per independent block of the rotated interaction,
+    # as gathered by graded._op_blocks (for a diagonal free part, the very
+    # arrays certify read), indexed in the kernel's basis: rows is a slice,
+    # cols gathers the block's columns.  One component is one block of
+    # whole-axis slices holding the whole dense matrix; a zero interaction
+    # has no block.
     blocks: tuple[tuple[slice, np.ndarray | slice, np.ndarray], ...]
     cert: GradeCert
     gap: float  # see coupled_gap
@@ -302,10 +305,10 @@ def _free_spectrum(h_free: LinOp) -> tuple[np.ndarray, np.ndarray | None]:
     """
     if "spectrum" in h_free._memo:
         return h_free._memo["spectrum"]
-    m = h_free.matrix
     if check_free_part(h_free):
-        energies, rotation = np.real(np.diag(m)).copy(), None
+        energies, rotation = np.real(h_free.storage.diagonal()).copy(), None
     else:
+        m = h_free.matrix
         space = h_free.space
         energies = np.zeros(space.dim)
         rotation = np.zeros((space.dim, space.dim), dtype=complex)
@@ -327,18 +330,17 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
     h_free._same_space(h_int)
     energies, rotation = _free_spectrum(h_free)
     if rotation is None:
-        h_rot, labels = h_int.matrix, _op_blocks(h_int)  # shared with certify
+        h_rot, labels = None, _op_blocks(h_int)  # shared with certify
     else:
-        h_rot = rotation.conj().T @ h_int.matrix @ rotation
-        h_rot.setflags(write=False)
-        labels = _blocks(h_rot)
+        h_rot = LinOp(h_int.space, rotation.conj().T @ h_int.matrix @ rotation)
+        labels = _op_blocks(h_rot)
     gap = float(np.abs(_support_differences(labels, energies)).max(initial=0.0))
     if labels and isinstance(labels[0][0], slice):  # one component
         order = unorder = slice(None)
         blocks = tuple(labels)
     else:
         covered = [rows for rows, _, _ in labels]
-        idle = np.ones(h_rot.shape[0], dtype=bool)
+        idle = np.ones(h_int.dim, dtype=bool)
         for rows in covered:
             idle[rows] = False
         order = np.concatenate(covered + [np.flatnonzero(idle)])
@@ -364,7 +366,8 @@ def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
     """
     prep = _prepare(h_free, h_int)
     phase = np.exp(1j * tau * prep.energies)
-    core = phase[:, None] * prep.h_int_rot * phase.conj()[None, :]
+    h_rot = h_int if prep.h_int_rot is None else prep.h_int_rot
+    core = phase[:, None] * h_rot.matrix * phase.conj()[None, :]
     if prep.rotation is not None:
         core = prep.rotation @ core @ prep.rotation.conj().T
     return LinOp(h_free.space, core)

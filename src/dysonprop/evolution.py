@@ -290,9 +290,10 @@ def heisenberg_track(
                                  max_order=max_order)
     bwd = schrodinger_trajectory(h_free, h_int, eye, -t_end, steps, tol,
                                  max_order=max_order)
+    b_mat = observable.matrix
     mats = np.empty((steps + 1, dim, dim), dtype=complex)
     for k in range(steps + 1):
-        mats[k] = bwd.states[k] @ observable.matrix @ fwd.states[k]
+        mats[k] = bwd.states[k] @ b_mat @ fwd.states[k]
     return ObservableTrack(times=fwd.times, matrices=mats, source=observable)
 
 
@@ -364,9 +365,10 @@ def observable_track(
         h_free, h_int, block, t_end, steps, tol, max_order=max_order
     )
     n_times = steps + 1
+    b_mat = observable.matrix
     staged = np.empty((dim, n_times * m), dtype=complex)
     for k in range(n_times):
-        staged[:, k * m:(k + 1) * m] = observable.matrix @ fwd.states[k]
+        staged[:, k * m:(k + 1) * m] = b_mat @ fwd.states[k]
 
     # back_states[j] holds W(-t_j) B W(t_k) xi for every k; the track keeps
     # the column group with k = j.
@@ -389,7 +391,8 @@ def free_observable_derivative(h_free: LinOp, observable: LinOp, t: float) -> Li
 
     Equals  e^{i t h0} (i [h0, B]) e^{-i t h0}.
     """
-    comm = 1j * (h_free.matrix @ observable.matrix - observable.matrix @ h_free.matrix)
+    h0, b_mat = h_free.matrix, observable.matrix
+    comm = 1j * (h0 @ b_mat - b_mat @ h0)
     left = free_propagator(h_free, -t)
     right = free_propagator(h_free, t)
     return LinOp(h_free.space, left @ comm @ right)
@@ -441,7 +444,8 @@ def strong_split_residual(
 
     fwd = schrodinger_trajectory(h_free, h_int, xi, t, 1, tol, max_order=max_order)
     w_xi = fwd.states[1][:, 0]
-    comm_int = 1j * (h_int.matrix @ observable.matrix - observable.matrix @ h_int.matrix)
+    h1, b_mat = h_int.matrix, observable.matrix
+    comm_int = 1j * (h1 @ b_mat - b_mat @ h1)
     staged = comm_int @ w_xi
     backward = schrodinger_trajectory(
         h_free, h_int, staged, -t, 1, tol, max_order=max_order

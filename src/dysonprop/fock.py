@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import diags_array
 
 from .graded import GradedSpace, LinOp
 
@@ -199,7 +200,7 @@ def fermion_ops(basis: FockBasis, label: str) -> tuple[LinOp, LinOp]:
 
 
 def second_quantize(basis: FockBasis, energies: Mapping[str, float]) -> LinOp:
-    """Diagonal operator  sum_modes occupation * energy.
+    """Diagonal operator  sum_modes occupation * energy, stored as CSR.
 
     ``energies`` maps mode labels (boson or fermion) to one-particle
     energies; omitted modes contribute nothing.
@@ -217,7 +218,8 @@ def second_quantize(basis: FockBasis, energies: Mapping[str, float]) -> LinOp:
         for m, n in zip(basis.spec.fermions, focc):
             e += n * energies.get(m.label, 0.0)
         diag[idx] = e
-    return LinOp(basis.graded_space(), np.diag(diag.astype(complex)))
+    diag = diag.astype(complex)
+    return LinOp(basis.graded_space(), diags_array(diag, format="csr"))
 
 
 def number_operator(basis: FockBasis) -> LinOp:
@@ -228,7 +230,7 @@ def number_operator(basis: FockBasis) -> LinOp:
 def eta_metric(basis: FockBasis, scalar_modes: Iterable[str] | None = None) -> LinOp:
     """Indefinite metric  (-1)^(total occupation of the scalar modes).
 
-    Diagonal, involutive and self-adjoint by construction.
+    Diagonal, involutive and self-adjoint by construction; stored as CSR.
     """
     labels = set(scalar_modes if scalar_modes is not None else basis.spec.scalar_modes)
     slots = [basis.boson_slot(lb) for lb in labels]
@@ -236,7 +238,7 @@ def eta_metric(basis: FockBasis, scalar_modes: Iterable[str] | None = None) -> L
         [(-1.0) ** sum(bocc[s] for s in slots) for bocc, _ in basis.states],
         dtype=complex,
     )
-    return LinOp(basis.graded_space(), np.diag(diag))
+    return LinOp(basis.graded_space(), diags_array(diag, format="csr"))
 
 
 def top_sector_fraction(basis: FockBasis, vec: np.ndarray) -> float:

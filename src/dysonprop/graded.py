@@ -6,13 +6,16 @@ grading: the largest upward grade shift their support allows, and the
 relative bound constant ``C`` with ``||T v|| <= C ||(A + 1)^{1/2} v||`` where
 ``A`` is the diagonal grading operator.
 
-One block list per operator (``_op_blocks``) serves every reader.  The blocks
-come from the matrix's exact non-zero pattern (for the QED interaction: the
-charge and photon-parity sectors) and are gathered once.  ``C`` and
-``LinOp.norm2`` are exact spectral norms taken block by block, so no dense
-SVD of the full matrix is needed.  The grade shift, and the series engine's
-coupled gap, come from the entries inside the blocks above ``ENTRY_THRESHOLD``
-times the largest magnitude; the series kernel applies the same blocks.
+An operator is stored dense or as a CSR array, as its builder made it.  One
+block list per operator (``_op_blocks``) serves every reader.  The blocks
+come from the storage's exact non-zero pattern (for the QED interaction: the
+charge and photon-parity sectors) and are gathered once, straight from the
+CSR array when the operator is sparse, so no dense full-space matrix is
+made.  ``C`` and ``LinOp.norm2`` are exact spectral norms taken block by
+block, so no dense SVD of the full matrix is needed.  The grade shift, and
+the series engine's coupled gap, come from the entries inside the blocks
+above ``ENTRY_THRESHOLD`` times the largest magnitude; the series kernel
+applies the same blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_array, diags_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssumptionViolation
@@ -93,26 +96,48 @@ def _from_pairs(pairs: Sequence[Sequence[float]], dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinOp:
-    """A dense operator attached to a graded space.
+    """An operator attached to a graded space, stored dense or as CSR.
+
+    ``storage`` is a dense array or a ``scipy.sparse`` CSR array; the
+    builder picks it from how it built the operator (diagonal operators and
+    the QED interaction are CSR).  Structured readers (``_op_blocks``,
+    ``check_free_part``, ``.H``) read the storage directly; every other
+    reader takes ``.matrix``, the dense array, which for CSR storage is a
+    read-only array built afresh on each access and never cached.
 
     Immutable once constructed; derived data is computed lazily and memoised
-    in ``_memo``.  Arithmetic helpers return new instances on the same space.
+    in ``_memo``.  Arithmetic helpers return new dense instances on the
+    same space.
     """
 
     space: GradedSpace
-    matrix: np.ndarray
+    storage: np.ndarray | csr_array
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        if issparse(self.storage):
+            m = csr_array(self.storage, dtype=complex, copy=True)
+            m.sum_duplicates()  # canonical: no later read rewrites the arrays
+            values = m.data
+        else:
+            m = values = np.array(self.storage, dtype=complex)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match space dim {self.space.dim}"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        values.setflags(write=False)
+        object.__setattr__(self, "storage", m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The operator as a read-only dense array."""
+        if isinstance(self.storage, np.ndarray):
+            return self.storage
+        dense = self.storage.toarray()
+        dense.setflags(write=False)
+        return dense
 
     @property
     def dim(self) -> int:
@@ -126,7 +151,10 @@ class LinOp:
         operator and no reference cycle forms.
         """
         if "adjoint" not in self._memo:
-            self._memo["adjoint"] = LinOp(self.space, self.matrix.conj().T)
+            adjoint = self.storage.conj().T
+            if issparse(adjoint):
+                adjoint = adjoint.tocsr()
+            self._memo["adjoint"] = LinOp(self.space, adjoint)
         return self._memo["adjoint"]
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
@@ -169,26 +197,28 @@ class LinOp:
         return LinOp(space, _from_pairs(doc["matrix"], space.dim))
 
 
-def _blocks(matrix: np.ndarray) -> list[_Block]:
-    """``(rows, cols, block)`` for each independent block of ``matrix``.
+def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
+    """``(rows, cols, block)`` for each independent block of a matrix.
 
-    The blocks are the connected components of the bipartite row/column
-    graph of the exact non-zero pattern (``matrix != 0``), each with at least
-    one row and one column; all-zero rows and columns lie in no block.
-    ``block`` is ``matrix[np.ix_(rows, cols)]``, gathered once into a
+    ``storage`` is a ``LinOp`` storage, dense or CSR.  The blocks are the
+    connected components of the bipartite row/column graph of the exact
+    non-zero pattern (``!= 0``), each with at least one row and one column;
+    all-zero rows and columns lie in no block.  ``block`` is the dense
+    ``matrix[np.ix_(rows, cols)]``, gathered once from the storage into a
     read-only contiguous array.  A pattern that is one component is one
-    block of whole-axis slices whose ``block`` is the matrix itself (made
-    C-contiguous).
+    block of whole-axis slices whose ``block`` is the whole dense matrix
+    (for dense storage, the array itself made C-contiguous).
     """
-    n_rows, n_cols = matrix.shape
-    rows, cols = np.nonzero(matrix)
+    n_rows, n_cols = storage.shape
+    rows, cols = storage.nonzero()
     graph = coo_matrix(
         (np.ones(rows.size, dtype=np.int8), (rows, n_rows + cols)),
         shape=(n_rows + n_cols,) * 2,
     )
     count, labels = connected_components(graph, directed=False)
     if count == 1:
-        return [(slice(None), slice(None), np.ascontiguousarray(matrix))]
+        whole = slice(None)
+        return [(whole, whole, _gather(storage, whole, whole))]
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(count + 1))
     out = []
@@ -197,10 +227,17 @@ def _blocks(matrix: np.ndarray) -> list[_Block]:
         block_rows = nodes[nodes < n_rows]
         block_cols = nodes[nodes >= n_rows] - n_rows
         if block_rows.size and block_cols.size:
-            block = np.ascontiguousarray(matrix[np.ix_(block_rows, block_cols)])
-            block.setflags(write=False)
+            block = _gather(storage, *np.ix_(block_rows, block_cols))
             out.append((block_rows, block_cols, block))
     return out
+
+
+def _gather(storage: np.ndarray | csr_array, rows, cols) -> np.ndarray:
+    """``storage[rows, cols]`` as a read-only C-contiguous dense array."""
+    block = storage[rows, cols]
+    block = block.toarray() if issparse(block) else np.ascontiguousarray(block)
+    block.setflags(write=False)
+    return block
 
 
 def _spectral_norm(blocks: list[_Block], col_scale: np.ndarray | None = None) -> float:
@@ -234,16 +271,16 @@ def _support_differences(blocks: list[_Block], values: np.ndarray) -> np.ndarray
 
 
 def _op_blocks(op: LinOp) -> list[_Block]:
-    """``_blocks`` of the operator's matrix, labelled and gathered once (memoised)."""
+    """``_blocks`` of the operator's storage, labelled and gathered once (memoised)."""
     if "blocks" not in op._memo:
-        op._memo["blocks"] = _blocks(op.matrix)
+        op._memo["blocks"] = _blocks(op.storage)
     return op._memo["blocks"]
 
 
 def sector_projector(space: GradedSpace, level: float) -> LinOp:
     """Orthogonal projector onto basis indices with grade <= level."""
     diag = (space.grade_array() <= level).astype(complex)
-    return LinOp(space, np.diag(diag))
+    return LinOp(space, diags_array(diag, format="csr"))
 
 
 def grade_shift_bound(op: LinOp) -> float:
@@ -311,21 +348,23 @@ def check_free_part(h_free: LinOp) -> bool:
 
     Raises AssumptionViolation with a behavioural code otherwise, and returns
     whether ``h_free`` is diagonal to STRUCTURE_RTOL.  An exactly diagonal
-    free part is checked on its diagonal alone; otherwise the sector test
-    runs when any off-diagonal entry is non-zero.
+    free part is checked on its stored diagonal alone; otherwise the sector
+    test runs on the dense matrix when any off-diagonal entry is non-zero.
     """
-    m = h_free.matrix
-    diag = np.diagonal(m)
-    diagonal = np.count_nonzero(m) == np.count_nonzero(diag)
+    storage = h_free.storage
+    diag = storage.diagonal()
+    nnz = storage.count_nonzero() if issparse(storage) else np.count_nonzero(storage)
+    diagonal = nnz == np.count_nonzero(diag)
     if diagonal:
         # Every non-zero entry is on the diagonal: m - m^H is 2i Im(diag)
         # and no entry mixes grades, so nothing full-size is allocated.
         scale = max(1.0, float(np.linalg.norm(diag)))
         skew_norm = 2.0 * float(np.linalg.norm(diag.imag))
     else:
+        m = h_free.matrix
         scale = max(1.0, float(np.linalg.norm(m)))
         # m - m^H, then the off-diagonal magnitudes: one full-size buffer at
-        # a time, as the free part of a large model is itself a dense matrix.
+        # a time on top of the dense matrix.
         skew = np.conjugate(m.T, order="C")
         np.subtract(m, skew, out=skew)
         skew_norm = float(np.linalg.norm(skew))

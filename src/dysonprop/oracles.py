@@ -87,7 +87,7 @@ def ode_oracle(
     y0 = prep.to_working(np.asarray(xi, dtype=complex).reshape(-1, 1))[:, 0]
     energies = prep.energies
     # Dense on purpose, not prep.blocks: an independent check of the block apply.
-    h_rot = prep.h_int_rot
+    h_rot = (h_int if prep.h_int_rot is None else prep.h_int_rot).matrix
 
     def rhs(tau, y):
         phase = np.exp(-1j * tau * energies)

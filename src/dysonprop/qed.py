@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse import kron as sparse_kron
 
 from .dyson import DEFAULT_MAX_ORDER, evolve_block, free_propagator
 from .evolution import _aligned_run, _aligned_steps
@@ -499,22 +501,25 @@ class QedModel:
         return self.lift_photon(self.photon_field_factor(mu, x))
 
     def _assemble_interaction(self) -> LinOp:
-        dim_f = self.fermion_basis.dim
-        total = np.zeros((self.basis.dim,) * 2, dtype=complex)
+        """Sum of the (photon x current) Kronecker terms, built as CSR.
+
+        The factors are small dense matrices; each term is their sparse
+        Kronecker product, so no full-size dense array is made.  Explicit
+        zeros (exact cancellations) are dropped at the end, so the stored
+        pattern is the exact ``!= 0`` pattern.
+        """
+        total = csr_array((self.basis.dim,) * 2, dtype=complex)
         weights = self.config.position_weights or (1.0,) * len(self.config.positions)
         for x, wx, chi in zip(self.config.positions, weights, self.config.chi_sp):
             if chi == 0.0 or wx == 0.0:
                 continue
             for mu in range(4):
-                a_part = self.photon_field_factor(mu, x)
-                j_part = self.current_factor(mu, x)
-                # Scaled in place and released before the next term (and
-                # before LinOp copies ``total``): one full-size temporary at
-                # most, since this loop sets the peak memory of the build.
-                term = np.kron(a_part, j_part)
+                a_part = csr_array(self.photon_field_factor(mu, x))
+                j_part = csr_array(self.current_factor(mu, x))
+                term = sparse_kron(a_part, j_part, format="csr")
                 term *= self.config.coupling * wx * chi
-                total += term
-                del term
+                total = total + term
+        total.eliminate_zeros()
         return LinOp(self.space, total)
 
     def _lattice_constants(self) -> dict:
@@ -541,13 +546,23 @@ class QedModel:
 
 
 def build_model(config: QedConfig) -> QedModel:
-    """Assemble free part, interaction, and metric for a lattice config."""
+    """Assemble free part, interaction, and metric (all stored as CSR) for a config."""
     return QedModel(config)
 
 
+def _eta_signs(model: QedModel) -> np.ndarray:
+    """The diagonal of the metric, read from its storage: a real +-1 vector."""
+    return np.real(model.eta.storage.diagonal())
+
+
 def eta_adjoint(model: QedModel, op: LinOp) -> LinOp:
-    """The metric adjoint  eta T* eta  on the joint space."""
-    return LinOp(model.space, model.eta.matrix @ op.matrix.conj().T @ model.eta.matrix)
+    """The metric adjoint  eta T* eta  on the joint space.
+
+    The metric is a diagonal of signs, so the two products are exact
+    entrywise sign flips.
+    """
+    signs = _eta_signs(model)
+    return LinOp(model.space, signs[:, None] * op.matrix.conj().T * signs[None, :])
 
 
 def field_commutators(model: QedModel, seed: int = 101, samples: int = 4) -> Report:
@@ -614,7 +629,7 @@ def eta_unitarity_check(
         model.h_free, model.h_int, block, t_max, steps, series_tol,
         DEFAULT_MAX_ORDER,
     )
-    eta_diag = np.real(np.diag(model.eta.matrix))
+    eta_diag = _eta_signs(model)
     base = np.einsum("dm,d,dm->m", psi.conj(), eta_diag, phi)
 
     drift = 0.0
@@ -730,9 +745,10 @@ def structure_reports(model: QedModel, seed: int = 23) -> list[Report]:
             car = max(car, float(np.abs(b @ d + d @ b).max()))
     reports.append(Report("fermion-anticommutators", car, 0.0, {}))
 
-    eta = model.eta.matrix
+    h_int = model.h_int.matrix
+    signs = _eta_signs(model)
     sym = float(
-        np.linalg.norm(eta @ model.h_int.matrix @ eta - model.h_int.matrix.conj().T, 2)
+        np.linalg.norm(signs[:, None] * h_int * signs[None, :] - h_int.conj().T, 2)
     )
     reports.append(Report("interaction-metric-symmetry", sym, 1e-12, {}))
 

@@ -210,6 +210,11 @@ def test_coupled_gap_reads_the_supported_entries():
     assert coupled_gap(h0, LinOp(space, np.zeros((3, 3)))) == 0.0
 
 
+def _rotated(prep, h_int):
+    """The prepared (eigenbasis) interaction as a dense array."""
+    return (h_int if prep.h_int_rot is None else prep.h_int_rot).matrix
+
+
 def _dense_support(matrix):
     """Rows and columns of the entries above the relative entry threshold."""
     mags = np.abs(matrix)
@@ -224,7 +229,7 @@ def test_block_shift_and_gap_match_the_dense_formulas(toy_model, fleet_models):
         rows, cols = _dense_support(h_int.matrix)
         assert grade_shift_bound(h_int) == float(max(0.0, np.max(g[rows] - g[cols])))
         prep = _prepare(h_free, h_int)
-        rows, cols = _dense_support(prep.h_int_rot)
+        rows, cols = _dense_support(_rotated(prep, h_int))
         e = prep.energies
         assert coupled_gap(h_free, h_int) == float(np.abs(e[rows] - e[cols]).max())
 
@@ -323,12 +328,13 @@ def test_block_apply_matches_the_single_product(toy_model):
     grid = default_grid(h_free, h_int, 0.0, 0.4, support=level, tol=1e-9)
     by_blocks, _ = _run_block(prep, grid, block, 1e-9, 64, keep_terms=False)
     # The one-block reference works in the prepared basis itself.
-    whole = ((slice(None), slice(None), prep.h_int_rot),)
+    whole = ((slice(None), slice(None), _rotated(prep, h_int)),)
     single = dataclasses.replace(prep, order=slice(None), unorder=slice(None),
                                  blocks=whole)
     dense, _ = _run_block(single, grid, block, 1e-9, 64, keep_terms=False)
     # The block path reads the blocks alone, never the dense d x d matrix.
-    blind = dataclasses.replace(prep, h_int_rot=np.zeros_like(prep.h_int_rot))
+    zero = LinOp(prep.space, np.zeros((h_int.dim,) * 2))
+    blind = dataclasses.replace(prep, h_int_rot=zero)
     blind_run, _ = _run_block(blind, grid, block, 1e-9, 64, keep_terms=False)
     np.testing.assert_array_equal(blind_run.boundary_sums, by_blocks.boundary_sums)
     assert by_blocks.achieved_order == dense.achieved_order > 1
@@ -392,7 +398,8 @@ def test_fleet_takes_the_single_product_path(fleet_models):
         (rows, cols, block), = prep.blocks
         assert rows == cols == slice(None)
         assert prep.order == prep.unorder == slice(None)
-        assert np.shares_memory(block, prep.h_int_rot)  # a view, not a copy
+        # a view, not a copy
+        assert np.shares_memory(block, _rotated(prep, model.h_int))
 
 
 def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
@@ -400,6 +407,7 @@ def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
     for model in models:
         prep = _prepare(model.h_free, model.h_int)
         dim = model.space.dim
+        h_rot = _rotated(prep, model.h_int)
         order = np.arange(dim)[prep.order]
         np.testing.assert_array_equal(order[np.arange(dim)[prep.unorder]],
                                       np.arange(dim))
@@ -409,10 +417,10 @@ def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
             start, end, _ = rows.indices(dim)
             assert start == stop < end  # each range starts where the last ended
             stop = end
-            got = prep.h_int_rot[np.ix_(order[rows], order[cols])]
+            got = h_rot[np.ix_(order[rows], order[cols])]
             np.testing.assert_array_equal(block, got)
         # Rows past the last block are the interaction's all-zero rows.
-        assert not prep.h_int_rot[order[stop:]].any()
+        assert not h_rot[order[stop:]].any()
 
 
 def test_run_without_kept_terms_reuses_two_order_buffers(toy_model, fleet_models):

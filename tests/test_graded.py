@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import SparseEfficiencyWarning, csr_array
 
 from dysonprop.errors import AssumptionViolation
 from dysonprop.graded import (
@@ -52,6 +53,26 @@ def test_linop_is_write_locked():
     op = as_linop([0.0, 1.0], np.eye(2))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+def test_csr_operator_densifies_afresh_and_read_only():
+    dense = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0j], [0.0, 0.0, 0.0]])
+    op = LinOp(GradedSpace((0.0, 1.0, 2.0)), csr_array(dense))
+    first, second = op.matrix, op.matrix
+    assert first is not second
+    assert np.array_equal(first, dense) and np.array_equal(second, first)
+    with pytest.raises(ValueError):
+        first[0, 1] = 5.0
+    assert not op._memo  # the dense copy is never cached
+    certify(op)
+    assert all(value is not first for value in op._memo.values())
+    # The stored values are locked, and a write that would add an entry
+    # changes the sparsity structure: an error under the test settings.
+    with pytest.raises(ValueError):
+        op.storage[0, 1] = 5.0
+    with pytest.raises(SparseEfficiencyWarning):
+        op.storage[2, 0] = 5.0
+    assert np.array_equal(op.matrix, dense)
 
 
 def test_grade_shift_bound_planted():

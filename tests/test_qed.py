@@ -1,12 +1,16 @@
 """Gauge-field toy model: spinors, polarizations, and the assembled operators."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from dysonprop import graded
-from dysonprop.graded import certify, grade_shift_bound
+from dysonprop.dyson import _prepare, default_grid, evolve_block
+from dysonprop.graded import certify, grade_shift_bound, vectors_supported_below
 from dysonprop.qed import (
     MINKOWSKI,
     MomentumGrid,
@@ -275,3 +279,107 @@ def test_eta_unitarity_check_small_model():
         eta_unitarity_check(model, times=(0.0, 1.0), pairs=2)
     with pytest.raises(ValueError):
         eta_unitarity_check(model, times=(1.0, math.sqrt(2)), pairs=2)
+
+
+# ------------------------------------------------------- operator storage
+
+def _two_momentum_config():
+    """The stock config plus a second photon momentum of the same |k|: 2640 states."""
+    base = default_toy_config()
+    return dataclasses.replace(
+        base,
+        momentum_points=base.momentum_points + ((-0.5, 1.0, -0.25),),
+        chi_ph=base.chi_ph + base.chi_ph,
+    )
+
+
+def _dense_reference(model):
+    """Row slabs of the operators as the dense build made them.
+
+    Returns ``rows(lo, hi) -> (h_int, h_free, eta)`` rows lo:hi, lo and hi
+    multiples of the fermion dimension: the np.kron sum of the interaction
+    terms (each scaled in place, then added in order), and the rows of
+    np.diag of the free energies (summed mode by mode over the states) and
+    of the metric signs.  Slabs keep the reference at 2640 states small.
+    """
+    dim, dim_f = model.basis.dim, model.fermion_basis.dim
+    weights = model.config.position_weights or (1.0,) * len(model.config.positions)
+    terms = [
+        (model.photon_field_factor(mu, x), model.current_factor(mu, x),
+         model.config.coupling * wx * chi)
+        for x, wx, chi in zip(model.config.positions, weights, model.config.chi_sp)
+        if chi != 0.0 and wx != 0.0
+        for mu in range(4)
+    ]
+    modes = model.spec.bosons + model.spec.fermions
+    energy = np.zeros(dim)
+    sign = np.zeros(dim, dtype=complex)
+    scalar = [i for i, m in enumerate(model.spec.bosons)
+              if m.label in model.spec.scalar_modes]
+    for idx, (bocc, focc) in enumerate(model.basis.states):
+        e = 0.0
+        for m, n in zip(modes, bocc + focc):
+            e += n * m.energy
+        energy[idx] = e
+        sign[idx] = (-1.0) ** sum(bocc[i] for i in scalar)
+
+    def rows(lo, hi):
+        total = np.zeros((hi - lo, dim), dtype=complex)
+        for a_part, j_part, scale in terms:
+            term = np.kron(a_part[lo // dim_f:hi // dim_f], j_part)
+            term *= scale
+            total += term
+        diag = np.eye(hi - lo, dim, k=lo)
+        return total, diag * energy.astype(complex), diag * sign
+
+    return rows
+
+
+@pytest.mark.parametrize("config", [default_toy_config(), _two_momentum_config()],
+                         ids=["stock", "two-momentum"])
+def test_structured_operators_equal_the_dense_build(config):
+    model = build_model(config)
+    ops = (model.h_int, model.h_free, model.eta)
+    assert all(issparse(op.storage) for op in ops)
+    # The stored pattern is the exact != 0 pattern: no explicit zeros.
+    assert all(np.all(op.storage.data != 0) for op in ops)
+    rows = _dense_reference(model)
+    step = 16 * model.fermion_basis.dim  # 16 photon states per slab
+    for lo in range(0, model.space.dim, step):
+        hi = min(lo + step, model.space.dim)
+        for op, want in zip(ops, rows(lo, hi)):
+            assert np.array_equal(op.storage[lo:hi].toarray(), want), (lo, op)
+
+
+def test_stock_pipeline_reads_no_dense_structured_operator(monkeypatch):
+    model = build_model(default_toy_config())
+    dense = graded.LinOp.matrix.fget
+
+    def guarded(op):
+        if issparse(op.storage):
+            raise AssertionError("dense read of a CSR operator")
+        return dense(op)
+
+    monkeypatch.setattr(graded.LinOp, "matrix", property(guarded))
+    with pytest.raises(AssertionError):
+        model.h_int.matrix
+    h_free, h_int = model.h_free, model.h_int
+    assert certify(h_int).grade_shift == certify(h_int.H).grade_shift == 1.0
+    level = model.config.photon_cap - 2
+    grid = default_grid(h_free, h_int, 0.0, 0.5, support=level, tol=1e-9)
+    cols = vectors_supported_below(np.random.default_rng(3), model.space, level, 2)
+    assert evolve_block(h_free, h_int, cols, grid, 1e-9).tail_bound < 1e-9
+    reports = eta_unitarity_check(model, pairs=4, series_tol=1e-9, seed=2)
+    assert all(r.passed for r in reports)
+
+
+def test_stock_build_certify_prepare_peak_below_one_dense_array():
+    tracemalloc.start()
+    try:
+        model = build_model(default_toy_config())
+        certify(model.h_int)
+        _prepare(model.h_free, model.h_int)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * model.space.dim ** 2, peak
