@@ -23,7 +23,11 @@ integrals are products of the quadrature weights with a (q, .) view and no
 order transposes its values.  The kernel orders the basis so that each
 block's rows are one contiguous range and every block product writes its
 rows in place; the factor -i times the panel half-width rides on the second
-phase multiply, and a run without kept terms reuses two order buffers.
+phase multiply, and a run without kept terms reuses two order buffers.  The
+two phase tables are stored in the data's layout, C-contiguous (q, d, P, 1),
+and built from a panel factor e^{-i m_p E} (d, P) times a node factor
+e^{-i h x_j E} (q, d), with m_p the panel midpoint and h the uniform
+half-width, so a grid costs P*d + q*d exponentials.
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
@@ -391,16 +395,22 @@ class _GridKernels:
     """
 
     def __init__(self, grid: TimeGrid, energies: np.ndarray):
-        _, self.weights, self.partial = _reference_rule(grid.nodes_per_panel)
+        x, self.weights, self.partial = _reference_rule(grid.nodes_per_panel)
         self.panels = grid.panels
         bnd = grid.boundaries()
-        halfw = 0.5 * (bnd[1:] - bnd[:-1])  # signed
-        # e^{-i tau E} and -i h_p e^{+i tau E} at every node, shape (q, d, P, 1):
-        # the second carries the recursion's -i and panel p's half-width h_p.
-        nodes = grid.nodes().T[:, None, :, None]
-        self.phase_minus = np.exp(-1j * nodes * energies[None, :, None, None])
-        self.phase_plus = self.phase_minus.conj()
-        self.phase_plus *= (-1j * halfw)[:, None]
+        mid, halfw = 0.5 * (bnd[1:] + bnd[:-1]), 0.5 * (bnd[1:] - bnd[:-1])
+        # e^{-i tau E} and -i h_p e^{+i tau E} at every node, C-contiguous
+        # (q, d, P, 1) like the data, so a phase multiply walks both in memory
+        # order; the second carries the recursion's -i and panel p's
+        # half-width h_p.  Node tau = m_p + h x_j with h the uniform signed
+        # half-width, so each table is a panel factor (d, P) times a node
+        # factor (q, d): P*d + q*d exponentials, not P*q*d.
+        h = 0.5 * (grid.t_end - grid.t_start) / grid.panels
+        panel = np.exp(-1j * energies[:, None] * mid)
+        node = np.exp(-1j * h * x[:, None] * energies)
+        self.phase_minus = (node[:, :, None] * panel)[..., None]
+        plus_panel = panel.conj() * (-1j * halfw)
+        self.phase_plus = (node.conj()[:, :, None] * plus_panel)[..., None]
 
     def apply_interaction(
         self, prep: _Prepared, values: np.ndarray, out: np.ndarray

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .dyson import (
     DEFAULT_MAX_ORDER,
@@ -25,7 +26,7 @@ from .dyson import (
     evolve_block,
     free_propagator,
 )
-from .graded import LinOp, support_level
+from .graded import LinOp, _dense, support_level
 
 
 def uniform_times(t_end: float, steps: int) -> np.ndarray:
@@ -94,11 +95,11 @@ def _aligned_run(
     if drift > 1e-9 * max(1.0, abs(t_end)):
         raise AssertionError("panel boundaries drifted off the output times")
     # W(t) = e^{-i t h_free} U(t, 0), the free phase taken in the eigenbasis.
+    # Every output time at once: the sums are (times, d, m), the phase (times, d).
     prep = _prepare(h_free, h_int)
-    states = np.empty((steps + 1,) + block.shape, dtype=complex)
-    for k, (t, sums) in enumerate(zip(times, result.boundary_sums[::stride])):
-        phase = np.exp(-1j * t * prep.energies)[:, None]
-        states[k] = prep.from_working(phase * prep.to_working(sums))
+    sums = result.boundary_sums[::stride]
+    phase = np.exp(-1j * times[:, None] * prep.energies)
+    states = prep.from_working(phase[:, :, None] * prep.to_working(sums))
     return times, states, result, stride
 
 
@@ -128,9 +129,11 @@ class Trajectory:
 
 
 def schrodinger_defects(
-    times: np.ndarray, states: np.ndarray, h_total: np.ndarray
+    times: np.ndarray, states: np.ndarray, h_total: np.ndarray | csr_array
 ) -> np.ndarray:
     """Central-difference defect  || (psi[k+1]-psi[k-1])/(2 dt) + i H psi[k] ||.
+
+    ``h_total`` is a dense or CSR array; CSR is applied as it is stored.
 
     Defined at interior times only; the endpoint entries are NaN so table
     writers can leave them empty.
@@ -141,7 +144,8 @@ def schrodinger_defects(
     dt = float(times[1] - times[0])
     # One product over every interior time: columns ordered (time, column).
     interior = np.moveaxis(states[1:-1], 0, 1)  # (d, times - 2, ...)
-    h_psi = (h_total @ interior.reshape(len(h_total), -1)).reshape(interior.shape)
+    flat = interior.reshape(h_total.shape[0], -1)
+    h_psi = (h_total @ flat).reshape(interior.shape)
     defect = (states[2:] - states[:-2]) / (2.0 * dt) + 1j * np.moveaxis(h_psi, 1, 0)
     norms = np.linalg.norm(defect, axis=1)  # over d, per time and column
     out[1:-1] = norms.reshape(len(times) - 2, -1).max(axis=1)
@@ -161,7 +165,7 @@ def schrodinger_trajectory(
     times, states, result, _ = _aligned_run(
         h_free, h_int, _as_block(states0), t_end, steps, tol, max_order
     )
-    residuals = schrodinger_defects(times, states, h_free.matrix + h_int.matrix)
+    residuals = schrodinger_defects(times, states, h_free.storage + h_int.storage)
     return Trajectory(
         times=times,
         states=states,
@@ -243,7 +247,7 @@ def weak_residual(
     xis = track.xi_states[::stride]
     if len(times) < 3:
         raise ValueError("need at least three sampled times")
-    h_mat = h_free.matrix + h_int.matrix
+    h_mat = _dense(h_free.storage + h_int.storage)
     b_mat = observable.matrix
     comm = h_mat @ b_mat - b_mat @ h_mat
     inst = 1j * np.einsum("tdp,de,tep->tp", etas.conj(), comm, xis)
@@ -430,7 +434,7 @@ def strong_split_residual(
     if t <= 0:
         raise ValueError("the check time must be positive")
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    h_mat = h_free.matrix + h_int.matrix
+    h_mat = _dense(h_free.storage + h_int.storage)
     columns = np.stack([xi, h_mat @ xi], axis=1)
     dt = t / substeps
     track = observable_track(

@@ -232,6 +232,11 @@ def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
     return out
 
 
+def _dense(storage: np.ndarray | csr_array) -> np.ndarray:
+    """A storage, or a sum of storages, as a dense array (made only for CSR)."""
+    return storage.toarray() if issparse(storage) else storage
+
+
 def _gather(storage: np.ndarray | csr_array, rows, cols) -> np.ndarray:
     """``storage[rows, cols]`` as a read-only C-contiguous dense array."""
     block = storage[rows, cols]

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .dyson import _prepare, free_propagator
 from .errors import StiffnessError
-from .graded import LinOp
+from .graded import LinOp, _dense
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def oracle_propagator(h_free: LinOp, h_int: LinOp, t: float, t_prime: float) -> 
     In finite dimension this solves the same initial-value problem as the
     series for any interaction, symmetric or not, by uniqueness.
     """
-    h = h_free.matrix + h_int.matrix
+    h = _dense(h_free.storage + h_int.storage)
     mid = matrix_exp(-1j * (t - t_prime) * h)
     return free_propagator(h_free, -t) @ mid @ free_propagator(h_free, t_prime)
 
@@ -86,8 +86,8 @@ def ode_oracle(
     prep = _prepare(h_free, h_int)
     y0 = prep.to_working(np.asarray(xi, dtype=complex).reshape(-1, 1))[:, 0]
     energies = prep.energies
-    # Dense on purpose, not prep.blocks: an independent check of the block apply.
-    h_rot = (h_int if prep.h_int_rot is None else prep.h_int_rot).matrix
+    # The stored operator, not prep.blocks: an independent check of the block apply.
+    h_rot = (h_int if prep.h_int_rot is None else prep.h_int_rot).storage
 
     def rhs(tau, y):
         phase = np.exp(-1j * tau * energies)

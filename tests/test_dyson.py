@@ -526,6 +526,26 @@ def test_zero_interaction_gives_identity():
     assert applied.shape == values.shape and not applied.any()
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, -0.5)])
+def test_phase_tables_are_contiguous_and_match_the_direct_exponentials(
+    toy_model, t0, t1
+):
+    prep = _prepare(toy_model.h_free, toy_model.h_int)
+    energies = prep.energies[prep.order]
+    grid = TimeGrid(t0, t1, panels=200)
+    kern = dyson._GridKernels(grid, energies)
+    q, d, p = grid.nodes_per_panel, energies.size, grid.panels
+    for table in (kern.phase_minus, kern.phase_plus):
+        assert table.shape == (q, d, p, 1) and table.flags.c_contiguous
+    # e^{-i tau E} at every node, indexed [node, state, panel] like the data.
+    direct = np.exp(-1j * grid.nodes().T[:, None, :] * energies[:, None])
+    bnd = grid.boundaries()
+    halfw = 0.5 * (bnd[1:] - bnd[:-1])
+    assert np.abs(kern.phase_minus[..., 0] - direct).max() <= 1e-14
+    plus = -1j * halfw * direct.conj()
+    assert np.abs(kern.phase_plus[..., 0] - plus).max() <= 1e-14 * np.abs(halfw).max()
+
+
 def test_series_matches_exponential_oracle():
     rng = np.random.default_rng(5)
     model = random_graded_model(seed=21, dim=6, grade_shift=1)

@@ -6,11 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, issparse
 
 from dysonprop import graded
 from dysonprop.dyson import _prepare, default_grid, evolve_block
+from dysonprop.evolution import schrodinger_defects, schrodinger_trajectory
 from dysonprop.graded import certify, grade_shift_bound, vectors_supported_below
+from dysonprop.oracles import ode_oracle
 from dysonprop.qed import (
     MINKOWSKI,
     MomentumGrid,
@@ -261,6 +263,22 @@ def test_structure_reports_all_pass_small_model():
     assert failed == []
 
 
+def test_metric_symmetry_report_is_the_dense_norm_of_the_defect():
+    model = build_model(small_config())
+    h = model.h_int.matrix.copy()
+    top = np.unravel_index(np.abs(h).argmax(), h.shape)
+    h[top] *= 1.5  # breaks eta h eta = h^H on one supported entry
+    model.h_int = graded.LinOp(model.space, csr_array(h))
+    signs = np.real(model.eta.storage.diagonal())
+    want = np.linalg.norm(signs[:, None] * h * signs[None, :] - h.conj().T, 2)
+    report = next(
+        r for r in structure_reports(model, seed=5)
+        if r.check_name == "interaction-metric-symmetry"
+    )
+    assert want > 1e-6 and not report.passed
+    assert report.residual == pytest.approx(want, rel=1e-12)
+
+
 def test_eta_unitarity_check_small_model():
     model = build_model(small_config(cap=3))
     # (0.25, 1.0) needs four steps, not one per listed time
@@ -371,6 +389,35 @@ def test_stock_pipeline_reads_no_dense_structured_operator(monkeypatch):
     assert evolve_block(h_free, h_int, cols, grid, 1e-9).tail_bound < 1e-9
     reports = eta_unitarity_check(model, pairs=4, series_tol=1e-9, seed=2)
     assert all(r.passed for r in reports)
+
+
+def test_trajectory_and_ode_oracle_densify_no_stored_operator(monkeypatch):
+    model = build_model(default_toy_config())
+    h_free, h_int = model.h_free, model.h_int
+    dense_copy = [graded.LinOp(model.space, op.matrix) for op in (h_free, h_int)]
+    xi = vectors_supported_below(
+        np.random.default_rng(5), model.space, model.config.photon_cap - 2, 1
+    )[:, 0]
+    dense = graded.LinOp.matrix.fget
+    csr_reads = []
+
+    def counted(op):
+        if issparse(op.storage):
+            csr_reads.append(op)
+        return dense(op)
+
+    monkeypatch.setattr(graded.LinOp, "matrix", property(counted))
+    traj = schrodinger_trajectory(h_free, h_int, xi, 0.5, 4, 1e-9)
+    ode = ode_oracle(h_free, h_int, xi, 0.5, 0.0)
+    assert csr_reads == []
+    assert np.linalg.norm(ode - ode_oracle(*dense_copy, xi, 0.5, 0.0)) <= 1e-13
+    # The CSR defects equal the dense-sum ones up to the rounding of H psi,
+    # a sum of at most d products on each side: 2 d eps ||H||_F ||psi||.
+    h_dense = dense_copy[0].matrix + dense_copy[1].matrix
+    want = schrodinger_defects(traj.times, traj.states, h_dense)
+    psi_norm = np.linalg.norm(traj.states, axis=(1, 2)).max()
+    bound = 2 * model.space.dim * np.finfo(float).eps * np.linalg.norm(h_dense) * psi_norm
+    np.testing.assert_allclose(traj.residuals[1:-1], want[1:-1], rtol=0, atol=bound)
 
 
 def test_stock_build_certify_prepare_peak_below_one_dense_array():
