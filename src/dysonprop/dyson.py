@@ -15,19 +15,19 @@ shift, and L the support level of xi.  Summation stops once the certified
 tail, these bounds summed over every later order, is below the tolerance.
 
 Quadrature: composite Gauss-Legendre panels.  Cumulative integrals inside a
-panel integrate the degree-(q-1) interpolant through the panel's own nodes,
-so one order costs one mat-mat product over all nodes per independent block
-of the rotated interaction.  Every order is held node-major, as (q, d, P*m)
-arrays (q nodes per panel, dimension d, P panels, m columns), so the panel
-integrals are products of the quadrature weights with a (q, .) view and no
-order transposes its values.  The kernel orders the basis so that each
-block's rows are one contiguous range and every block product writes its
-rows in place; the factor -i times the panel half-width rides on the second
-phase multiply, and a run without kept terms reuses two order buffers.  The
-two phase tables are stored in the data's layout, C-contiguous (q, d, P, 1),
-and built from a panel factor e^{-i m_p E} (d, P) times a node factor
-e^{-i h x_j E} (q, d), with m_p the panel midpoint and h the uniform
-half-width, so a grid costs P*d + q*d exponentials.
+panel integrate the degree-(q-1) interpolant through the panel's own nodes.
+Every order is held node-major, as (q, d, P*m) arrays (q nodes per panel,
+dimension d, P panels, m columns), in the node frame: the value at node tau
+is e^{-i tau E} times the interaction-picture value, E the free energies.
+Applying h_int(tau) there is the bare product with the rotated interaction,
+one mat-mat product over all nodes per independent block; the kernel orders
+the basis so that each block's rows are one contiguous range written in
+place, and reads a block's columns as a view when they are one range too.
+Every phase, with the series' -i and the panel half-width, sits in small
+per-state integration matrices built once per grid (``_GridKernels``): one
+batched product per order maps the applied values and the panel-frame edge
+starts to the next order's node values.  Edges and boundary sums stay in the
+interaction picture.  A run reuses two order buffers for all its orders.
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
@@ -283,9 +283,10 @@ class _Prepared:
     # (rows, cols, block) per independent block of the rotated interaction,
     # as gathered by graded._op_blocks (for a diagonal free part, the very
     # arrays certify read), indexed in the kernel's basis: rows is a slice,
-    # cols gathers the block's columns.  One component is one block of
-    # whole-axis slices holding the whole dense matrix; a zero interaction
-    # has no block.
+    # cols a slice when the block's columns are one increasing range there
+    # (every stock QED block), else the index array that gathers them.  One
+    # component is one block of whole-axis slices holding the whole dense
+    # matrix; a zero interaction has no block.
     blocks: tuple[tuple[slice, np.ndarray | slice, np.ndarray], ...]
     cert: GradeCert
     gap: float  # see coupled_gap
@@ -326,6 +327,13 @@ def _free_spectrum(h_free: LinOp) -> tuple[np.ndarray, np.ndarray | None]:
     return energies, rotation
 
 
+def _as_range(index: np.ndarray) -> np.ndarray | slice:
+    """``index`` as a slice when it is one increasing contiguous range."""
+    if (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
     """Prepared model of one pair, memoised on h_int for this h_free object."""
     cached_free, prep = h_int._memo.get("prepared", (None, None))
@@ -351,7 +359,7 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
         unorder = np.argsort(order)
         ends = np.cumsum([0] + [rows.size for rows in covered]).tolist()
         blocks = tuple(
-            (slice(lo, hi), unorder[cols], mat)
+            (slice(lo, hi), _as_range(unorder[cols]), mat)
             for lo, hi, (_, cols, mat) in zip(ends, ends[1:], labels)
         )
     prep = _Prepared(
@@ -387,66 +395,79 @@ def free_propagator(h_free: LinOp, t: float) -> np.ndarray:
 
 
 class _GridKernels:
-    """Precomputed quadrature data bound to one grid and one energy vector.
+    """Per-state integration matrices bound to one grid and one energy vector.
 
-    Nodal data is node-major: shape (q, d, P*m), panel-major within the last
-    axis, so element [j, i, p*m + c] belongs to node j of panel p, column c.
-    The energies are those of the kernel's basis (``_Prepared.order``).
+    Nodal data is node-major, shape (q, d, P*m), panel-major within the last
+    axis, so element [j, r, p*m + c] belongs to node j of panel p, state r,
+    column c.  It is held in the node frame: the interaction-picture value
+    times e^{-i tau E_r} at its node tau.  The energies are those of the
+    kernel's basis (``_Prepared.order``).
+
+    A node is tau = m_p + h x_j, with m_p the panel midpoint and h the
+    uniform signed half-width.  With phi-[j, r] = e^{-i h x_j E_r},
+    phi+[j, r] = -i h e^{+i h x_j E_r} and pi[r, p] = e^{-i m_p E_r}, every
+    phase of the recursion sits in three small arrays: ``panel_phase`` is pi
+    (d, P); ``step`` (d, q, q + 1) holds, per state r, the partial-integral
+    map S[j, i] scaled to phi-[j, r] S[j, i] phi+[i, r], followed by the
+    column phi-[:, r]; ``weights`` (d, 1, q) holds w_i phi+[i, r].
     """
 
     def __init__(self, grid: TimeGrid, energies: np.ndarray):
-        x, self.weights, self.partial = _reference_rule(grid.nodes_per_panel)
+        x, w, s = _reference_rule(grid.nodes_per_panel)
         self.panels = grid.panels
         bnd = grid.boundaries()
-        mid, halfw = 0.5 * (bnd[1:] + bnd[:-1]), 0.5 * (bnd[1:] - bnd[:-1])
-        # e^{-i tau E} and -i h_p e^{+i tau E} at every node, C-contiguous
-        # (q, d, P, 1) like the data, so a phase multiply walks both in memory
-        # order; the second carries the recursion's -i and panel p's
-        # half-width h_p.  Node tau = m_p + h x_j with h the uniform signed
-        # half-width, so each table is a panel factor (d, P) times a node
-        # factor (q, d): P*d + q*d exponentials, not P*q*d.
         h = 0.5 * (grid.t_end - grid.t_start) / grid.panels
-        panel = np.exp(-1j * energies[:, None] * mid)
-        node = np.exp(-1j * h * x[:, None] * energies)
-        self.phase_minus = (node[:, :, None] * panel)[..., None]
-        plus_panel = panel.conj() * (-1j * halfw)
-        self.phase_plus = (node.conj()[:, :, None] * plus_panel)[..., None]
+        mid = 0.5 * (bnd[1:] + bnd[:-1])
+        self.panel_phase = np.exp(-1j * energies[:, None] * mid)
+        minus = np.exp(-1j * h * energies[:, None] * x)  # (d, q)
+        plus = -1j * h * minus.conj()
+        q = x.size
+        self.step = np.empty((energies.size, q, q + 1), dtype=complex)
+        np.multiply(minus[:, :, None] * s, plus[:, None, :], out=self.step[:, :, :q])
+        self.step[:, :, q] = minus
+        self.weights = (w * plus)[:, None, :]
 
-    def apply_interaction(
-        self, prep: _Prepared, values: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """-i h_p h_int(tau_node) applied nodewise to values (q, d, P*m), into out.
+    def order_zero(self, xi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Node-frame values of the constant xi (d, m) into out (q, d, P*m).
 
-        ``values`` is overwritten by its phased copy.  Each independent block
-        of the rotated interaction writes its contiguous rows of ``out`` in
-        place; rows in no block are not written, so they keep the zeros
-        ``out`` was allocated with.
+        ``scratch`` is any (d, P*m) buffer; it is overwritten.
         """
+        q, d, _ = out.shape
+        start = scratch.reshape(d, self.panels, -1)
+        np.multiply(self.panel_phase[:, :, None], xi[:, None, :], out=start)
+        np.multiply(self.step[:, :, q].T[:, :, None, None], start,
+                    out=out.reshape(q, d, self.panels, -1))
+
+    def interaction_frame(self, values: np.ndarray) -> np.ndarray:
+        """Node-frame values (q, d, P*m) as a new interaction-picture array."""
         q, d, _ = values.shape
-        x = values.reshape(q, d, self.panels, -1)
-        x *= self.phase_minus
-        for rows, cols, block in prep.blocks:
-            np.matmul(block, values[:, cols], out=out[:, rows])
-        y = out.reshape(q, d, self.panels, -1)
-        y *= self.phase_plus
-        return out
+        shaped = values.reshape(q, d, self.panels, -1)
+        out = shaped * self.step[:, :, q].T.conj()[:, :, None, None]
+        out *= self.panel_phase.conj()[:, :, None]
+        return out.reshape(values.shape)
 
-    def cumulative_integral(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Integrate nodal data g (q, d, P*m) from t_start up to every node and edge.
+    def integrate(
+        self, applied: np.ndarray, out: np.ndarray, edges: np.ndarray
+    ) -> None:
+        """Next order's node and edge values from h_int applied at every node.
 
-        g already carries each panel's half-width (``phase_plus``).  The node
-        integrals go to ``out`` (q, d, P*m); returns the edge integrals
-        (d, P + 1, m).
+        ``applied`` is (q + 1, d, P*m): rows 0..q-1 hold the applied node
+        values, row q is overwritten.  The node integrals from t_start go to
+        ``out`` (q, d, P*m), the edge integrals, in the interaction picture,
+        to ``edges`` (d, P + 1, m).  Row q first takes the panel totals,
+        which are taken to the interaction picture and summed over panels in
+        order, then the panel-frame edge starts pi * edges[:, :-1], so that
+        one batched product with ``step`` gives the node values.
         """
-        q, d, _ = g.shape
-        flat = g.view(float).reshape(q, -1)  # real weights act on re and im alike
-        full = (self.weights @ flat).view(complex).reshape(d, self.panels, -1)
-        edges = np.zeros((d, self.panels + 1, full.shape[-1]), dtype=complex)
-        np.cumsum(full, axis=1, out=edges[:, 1:])
-        np.matmul(self.partial, flat, out=out.view(float).reshape(q, -1))
-        part = out.reshape(q, d, self.panels, -1)
-        part += edges[:, :-1]
-        return edges
+        q = out.shape[0]
+        rows = applied.transpose(1, 0, 2)  # (d, q + 1, P*m)
+        np.matmul(self.weights, rows[:, :q], out=rows[:, q:])
+        totals = applied[q].reshape(edges.shape[0], self.panels, -1)
+        totals *= self.panel_phase.conj()[:, :, None]
+        edges[:, 0] = 0.0
+        np.cumsum(totals, axis=1, out=edges[:, 1:])
+        np.multiply(self.panel_phase[:, :, None], edges[:, :-1], out=totals)
+        np.matmul(self.step, rows, out=out.transpose(1, 0, 2))
 
 
 @dataclass
@@ -491,9 +512,10 @@ def _run_block(
 
     Adds orders until every column's certified tail is below ``tol`` or
     ``max_order`` is reached, whichever comes first.  The loop runs in the
-    kernel's basis (``prep.order``); sums and kept terms leave it in the
-    prepared basis.  Without kept terms an order is built in the buffer of
-    the order before, so two order-sized buffers serve the whole run.
+    kernel's basis (``prep.order``) and the node frame (``_GridKernels``);
+    sums and kept terms leave both, in the prepared basis and the
+    interaction picture.  Each order is built in the buffers of the order
+    before, so two order-sized buffers serve the whole run.
     """
     kern = _GridKernels(grid, prep.energies[prep.order])
     dim, m = block.shape
@@ -506,9 +528,12 @@ def _run_block(
         supports, norms0,
     )
 
-    node_vals = np.tile(work[prep.order], (q, 1, p))  # (q, d, P*m)
-    edge_vals = np.tile(work[prep.order, None, :], (1, p + 1, 1))  # (d, P + 1, m)
-    applied = np.zeros_like(node_vals)  # rows in no block stay zero
+    # Row q of applied is the integral's edge row; rows in no block stay zero.
+    applied = np.zeros((q + 1, dim, p * m), dtype=complex)
+    node_vals = np.empty((q, dim, p * m), dtype=complex)
+    xi = work[prep.order]
+    kern.order_zero(xi, node_vals, applied[q])
+    edge_vals = np.tile(xi[:, None, :], (1, p + 1, 1))  # (d, P + 1, m)
     sums = edge_vals.copy()
     sup_norms = [norms0]
     terms: list[tuple[np.ndarray, np.ndarray]] = []
@@ -516,17 +541,18 @@ def _run_block(
     order = 0
     while True:
         if keep_terms:
-            terms.append((node_vals[:, prep.unorder], edge_vals[prep.unorder]))
+            kept = kern.interaction_frame(node_vals)
+            terms.append((kept[:, prep.unorder], edge_vals[prep.unorder].copy()))
         if order >= max_order or tails[order].max() < tol:
             break
-        if keep_terms:
-            node_vals = node_vals.copy()  # the kept order stays as it is
-        kern.apply_interaction(prep, node_vals, out=applied)
-        edge_vals = kern.cumulative_integral(applied, out=node_vals)
+        for rows, cols, mat in prep.blocks:
+            np.matmul(mat, node_vals[:, cols], out=applied[:q, rows])
+        kern.integrate(applied, out=node_vals, edges=edge_vals)
         sums += edge_vals
         order += 1
         sup_norms.append(_column_norms(node_vals, edge_vals))
 
+    del node_vals, applied  # so the conversion below does not add to the peak
     sums = prep.from_working(sums[prep.unorder].reshape(dim, -1))
     sums = sums.reshape(dim, p + 1, m)
     result = BlockSeriesResult(

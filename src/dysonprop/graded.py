@@ -106,8 +106,9 @@ class LinOp:
     read-only array built afresh on each access and never cached.
 
     Immutable once constructed; derived data is computed lazily and memoised
-    in ``_memo``.  Arithmetic helpers return new dense instances on the
-    same space.
+    in ``_memo``.  Sums and differences add the stored arrays, so CSR plus
+    CSR stays CSR; every other arithmetic helper returns a new dense
+    instance on the same space.
     """
 
     space: GradedSpace
@@ -163,11 +164,11 @@ class LinOp:
 
     def __add__(self, other: "LinOp") -> "LinOp":
         self._same_space(other)
-        return LinOp(self.space, self.matrix + other.matrix)
+        return LinOp(self.space, self.storage + other.storage)
 
     def __sub__(self, other: "LinOp") -> "LinOp":
         self._same_space(other)
-        return LinOp(self.space, self.matrix - other.matrix)
+        return LinOp(self.space, self.storage - other.storage)
 
     def __neg__(self) -> "LinOp":
         return LinOp(self.space, -self.matrix)

@@ -425,10 +425,10 @@ def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
 
 def test_run_without_kept_terms_reuses_two_order_buffers(toy_model, fleet_models):
     # The design holds two order-sized buffers (the order's node values and
-    # the apply output).  The (d, P + 1, m) edge arrays, the per-grid phase
-    # tables and the block gathers add well under one more order at these
-    # sizes, so the peak stays below three orders; building every order
-    # afresh needs at least four.
+    # the apply output, one edge row longer).  The (d, P + 1, m) edge arrays
+    # and the per-grid integration matrices add well under one more order at
+    # these sizes, so the peak stays below three orders; building every
+    # order afresh needs at least four.
     cases = [(fleet_models[19], TimeGrid(0.0, 0.5, 16, 8), 64),
              (toy_model, TimeGrid(0.0, 0.2, 4, 8), 32)]
     for model, grid, m in cases:
@@ -520,30 +520,110 @@ def test_zero_interaction_gives_identity():
     assert res.tail_bound == 0.0
     prep = _prepare(h0, zero)
     assert prep.blocks == () and prep.gap == 0.0
-    values = np.ones((grid.nodes_per_panel, 2, grid.panels), dtype=complex)
-    kern = dyson._GridKernels(grid, prep.energies)
-    applied = kern.apply_interaction(prep, values, out=np.zeros_like(values))
-    assert applied.shape == values.shape and not applied.any()
+    # With no block, nothing writes the applied buffer: every later order is 0.
+    _, terms = _run_block(prep, grid, xi[:, None], 0.0, 2, keep_terms=True)
+    assert len(terms) == 3
+    for nodes, edges in terms[1:]:
+        assert not nodes.any() and not edges.any()
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, -0.5)])
-def test_phase_tables_are_contiguous_and_match_the_direct_exponentials(
-    toy_model, t0, t1
-):
+def test_integration_matrices_match_the_direct_construction(toy_model, t0, t1):
     prep = _prepare(toy_model.h_free, toy_model.h_int)
     energies = prep.energies[prep.order]
     grid = TimeGrid(t0, t1, panels=200)
     kern = dyson._GridKernels(grid, energies)
-    q, d, p = grid.nodes_per_panel, energies.size, grid.panels
-    for table in (kern.phase_minus, kern.phase_plus):
-        assert table.shape == (q, d, p, 1) and table.flags.c_contiguous
-    # e^{-i tau E} at every node, indexed [node, state, panel] like the data.
-    direct = np.exp(-1j * grid.nodes().T[:, None, :] * energies[:, None])
+    x, w, s = dyson._reference_rule(grid.nodes_per_panel)
     bnd = grid.boundaries()
-    halfw = 0.5 * (bnd[1:] - bnd[:-1])
-    assert np.abs(kern.phase_minus[..., 0] - direct).max() <= 1e-14
-    plus = -1j * halfw * direct.conj()
-    assert np.abs(kern.phase_plus[..., 0] - plus).max() <= 1e-14 * np.abs(halfw).max()
+    mid, halfw = 0.5 * (bnd[1:] + bnd[:-1]), 0.5 * (bnd[1:] - bnd[:-1])
+    # Node offsets from the panel midpoint, straight from the grid's nodes.
+    offsets = grid.nodes()[0] - mid[0]
+    minus = np.exp(-1j * offsets[None, :] * energies[:, None])  # [r, j]
+    plus = -1j * halfw[0] * minus.conj()
+    step = minus[:, :, None] * s[None] * plus[:, None, :]
+    assert kern.step.shape == (energies.size, x.size, x.size + 1)
+    scale = np.abs(halfw).max()
+    assert np.abs(kern.step[:, :, :-1] - step).max() <= 1e-14 * scale
+    assert np.abs(kern.step[:, :, -1] - minus).max() <= 1e-14
+    assert np.abs(kern.weights[:, 0] - w * plus).max() <= 1e-14 * scale
+    panel = np.exp(-1j * energies[:, None] * mid)
+    assert np.abs(kern.panel_phase - panel).max() <= 1e-14
+    # Panel times node factor is e^{-i tau E} at every node [r, p, j].
+    direct = np.exp(-1j * grid.nodes()[None] * energies[:, None, None])
+    frame = kern.panel_phase[:, :, None] * kern.step[:, None, :, -1]
+    assert np.abs(frame - direct).max() <= 1e-14
+
+
+def test_grid_kernels_hold_no_per_node_phase_table(toy_model):
+    # O(d (P + q^2)) bytes: no array of size P*q*d.
+    prep = _prepare(toy_model.h_free, toy_model.h_int)
+    grid = TimeGrid(0.0, 1.0, panels=200)
+    kern = dyson._GridKernels(grid, prep.energies[prep.order])
+    d, p, q = toy_model.space.dim, grid.panels, grid.nodes_per_panel
+    arrays = [v for v in vars(kern).values() if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) < p * q * d // 4
+    assert sum(a.nbytes for a in arrays) == 16 * d * (p + q * (q + 1) + q)
+
+
+def _plain_recursion(prep, h_rot, grid, work, orders):
+    """Orders 0..orders of the series in the prepared basis, node by node.
+
+    Returns per order the node values (P, q, d, m) and edge values
+    (P + 1, d, m), each in the interaction picture, straight from
+    U_{n+1}(tau) = -i int h_int(s) U_n(s) ds on the interpolant.
+    """
+    _, w, s = dyson._reference_rule(grid.nodes_per_panel)
+    halfw = 0.5 * np.diff(grid.boundaries())
+    e = prep.energies
+    nodes = np.broadcast_to(work, (grid.panels, grid.nodes_per_panel) + work.shape)
+    edges = np.broadcast_to(work, (grid.panels + 1,) + work.shape)
+    out = [(nodes.copy(), edges.copy())]
+    for _ in range(orders):
+        g = np.empty_like(nodes)
+        for p, row in enumerate(grid.nodes()):
+            for j, tau in enumerate(row):
+                h_tau = np.exp(1j * tau * e)[:, None] * h_rot * np.exp(-1j * tau * e)
+                g[p, j] = -1j * halfw[p] * (h_tau @ nodes[p, j])
+        totals = np.einsum("j,pjdm->pdm", w, g)
+        edges = np.concatenate([np.zeros_like(totals[:1]),
+                                np.cumsum(totals, axis=0)])
+        nodes = np.einsum("ji,pidm->pjdm", s, g) + edges[:-1, None]
+        out.append((nodes, edges))
+    return out
+
+
+@pytest.mark.parametrize("keep_terms", [False, True])
+def test_series_matches_a_plain_interaction_picture_recursion(
+    toy_model, fleet_models, keep_terms
+):
+    rng = np.random.default_rng(23)
+    level = toy_model.config.photon_cap - 2
+    cases = [  # many blocks, diagonal free part; one block, rotated free part
+        (toy_model, vectors_supported_below(rng, toy_model.space, level, 2), 0.4),
+        (fleet_models[9], np.eye(fleet_models[9].space.dim)[:, :3], 0.9),
+    ]
+    for model, block, t in cases:
+        prep = _prepare(model.h_free, model.h_int)
+        grid = TimeGrid(0.0, t, 3, 8)
+        result, terms = _run_block(prep, grid, block.astype(complex), 0.0, 5,
+                                   keep_terms)
+        want = _plain_recursion(prep, _rotated(prep, model.h_int), grid,
+                                prep.to_working(block), 5)
+        assert result.achieved_order == 5 and len(terms) == (6 if keep_terms else 0)
+        for (nodes, edges), (want_nodes, want_edges) in zip(terms, want):
+            scale = np.abs(want_edges).max()
+            got_nodes = nodes.reshape(8, -1, 3, block.shape[1]).transpose(2, 0, 1, 3)
+            assert np.abs(got_nodes - want_nodes).max() <= 1e-14 * scale
+            assert np.abs(edges.transpose(1, 0, 2) - want_edges).max() <= 1e-14 * scale
+        sums = prep.from_working(sum(e for _, e in want).transpose(1, 0, 2)
+                                 .reshape(model.space.dim, -1))
+        sums = sums.reshape(model.space.dim, 4, -1).transpose(1, 0, 2)
+        scale = np.abs(sums).max()
+        assert np.abs(result.boundary_sums - sums).max() <= 1e-14 * scale
+        sups = [max(np.linalg.norm(n, axis=2).max(axis=(0, 1)).max(),
+                    np.linalg.norm(e, axis=1).max()) for n, e in want]
+        np.testing.assert_allclose(result.per_order_sup_norms.max(axis=1), sups,
+                                   rtol=1e-14)
 
 
 def test_series_matches_exponential_oracle():

@@ -75,6 +75,16 @@ def test_csr_operator_densifies_afresh_and_read_only():
     assert np.array_equal(op.matrix, dense)
 
 
+def test_csr_sum_and_difference_stay_csr(toy_model):
+    h_free, h_int = toy_model.h_free, toy_model.h_int
+    dense_free, dense_int = h_free.matrix, h_int.matrix
+    for op, want in ((h_free + h_int, dense_free + dense_int),
+                     (h_free - h_int, dense_free - dense_int)):
+        assert isinstance(op.storage, csr_array)
+        assert np.array_equal(op.matrix, want)
+        assert op.norm2() == LinOp(op.space, want).norm2()
+
+
 def test_grade_shift_bound_planted():
     space = GradedSpace((0.0, 1.0, 3.0))
     m = np.zeros((3, 3), dtype=complex)
