@@ -40,13 +40,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dyson import default_grid, evolve_vector
+from .dyson import default_grid, evolve_block
 from .errors import AssumptionViolation, TruncationError
 from .evolution import (
     ObservableTrack,
@@ -154,12 +155,23 @@ def _load_config_file(path: Path) -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    """A JSON number that is finite as a float: bools, NaN, the infinities
+    and integers beyond the float range are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _number(doc: dict, field: str, default, *, integer=False, minimum=None):
     value = doc.get(field, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{field}': expected a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"field '{field}': expected a finite number, got {value!r}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"field '{field}': expected an integer, got {value!r}")
@@ -235,10 +247,9 @@ def _check_initial_state(doc):
         out = []
         for k, pair in enumerate(doc):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in pair)):
+                    or not all(_is_number(v) for v in pair)):
                 raise ConfigError(
-                    f"field 'initial_state[{k}]': expected [re, im]"
+                    f"field 'initial_state[{k}]': expected [re, im] of finite numbers"
                 )
             out.append([float(pair[0]), float(pair[1])])
         if not out:
@@ -294,10 +305,9 @@ def assemble(command: str, doc: dict, base_dir: Path, overrides: dict) -> RunCon
 
     alphas_doc = doc.get("alphas", [0.0, 1.0, 2.0])
     if (not isinstance(alphas_doc, list) or not alphas_doc
-            or any(isinstance(a, bool) or not isinstance(a, (int, float))
-                   or a < 0 for a in alphas_doc)):
+            or any(not _is_number(a) or a < 0 for a in alphas_doc)):
         raise ConfigError(
-            "field 'alphas': expected a non-empty list of non-negative numbers"
+            "field 'alphas': expected a non-empty list of finite non-negative numbers"
         )
     alphas = tuple(float(a) for a in alphas_doc)
 
@@ -579,9 +589,8 @@ def _run_qed_demo(cfg: RunConfig) -> list[Report]:
     grid = default_grid(h_free, h_int, 0.0, t_mid,
                         support=support_level(model.space, xi),
                         tol=cfg.series_tol)
-    series = evolve_vector(h_free, h_int, xi, grid, cfg.series_tol,
-                           estimate_quadrature=False)
-    cross = float(np.linalg.norm(series.partial_sum - oracle_u @ xi))
+    series = evolve_block(h_free, h_int, xi, grid, cfg.series_tol)
+    cross = float(np.linalg.norm(series.final()[:, 0] - oracle_u @ xi))
     reports.append(Report("oracle-cross-check", cross, 1e-7,
                           {"time": t_mid, "dim": model.space.dim}))
 

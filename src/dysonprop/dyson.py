@@ -127,20 +127,16 @@ class TimeGrid:
     def reversed(self) -> "TimeGrid":
         return TimeGrid(self.t_end, self.t_start, self.panels, self.nodes_per_panel)
 
-    def coarsened(self) -> "TimeGrid":
-        return TimeGrid(
-            self.t_start, self.t_end, max(1, self.panels // 2), self.nodes_per_panel
-        )
-
 
 @dataclass(frozen=True)
 class DysonTerm:
-    """One series order sampled on a grid.
+    """One series order sampled on a grid, for every column of the input.
 
-    node_values has shape (panels, nodes_per_panel, dim); boundary_values has
-    shape (panels + 1, dim) and anchors the term at the panel edges, with
-    boundary_values[0] the value at t_start (the initial vector for order 0,
-    zero for every higher order).
+    node_values has shape (panels, nodes_per_panel, dim, m) and
+    boundary_values (panels + 1, dim, m); the boundary values anchor the
+    term at the panel edges, with boundary_values[0] the value at t_start
+    (the input block for order 0, zero for every higher order).  Both are in
+    the original basis and the interaction picture.
     """
 
     order: int
@@ -150,8 +146,9 @@ class DysonTerm:
 
     @property
     def sup_norm(self) -> float:
-        nodes = np.linalg.norm(self.node_values, axis=-1).max()
-        edges = np.linalg.norm(self.boundary_values, axis=-1).max()
+        """Largest column 2-norm over every node and panel edge."""
+        nodes = np.linalg.norm(self.node_values, axis=-2).max()
+        edges = np.linalg.norm(self.boundary_values, axis=-2).max()
         return float(max(nodes, edges))
 
     def value_at_end(self) -> np.ndarray:
@@ -160,19 +157,28 @@ class DysonTerm:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Summed series with its certificates."""
+    """Series applied to a block of m columns, in the original basis.
 
-    terms: tuple[DysonTerm, ...]
-    partial_sum: np.ndarray
+    Sums are in the interaction picture.  Bounds, norms and support levels
+    are per column; ``terms`` holds every order when the run kept them.
+    """
+
+    boundary_sums: np.ndarray  # (panels + 1, dim, m), running sum at panel edges
     achieved_order: int
-    tail_bound: float
-    quadrature_estimate: float | None
-    per_order_sup_norms: tuple[float, ...]
-    per_order_bounds: tuple[float, ...]  # the a-priori bound of each order
-    boundary_sums: np.ndarray  # (panels + 1, dim), running sum at panel edges
-    grid: TimeGrid
+    tail_bounds: np.ndarray  # (m,) certified tail after achieved_order
+    per_order_sup_norms: np.ndarray  # (orders + 1, m), sup over nodes and edges
+    per_order_bounds: np.ndarray  # matching a-priori bounds
+    supports_in: np.ndarray  # (m,) support level of each input column
     cert: GradeCert
-    support_in: float
+    grid: TimeGrid
+    terms: tuple[DysonTerm, ...] = ()
+
+    @property
+    def tail_bound(self) -> float:
+        return float(self.tail_bounds.max())
+
+    def final(self) -> np.ndarray:
+        return self.boundary_sums[-1]
 
 
 def _apriori_table(
@@ -470,27 +476,6 @@ class _GridKernels:
         np.matmul(self.step, rows, out=out.transpose(1, 0, 2))
 
 
-@dataclass
-class BlockSeriesResult:
-    """Series applied to a block of columns, kept in the original basis."""
-
-    boundary_sums: np.ndarray  # (P + 1, dim, m)
-    achieved_order: int
-    tail_bounds: np.ndarray  # per column
-    per_order_sup_norms: np.ndarray  # (orders + 1, m), sup over nodes and edges
-    per_order_bounds: np.ndarray  # matching a-priori bounds
-    supports_in: np.ndarray  # per-column support level of the input
-    cert: GradeCert
-    grid: TimeGrid
-
-    @property
-    def tail_bound(self) -> float:
-        return float(self.tail_bounds.max())
-
-    def final(self) -> np.ndarray:
-        return self.boundary_sums[-1]
-
-
 def _column_norms(node_vals: np.ndarray, edge_vals: np.ndarray) -> np.ndarray:
     """Largest 2-norm of each column over nodes (q, d, P*m) and edges (d, P+1, m)."""
     m = edge_vals.shape[-1]
@@ -507,13 +492,13 @@ def _run_block(
     tol: float,
     max_order: int,
     keep_terms: bool,
-) -> tuple[BlockSeriesResult, list[tuple[np.ndarray, np.ndarray]]]:
+) -> SeriesResult:
     """Core series loop in the rotated basis; block has shape (dim, m).
 
     Adds orders until every column's certified tail is below ``tol`` or
     ``max_order`` is reached, whichever comes first.  The loop runs in the
     kernel's basis (``prep.order``) and the node frame (``_GridKernels``);
-    sums and kept terms leave both, in the prepared basis and the
+    sums and kept terms leave both, in the original basis and the
     interaction picture.  Each order is built in the buffers of the order
     before, so two order-sized buffers serve the whole run.
     """
@@ -536,13 +521,18 @@ def _run_block(
     edge_vals = np.tile(xi[:, None, :], (1, p + 1, 1))  # (d, P + 1, m)
     sums = edge_vals.copy()
     sup_norms = [norms0]
-    terms: list[tuple[np.ndarray, np.ndarray]] = []
+    terms: list[DysonTerm] = []
 
     order = 0
     while True:
         if keep_terms:
-            kept = kern.interaction_frame(node_vals)
-            terms.append((kept[:, prep.unorder], edge_vals[prep.unorder].copy()))
+            nodes = kern.interaction_frame(node_vals)[:, prep.unorder]
+            edges = edge_vals[prep.unorder].copy().reshape(dim, -1)
+            terms.append(DysonTerm(
+                order, grid,
+                prep.from_working(nodes).reshape(q, dim, p, m).transpose(2, 0, 1, 3),
+                prep.from_working(edges).reshape(dim, p + 1, m).transpose(1, 0, 2),
+            ))
         if order >= max_order or tails[order].max() < tol:
             break
         for rows, cols, mat in prep.blocks:
@@ -555,7 +545,7 @@ def _run_block(
     del node_vals, applied  # so the conversion below does not add to the peak
     sums = prep.from_working(sums[prep.unorder].reshape(dim, -1))
     sums = sums.reshape(dim, p + 1, m)
-    result = BlockSeriesResult(
+    return SeriesResult(
         boundary_sums=np.moveaxis(sums, 1, 0),
         achieved_order=order,
         tail_bounds=tails[order],
@@ -564,12 +554,12 @@ def _run_block(
         supports_in=supports,
         cert=prep.cert,
         grid=grid,
+        terms=tuple(terms),
     )
-    return result, terms
 
 
-def _require_tail(result: BlockSeriesResult, tol: float, max_order: int) -> None:
-    """Raise TruncationError unless the certified tail is below tol."""
+def _require_tail(result: SeriesResult, tol: float, max_order: int) -> SeriesResult:
+    """``result`` itself; raises TruncationError unless its tail is below tol."""
     if not result.tail_bound < tol:
         raise TruncationError(
             f"series tail {result.tail_bound:.3e} still above tolerance {tol:.3e} "
@@ -577,18 +567,7 @@ def _require_tail(result: BlockSeriesResult, tol: float, max_order: int) -> None
             tail_bound=result.tail_bound,
             max_order=max_order,
         )
-
-
-def _rotate_terms(
-    prep: _Prepared, terms: list[tuple[np.ndarray, np.ndarray]], grid: TimeGrid
-) -> tuple[DysonTerm, ...]:
-    """Single-column terms in the original basis, in the DysonTerm shapes."""
-    out = []
-    for n, (nodes, edges) in enumerate(terms):
-        nv = prep.from_working(nodes).transpose(2, 0, 1)  # (P, q, d)
-        ev = prep.from_working(edges[..., 0]).T  # (P + 1, d)
-        out.append(DysonTerm(n, grid, nv, ev))
-    return tuple(out)
+    return result
 
 
 def evolve_block(
@@ -598,19 +577,20 @@ def evolve_block(
     grid: TimeGrid,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-) -> BlockSeriesResult:
+) -> SeriesResult:
     """Apply the series propagator U(t_end, t_start) to a block of columns.
 
     Column support levels are tracked individually, so the certified tails
-    are tight for basis columns of differing grades.
+    are tight for basis columns of differing grades.  Raises TruncationError
+    carrying the last tail bound when some column's certified tail cannot be
+    brought below ``tol`` within ``max_order`` orders.
     """
-    prep = _prepare(h_free, h_int)
     blk = np.asarray(block, dtype=complex)
     if blk.ndim == 1:
         blk = blk[:, None]
-    result, _ = _run_block(prep, grid, blk, tol, max_order, keep_terms=False)
-    _require_tail(result, tol, max_order)
-    return result
+    result = _run_block(_prepare(h_free, h_int), grid, blk, tol, max_order,
+                        keep_terms=False)
+    return _require_tail(result, tol, max_order)
 
 
 def evolve_vector(
@@ -620,64 +600,36 @@ def evolve_vector(
     grid: TimeGrid,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-    estimate_quadrature: bool = True,
 ) -> SeriesResult:
-    """Sum the series for U(t_end, t_start) xi to a certified tolerance.
+    """``evolve_block`` on the one column xi, keeping every order.
 
-    Raises TruncationError carrying the last tail bound when the certified
-    tail cannot be brought below ``tol`` within ``max_order`` orders.  When
-    ``estimate_quadrature`` is set, the sum is recomputed once on a grid with
-    half the panels and the difference is reported.
+    The result's ``terms`` hold each order as a ``DysonTerm`` with a column
+    axis of length 1; ``final()[:, 0]`` is U(t_end, t_start) xi.  One series
+    pass, certified like ``evolve_block``.
     """
-    prep = _prepare(h_free, h_int)
     vec = np.asarray(xi, dtype=complex).reshape(-1, 1)
-    result, raw_terms = _run_block(prep, grid, vec, tol, max_order, keep_terms=True)
-    _require_tail(result, tol, max_order)
-    estimate = None
-    if estimate_quadrature and grid.panels > 1:
-        coarse, _ = _run_block(
-            prep, grid.coarsened(), vec, tol, max_order, keep_terms=False
-        )
-        estimate = float(np.linalg.norm(result.final() - coarse.final()))
-    return SeriesResult(
-        terms=_rotate_terms(prep, raw_terms, grid),
-        partial_sum=result.final()[:, 0],
-        achieved_order=result.achieved_order,
-        tail_bound=result.tail_bound,
-        quadrature_estimate=estimate,
-        per_order_sup_norms=tuple(float(x) for x in result.per_order_sup_norms[:, 0]),
-        per_order_bounds=tuple(float(x) for x in result.per_order_bounds[:, 0]),
-        boundary_sums=result.boundary_sums[:, :, 0],
-        grid=grid,
-        cert=result.cert,
-        support_in=float(result.supports_in[0]),
-    )
+    result = _run_block(_prepare(h_free, h_int), grid, vec, tol, max_order,
+                        keep_terms=True)
+    return _require_tail(result, tol, max_order)
 
 
 def evolve_adjoint(
     h_free: LinOp,
     h_int: LinOp,
-    xi: np.ndarray,
+    block: np.ndarray,
     grid: TimeGrid,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-    estimate_quadrature: bool = True,
 ) -> SeriesResult:
-    """Sum the adjoint series U(t_end, t_start)* xi.
+    """Apply the adjoint U(t_end, t_start)* to a block of columns.
 
     The adjoint solves the same recursion with the conjugate-transposed
     interaction and the roles of the two time arguments exchanged, so this
-    is the forward engine on the reversed grid.
+    is ``evolve_block`` under h_int* on the reversed grid; the result's grid
+    is that reversed grid.  Every adjoint run of the library is formed here.
     """
-    return evolve_vector(
-        h_free,
-        h_int.H,
-        xi,
-        grid.reversed(),
-        tol,
-        max_order=max_order,
-        estimate_quadrature=estimate_quadrature,
-    )
+    return evolve_block(h_free, h_int.H, block, grid.reversed(), tol,
+                        max_order=max_order)
 
 
 def coupled_gap(h_free: LinOp, h_int: LinOp) -> float:

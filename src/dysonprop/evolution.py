@@ -20,6 +20,7 @@ from scipy.sparse import csr_array
 
 from .dyson import (
     DEFAULT_MAX_ORDER,
+    SeriesResult,
     TimeGrid,
     _prepare,
     default_grid,
@@ -122,7 +123,7 @@ class Trajectory:
     tail_bound: float
     grid: TimeGrid
     residuals: np.ndarray | None = None
-    series: object = None
+    series: SeriesResult | None = None
 
     def at_time(self, t: float) -> np.ndarray:
         return self.states[_time_index(self.times, t)]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse import kron as sparse_kron
 
-from .dyson import DEFAULT_MAX_ORDER, evolve_block, free_propagator
+from .dyson import DEFAULT_MAX_ORDER, evolve_adjoint, free_propagator
 from .evolution import _aligned_run, _aligned_steps
 from .fock import (
     LEAKAGE_WARN_THRESHOLD,
@@ -648,8 +648,8 @@ def eta_unitarity_check(
     sample = min(4, pairs)
     w_final = states[-1][:, :sample]
     rotated = free_propagator(model.h_free, -t_max) @ (eta_diag[:, None] * w_final)
-    adjoint = evolve_block(
-        model.h_free, model.h_int.H, rotated, result.grid.reversed(), series_tol
+    adjoint = evolve_adjoint(
+        model.h_free, model.h_int, rotated, result.grid, series_tol
     ).final()
     inverse_residual = float(
         np.max(np.linalg.norm(eta_diag[:, None] * adjoint - psi[:, :sample], axis=0))

@@ -153,13 +153,10 @@ def series_order_rows(result) -> list[tuple]:
     """Per-order sup norms against their certified bounds.
 
     Columns: order, sup_norm, apriori_bound.  Both are the values stored on
-    the result; a block result reports its worst column in each.
+    the result, each the worst over the result's columns.
     """
-    sups = np.asarray(result.per_order_sup_norms, dtype=float)
-    bounds = np.asarray(result.per_order_bounds, dtype=float)
-    if sups.ndim == 2:
-        sups = sups.max(axis=1)
-        bounds = bounds.max(axis=1)
+    sups = result.per_order_sup_norms.max(axis=1)
+    bounds = result.per_order_bounds.max(axis=1)
     return [(order, float(sup), float(bound))
             for order, (sup, bound) in enumerate(zip(sups, bounds))]
 

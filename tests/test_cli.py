@@ -1,6 +1,7 @@
 """Command-line entry point: configs, outputs, exit codes, determinism."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -232,6 +233,32 @@ def test_command_mismatch_rejected(tmp_path):
         tmp_path, {"command": "verify", "model": pair_model_doc()}
     )
     assert main(["evolve", cfg]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, fields, flags",
+    [
+        ("evolve", {"t_end": math.nan}, []),
+        ("evolve", {"tol": math.inf}, []),
+        ("evolve", {"tol": math.nan}, []),
+        ("evolve", {"t_end": 10**400}, []),
+        ("evolve", {"initial_state": [[1.0, 0.0], [-math.inf, 0.0], [0.0, 0.0]]},
+         []),
+        ("verify", {"series_tol": math.nan}, []),
+        ("convergence", {"alphas": [0.0, math.nan]}, []),
+        ("evolve", {}, ["--tol", "nan"]),
+        ("evolve", {}, ["--t-end", "inf"]),
+        ("verify", {}, ["--tol", "nan"]),
+    ],
+    ids=["t_end", "tol-inf", "tol-nan", "t_end-huge-int", "initial_state",
+         "series_tol", "alphas", "flag-tol", "flag-t-end", "verify-flag-tol"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, fields,
+                                              flags):
+    base = {"model": pair_model_doc(), "steps": 4} if command == "evolve" else {}
+    cfg = write_config(tmp_path, {**base, **fields, "out_dir": str(tmp_path)})
+    assert main([command, cfg, *flags]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- suite commands

@@ -310,8 +310,7 @@ def test_adjoint_is_built_and_prepared_once(monkeypatch):
     monkeypatch.setattr(dyson, "certify", counted)
     xi = np.eye(6)[:, 2]
     for _ in range(2):
-        evolve_adjoint(model.h_free, h_int, xi, grid, tol=1e-12,
-                       estimate_quadrature=False)
+        evolve_adjoint(model.h_free, h_int, xi, grid, tol=1e-12)
     assert len(certified) == 1 and certified[0] is h_int.H
 
 
@@ -326,16 +325,16 @@ def test_block_apply_matches_the_single_product(toy_model):
     level = toy_model.config.photon_cap - 2
     block = vectors_supported_below(rng, toy_model.space, level, 3)
     grid = default_grid(h_free, h_int, 0.0, 0.4, support=level, tol=1e-9)
-    by_blocks, _ = _run_block(prep, grid, block, 1e-9, 64, keep_terms=False)
+    by_blocks = _run_block(prep, grid, block, 1e-9, 64, keep_terms=False)
     # The one-block reference works in the prepared basis itself.
     whole = ((slice(None), slice(None), _rotated(prep, h_int)),)
     single = dataclasses.replace(prep, order=slice(None), unorder=slice(None),
                                  blocks=whole)
-    dense, _ = _run_block(single, grid, block, 1e-9, 64, keep_terms=False)
+    dense = _run_block(single, grid, block, 1e-9, 64, keep_terms=False)
     # The block path reads the blocks alone, never the dense d x d matrix.
     zero = LinOp(prep.space, np.zeros((h_int.dim,) * 2))
     blind = dataclasses.replace(prep, h_int_rot=zero)
-    blind_run, _ = _run_block(blind, grid, block, 1e-9, 64, keep_terms=False)
+    blind_run = _run_block(blind, grid, block, 1e-9, 64, keep_terms=False)
     np.testing.assert_array_equal(blind_run.boundary_sums, by_blocks.boundary_sums)
     assert by_blocks.achieved_order == dense.achieved_order > 1
     for name in ("boundary_sums", "tail_bounds", "per_order_sup_norms"):
@@ -438,11 +437,11 @@ def test_run_without_kept_terms_reuses_two_order_buffers(toy_model, fleet_models
         order_bytes = 16 * grid.nodes_per_panel * dim * grid.panels * m
         tracemalloc.start()
         try:
-            result, terms = _run_block(prep, grid, block, 1e-10, 64, keep_terms=False)
+            result = _run_block(prep, grid, block, 1e-10, 64, keep_terms=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.achieved_order >= 3 and terms == []
+        assert result.achieved_order >= 3 and result.terms == ()
         assert peak < 3 * order_bytes, peak / order_bytes
 
 
@@ -455,11 +454,10 @@ def test_kept_terms_are_not_overwritten(toy_model, fleet_models):
         h_free, h_int = model.h_free, model.h_int
         support = support_level(model.space, xi)
         grid = default_grid(h_free, h_int, 0.0, t, support=support, tol=1e-10)
-        res = evolve_vector(h_free, h_int, xi, grid, tol=1e-10,
-                            estimate_quadrature=False)
+        res = evolve_vector(h_free, h_int, xi, grid, tol=1e-10)
         assert res.achieved_order >= 3 and len(res.terms) == res.achieved_order + 1
         sups = [term.sup_norm for term in res.terms]
-        np.testing.assert_allclose(sups, res.per_order_sup_norms, rtol=1e-12)
+        np.testing.assert_allclose(sups, res.per_order_sup_norms[:, 0], rtol=1e-12)
         edges = sum(term.boundary_values for term in res.terms)
         scale = np.abs(res.boundary_sums).max()
         assert np.abs(edges - res.boundary_sums).max() <= 1e-14 * scale
@@ -490,9 +488,9 @@ def test_nilpotent_interaction_truncates_exactly():
     grid = TimeGrid(0.0, 1.5, panels=4)
     res = evolve_vector(h0, h1, xi, grid, tol=1e-12)
     expected = xi - 1.5j * (m @ xi)
-    np.testing.assert_allclose(res.partial_sum, expected, atol=1e-13)
-    assert res.per_order_sup_norms[2] < 1e-14
-    assert res.support_in == 0.0
+    np.testing.assert_allclose(res.final()[:, 0], expected, atol=1e-13)
+    assert res.per_order_sup_norms[2, 0] < 1e-14
+    assert res.supports_in[0] == 0.0
 
 
 def test_order_one_closed_form():
@@ -505,7 +503,7 @@ def test_order_one_closed_form():
     # -i g int_0^t e^{i tau delta} dtau = -g (e^{i t delta} - 1) / delta
     expected = -g * (np.exp(1j * t * delta) - 1.0) / delta
     np.testing.assert_allclose(
-        term1.value_at_end(), [0.0, expected], atol=1e-12
+        term1.value_at_end()[:, 0], [0.0, expected], atol=1e-12
     )
 
 
@@ -515,16 +513,16 @@ def test_zero_interaction_gives_identity():
     xi = np.array([0.6, 0.8j])
     grid = TimeGrid(0.0, 2.0, panels=2)
     res = evolve_vector(h0, zero, xi, grid, tol=1e-12)
-    np.testing.assert_allclose(res.partial_sum, xi, atol=1e-15)
+    np.testing.assert_allclose(res.final()[:, 0], xi, atol=1e-15)
     assert res.achieved_order == 0
     assert res.tail_bound == 0.0
     prep = _prepare(h0, zero)
     assert prep.blocks == () and prep.gap == 0.0
     # With no block, nothing writes the applied buffer: every later order is 0.
-    _, terms = _run_block(prep, grid, xi[:, None], 0.0, 2, keep_terms=True)
+    terms = _run_block(prep, grid, xi[:, None], 0.0, 2, keep_terms=True).terms
     assert len(terms) == 3
-    for nodes, edges in terms[1:]:
-        assert not nodes.any() and not edges.any()
+    for term in terms[1:]:
+        assert not term.node_values.any() and not term.boundary_values.any()
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, -0.5)])
@@ -605,16 +603,19 @@ def test_series_matches_a_plain_interaction_picture_recursion(
     for model, block, t in cases:
         prep = _prepare(model.h_free, model.h_int)
         grid = TimeGrid(0.0, t, 3, 8)
-        result, terms = _run_block(prep, grid, block.astype(complex), 0.0, 5,
-                                   keep_terms)
+        result = _run_block(prep, grid, block.astype(complex), 0.0, 5, keep_terms)
         want = _plain_recursion(prep, _rotated(prep, model.h_int), grid,
                                 prep.to_working(block), 5)
-        assert result.achieved_order == 5 and len(terms) == (6 if keep_terms else 0)
-        for (nodes, edges), (want_nodes, want_edges) in zip(terms, want):
+        assert result.achieved_order == 5
+        assert len(result.terms) == (6 if keep_terms else 0)
+        for term, (want_nodes, want_edges) in zip(result.terms, want):
+            # Kept terms are in the original basis, the recursion's in the
+            # prepared one.
             scale = np.abs(want_edges).max()
-            got_nodes = nodes.reshape(8, -1, 3, block.shape[1]).transpose(2, 0, 1, 3)
-            assert np.abs(got_nodes - want_nodes).max() <= 1e-14 * scale
-            assert np.abs(edges.transpose(1, 0, 2) - want_edges).max() <= 1e-14 * scale
+            got = prep.to_working(term.node_values)
+            assert np.abs(got - want_nodes).max() <= 1e-14 * scale
+            got = prep.to_working(term.boundary_values)
+            assert np.abs(got - want_edges).max() <= 1e-14 * scale
         sums = prep.from_working(sum(e for _, e in want).transpose(1, 0, 2)
                                  .reshape(model.space.dim, -1))
         sums = sums.reshape(model.space.dim, 4, -1).transpose(1, 0, 2)
@@ -634,9 +635,8 @@ def test_series_matches_exponential_oracle():
         grid = default_grid(model.h_free, model.h_int, 0.0, t, support=6.0)
         res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-12)
         want = oracle_propagator(model.h_free, model.h_int, t, 0.0) @ xi
-        np.testing.assert_allclose(res.partial_sum, want, atol=1e-9)
+        np.testing.assert_allclose(res.final()[:, 0], want, atol=1e-9)
         assert res.tail_bound < 1e-12
-        assert res.quadrature_estimate < 1e-9
 
 
 def test_node_values_follow_the_grid_nodes():
@@ -648,9 +648,8 @@ def test_node_values_follow_the_grid_nodes():
     xi = random_vector(np.random.default_rng(17), model.space.dim)
     grid = default_grid(h_free, h_int, 0.3, 1.1, support=max(model.space.grades))
     assert grid.panels >= 2
-    res = evolve_vector(h_free, h_int, xi, grid, tol=1e-12,
-                        estimate_quadrature=False)
-    values = sum(term.node_values for term in res.terms)
+    res = evolve_vector(h_free, h_int, xi, grid, tol=1e-12)
+    values = sum(term.node_values[..., 0] for term in res.terms)
     nodes = grid.nodes()
     assert values.shape == nodes.shape + (model.space.dim,)
     for p in range(grid.panels):
@@ -666,9 +665,9 @@ def test_per_order_norms_respect_their_bounds():
     grid = default_grid(model.h_free, model.h_int, 0.0, 1.0, support=0.0)
     res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-11)
     cert = res.cert
-    for n, sup in enumerate(res.per_order_sup_norms):
+    for n, sup in enumerate(res.per_order_sup_norms[:, 0]):
         bound = apriori_bound(
-            n, 1.0, cert.rel_bound, cert.grade_shift, res.support_in, 1.0
+            n, 1.0, cert.rel_bound, cert.grade_shift, res.supports_in[0], 1.0
         )
         assert sup <= bound * (1 + 1e-9)
 
@@ -682,10 +681,25 @@ def test_block_and_vector_routes_agree():
     for col in range(3):
         one = evolve_vector(
             model.h_free, model.h_int, block[:, col], grid, tol=1e-11,
-            estimate_quadrature=False,
         )
-        np.testing.assert_allclose(blk.final()[:, col], one.partial_sum, atol=1e-13)
+        np.testing.assert_allclose(blk.final()[:, col], one.final()[:, 0], atol=1e-13)
     assert blk.per_order_sup_norms.shape[1] == 3
+
+
+def test_vector_route_makes_one_series_pass(monkeypatch):
+    model = random_graded_model(seed=8, dim=5, grade_shift=1)
+    grid = TimeGrid(0.0, 0.8, panels=4)
+    grids = []
+    real_run = dyson._run_block
+
+    def counted(prep, grid, *args, **kwargs):
+        grids.append(grid)
+        return real_run(prep, grid, *args, **kwargs)
+
+    monkeypatch.setattr(dyson, "_run_block", counted)
+    res = evolve_vector(model.h_free, model.h_int, np.eye(5)[:, 0], grid, tol=1e-11)
+    assert grids == [grid]
+    assert len(res.terms) == res.achieved_order + 1
 
 
 def test_block_bounds_match_the_per_column_bounds():
@@ -717,8 +731,12 @@ def test_adjoint_route_is_the_conjugate_transpose():
     u = oracle_propagator(model.h_free, model.h_int, t, 0.0)
     eta = np.zeros(6, dtype=complex)
     eta[2] = 1.0
-    res = evolve_adjoint(model.h_free, model.h_int, eta, grid, tol=1e-12)
-    np.testing.assert_allclose(res.partial_sum, u.conj().T @ eta, atol=1e-9)
+    rng = np.random.default_rng(31)
+    block = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    for etas in (eta[:, None], block):
+        res = evolve_adjoint(model.h_free, model.h_int, etas, grid, tol=1e-12)
+        assert res.final().shape == etas.shape and res.grid == grid.reversed()
+        np.testing.assert_allclose(res.final(), u.conj().T @ etas, atol=1e-9)
 
 
 def test_support_growth_per_order():
@@ -731,7 +749,7 @@ def test_support_growth_per_order():
     grid = default_grid(model.h_free, model.h_int, 0.0, 0.5, support=start)
     res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-10)
     for term in res.terms:
-        lvl = support_level(space, term.value_at_end())
+        lvl = support_level(space, term.value_at_end()[:, 0])
         assert lvl <= start + term.order * res.cert.grade_shift + 1e-12
 
 
@@ -743,15 +761,13 @@ def test_quadrature_refinement_converges():
     errs = []
     for panels in (2, 4, 8):
         res = evolve_vector(
-            h0, h1, xi, TimeGrid(0.0, 1.0, panels, nodes_per_panel=2),
-            tol=1e-12, estimate_quadrature=False,
+            h0, h1, xi, TimeGrid(0.0, 1.0, panels, nodes_per_panel=2), tol=1e-12,
         )
-        errs.append(np.linalg.norm(res.partial_sum - exact))
+        errs.append(np.linalg.norm(res.final()[:, 0] - exact))
     assert errs[0] > errs[1] > errs[2]
     # and the default rule is already near machine precision
-    res = evolve_vector(h0, h1, xi, TimeGrid(0.0, 1.0, panels=8), tol=1e-12,
-                        estimate_quadrature=False)
-    assert np.linalg.norm(res.partial_sum - exact) < 1e-12
+    res = evolve_vector(h0, h1, xi, TimeGrid(0.0, 1.0, panels=8), tol=1e-12)
+    assert np.linalg.norm(res.final()[:, 0] - exact) < 1e-12
 
 
 def test_truncation_error_carries_the_tail():
@@ -783,7 +799,6 @@ def test_random_models_track_the_oracle(seed, dim, shift):
     xi[seed % dim] = 1.0
     t = 0.4 + (seed % 5) * 0.1
     grid = default_grid(model.h_free, model.h_int, 0.0, t, support=float(dim))
-    res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-11,
-                        estimate_quadrature=False)
+    res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-11)
     want = oracle_propagator(model.h_free, model.h_int, t, 0.0) @ xi
-    assert np.linalg.norm(res.partial_sum - want) < 1e-8
+    assert np.linalg.norm(res.final()[:, 0] - want) < 1e-8

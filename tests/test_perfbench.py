@@ -1,9 +1,17 @@
-"""Benchmark tooling: the tracer's names exist in the library it traces, and
-every committed BENCH record names the machine it was measured on."""
+"""Tooling guards: the tracer's names exist in the library it traces and it
+can count what the series entry points return, every exported name
+resolves, and every committed BENCH record names the machine it was measured
+on."""
 
 import importlib
 import json
 from pathlib import Path
+
+import numpy as np
+
+import dysonprop
+from dysonprop.dyson import TimeGrid
+from dysonprop.suite import random_graded_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,6 +24,30 @@ def test_every_traced_name_is_a_library_callable(monkeypatch):
         module = importlib.import_module(f"dysonprop.{short}")
         for name in names:
             assert callable(getattr(module, name, None)), f"dysonprop.{short}.{name}"
+
+
+def test_the_tracer_counts_every_series_entry_point(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    spans = importlib.import_module("perfbench.spans")
+    model = random_graded_model(seed=8, dim=5, grade_shift=1)
+    grid = TimeGrid(0.0, 0.5, panels=2)
+    for name in spans.SERIES:
+        short, fname = name.split(".")
+        entry = getattr(importlib.import_module(f"dysonprop.{short}"), fname)
+        result = entry(model.h_free, model.h_int, np.eye(5)[:, 0], grid, 1e-10)
+        recorder = spans.Recorder()
+        recorder._count(result)
+        counts = recorder.counts
+        nodes = grid.panels * grid.nodes_per_panel
+        assert counts["orders"] == result.achieved_order > 0, name
+        assert (counts["panels"], counts["columns"]) == (grid.panels, 1), name
+        assert counts["node_matvecs"] == result.achieved_order * nodes, name
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from dysonprop import *", namespace)
+    assert set(dysonprop.__all__) <= set(namespace)
 
 
 def test_every_bench_record_names_its_machine():

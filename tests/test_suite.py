@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dysonprop.dyson import (
     TimeGrid,
     _prepare,
-    _rotate_terms,
     _run_block,
     apriori_tail,
 )
@@ -236,9 +235,9 @@ def test_appendix_convergence_random_model():
     grid = TimeGrid(0.0, 1.0, 3, 6)
     table = appendix_convergence(model.h_free, model.h_int, xi, n_max=8, grid=grid)
     prep = _prepare(model.h_free, model.h_int)
-    _, raw = _run_block(prep, grid, xi[:, None], tol=0.0, max_order=8, keep_terms=True)
-    rows = [np.concatenate([t.node_values.reshape(-1, 6), t.boundary_values])
-            for t in _rotate_terms(prep, raw, grid)]
+    run = _run_block(prep, grid, xi[:, None], tol=0.0, max_order=8, keep_terms=True)
+    rows = [np.concatenate([t.node_values.reshape(-1, 6), t.boundary_values[..., 0]])
+            for t in run.terms]
     partials = np.cumsum(rows, axis=0)
     for n in range(8):
         for a, alpha in enumerate(table.alphas):
