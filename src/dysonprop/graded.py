@@ -8,14 +8,16 @@ relative bound constant ``C`` with ``||T v|| <= C ||(A + 1)^{1/2} v||`` where
 
 An operator is stored dense or as a CSR array, as its builder made it.  One
 block list per operator (``_op_blocks``) serves every reader.  The blocks
-come from the storage's exact non-zero pattern (for the QED interaction: the
-charge and photon-parity sectors) and are gathered once, straight from the
-CSR array when the operator is sparse, so no dense full-space matrix is
-made.  ``C`` and ``LinOp.norm2`` are exact spectral norms taken block by
-block, so no dense SVD of the full matrix is needed.  The grade shift, and
-the series engine's coupled gap, come from the entries inside the blocks
-above ``ENTRY_THRESHOLD`` times the largest magnitude; the series kernel
-applies the same blocks.
+are the connected components of the bipartite row/column graph of the
+storage's exact non-zero pattern (for the QED interaction: the charge and
+photon-parity sectors), labelled by a small numpy hook-and-shortcut routine
+(``_components``) and ordered by each component's first row.  Each block is
+filled once, for a CSR operator by one scatter of its non-zero entries, so
+no dense full-space matrix is made.  ``C`` and ``LinOp.norm2`` are exact
+spectral norms taken block by block, so no dense SVD of the full matrix is
+needed.  The grade shift, and the series engine's coupled gap, come from the
+entries inside the blocks above ``ENTRY_THRESHOLD`` times the largest
+magnitude; the series kernel applies the same blocks.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_array, diags_array, issparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_array, diags_array, issparse
 
 from .errors import AssumptionViolation
 
@@ -198,38 +199,92 @@ class LinOp:
         return LinOp(space, _from_pairs(doc["matrix"], space.dim))
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(count, labels)`` of the connected components of an undirected graph.
+
+    The graph has nodes ``0 .. n - 1`` and an edge ``a[k] -- b[k]`` for each
+    k.  Each round hooks the root of the larger end of every edge that joins
+    two trees to the smaller root (``np.minimum.at``), then shortcuts
+    ``parent = parent[parent]`` until every node points at its root; it stops
+    when every edge joins one root.  A parent is never larger than its node,
+    so each root is its component's smallest node, and ``labels`` numbers the
+    components by that node: the numbering of
+    ``scipy.sparse.csgraph.connected_components``.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        ra, rb = ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
+
+
 def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
     """``(rows, cols, block)`` for each independent block of a matrix.
 
     ``storage`` is a ``LinOp`` storage, dense or CSR.  The blocks are the
     connected components of the bipartite row/column graph of the exact
-    non-zero pattern (``!= 0``), each with at least one row and one column;
-    all-zero rows and columns lie in no block.  ``block`` is the dense
-    ``matrix[np.ix_(rows, cols)]``, gathered once from the storage into a
-    read-only contiguous array.  A pattern that is one component is one
-    block of whole-axis slices whose ``block`` is the whole dense matrix
-    (for dense storage, the array itself made C-contiguous).
+    non-zero pattern (``!= 0``), labelled by ``_components`` with the rows
+    numbered before the columns, so the blocks come in the order of their
+    first rows.  Each block has at least one row and one column; all-zero
+    rows and columns lie in no block.  ``block`` is the dense
+    ``matrix[np.ix_(rows, cols)]`` as a read-only C-contiguous array: for
+    CSR storage the non-zero entries are summed into a zero block in one
+    scatter, as ``toarray`` would, and dense storage is indexed directly.  A
+    pattern that is one component is one block of whole-axis slices whose
+    ``block`` is the whole dense matrix (for dense storage, the array itself
+    made C-contiguous).
     """
     n_rows, n_cols = storage.shape
-    rows, cols = storage.nonzero()
-    graph = coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, n_rows + cols)),
-        shape=(n_rows + n_cols,) * 2,
-    )
-    count, labels = connected_components(graph, directed=False)
+    sparse = issparse(storage)
+    if sparse:
+        stored = storage.tocoo()
+        nonzero = stored.data != 0
+        rows, cols = stored.row[nonzero], stored.col[nonzero]
+        values = stored.data[nonzero]
+    else:
+        rows, cols = np.nonzero(storage)
+    count, labels = _components(n_rows + n_cols, rows, n_rows + cols)
     if count == 1:
         whole = slice(None)
         return [(whole, whole, _gather(storage, whole, whole))]
+    # Nodes grouped by component, ascending inside each, so rows first.
     order = np.argsort(labels, kind="stable")
     starts = np.searchsorted(labels[order], np.arange(count + 1))
+    rows_per = np.bincount(labels[:n_rows], minlength=count)
+    blocked = np.flatnonzero((rows_per > 0) & (rows_per < np.diff(starts)))
+    if sparse:
+        # A node's index among its component's rows (or columns), and the
+        # non-zero entries grouped by component.
+        local = np.empty_like(order)
+        local[order] = np.arange(order.size) - starts[labels[order]]
+        local[n_rows:] -= rows_per[labels[n_rows:]]
+        by_block = np.argsort(labels[rows], kind="stable")
+        entry_starts = np.searchsorted(labels[rows[by_block]], np.arange(count + 1))
+        entry_rows = local[rows[by_block]]
+        entry_cols = local[n_rows + cols[by_block]]
+        values = values[by_block]
     out = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        nodes = order[lo:hi]
-        block_rows = nodes[nodes < n_rows]
-        block_cols = nodes[nodes >= n_rows] - n_rows
-        if block_rows.size and block_cols.size:
+    for k in blocked:
+        nodes = order[starts[k]:starts[k + 1]]
+        block_rows, block_cols = nodes[:rows_per[k]], nodes[rows_per[k]:] - n_rows
+        if sparse:
+            block = np.zeros((block_rows.size, block_cols.size), dtype=storage.dtype)
+            taken = slice(entry_starts[k], entry_starts[k + 1])
+            block[entry_rows[taken], entry_cols[taken]] += values[taken]
+            block.setflags(write=False)
+        else:
             block = _gather(storage, *np.ix_(block_rows, block_cols))
-            out.append((block_rows, block_cols, block))
+        out.append((block_rows, block_cols, block))
     return out
 
 

@@ -3,7 +3,9 @@
 The matrix-exponential route uses Pade scaling-and-squaring; the ODE route
 uses an adaptive high-order Runge-Kutta pair.  Both are valid for non-normal
 generators, and the two are compared against each other as well as against
-the series.
+the series.  ``scipy.linalg`` and ``scipy.integrate`` are imported on the
+first call of ``matrix_exp`` and ``ode_oracle``, not with the package, so a
+run that calls neither does not pay for loading them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .dyson import _prepare, free_propagator
 from .errors import StiffnessError
@@ -52,6 +52,8 @@ class Report:
 
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     """e^M by Pade scaling-and-squaring, valid for non-normal input."""
+    import scipy.linalg
+
     m = np.asarray(matrix, dtype=complex)
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out.view(float))):
@@ -83,6 +85,8 @@ def ode_oracle(
     An embedded Runge-Kutta pair (DOP853) supplies the reference solution in
     the rotated picture; failure to advance raises StiffnessError.
     """
+    import scipy.integrate
+
     prep = _prepare(h_free, h_int)
     y0 = prep.to_working(np.asarray(xi, dtype=complex).reshape(-1, 1))[:, 0]
     energies = prep.energies

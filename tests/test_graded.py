@@ -1,12 +1,14 @@
 """Graded spaces, operator certificates, and the wire format."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import SparseEfficiencyWarning, csr_array
+from scipy.sparse import SparseEfficiencyWarning, coo_matrix, csr_array
+from scipy.sparse.csgraph import connected_components
 
 from dysonprop.errors import AssumptionViolation
 from dysonprop.graded import (
@@ -14,6 +16,8 @@ from dysonprop.graded import (
     GradedSpace,
     LinOp,
     _blocks,
+    _components,
+    _gather,
     _spectral_norm,
     as_linop,
     certify,
@@ -24,6 +28,7 @@ from dysonprop.graded import (
     support_level,
     weighted_norm,
 )
+from dysonprop.qed import build_model, default_toy_config
 from dysonprop.suite import fleet
 
 
@@ -146,6 +151,94 @@ def test_block_norm_is_bit_identical_on_the_fleet():
         assert relative_bound_constant(model.h_int) == float(
             np.linalg.norm(m * (g + 1.0) ** -0.5, 2)
         )
+
+
+def _csgraph_labels(storage):
+    """``connected_components`` of the bipartite row/column graph of a matrix."""
+    n_rows, n_cols = storage.shape
+    rows, cols = storage.nonzero()
+    graph = coo_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, n_rows + cols)),
+        shape=(n_rows + n_cols,) * 2,
+    )
+    return connected_components(graph, directed=False)
+
+
+def _csgraph_blocks(storage):
+    """The block list as csgraph labels and one ``_gather`` per block give it."""
+    n_rows = storage.shape[0]
+    count, labels = _csgraph_labels(storage)
+    if count == 1:
+        whole = slice(None)
+        return [(whole, whole, _gather(storage, whole, whole))]
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(count + 1))
+    out = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        nodes = order[lo:hi]
+        rows, cols = nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows
+        if rows.size and cols.size:
+            out.append((rows, cols, _gather(storage, *np.ix_(rows, cols))))
+    return out
+
+
+def _permuted_tridiagonal(rng, n, cut_every=None):
+    """A tridiagonal pattern under one random permutation of rows and columns,
+    optionally with every ``cut_every``-th coupling removed."""
+    i = np.arange(n)
+    up = i[:-1] if cut_every is None else i[:-1][(i[:-1] + 1) % cut_every != 0]
+    rows = np.concatenate([i, up, up + 1])
+    cols = np.concatenate([i, up + 1, up])
+    m = csr_array((np.full(rows.size, 1.0 + 0.5j), (rows, cols)), shape=(n, n))
+    perm = rng.permutation(n)
+    return csr_array(m[perm][:, perm])
+
+
+def test_components_and_blocks_match_csgraph(toy_model, fleet_models):
+    base = default_toy_config()
+    lattice2 = build_model(dataclasses.replace(
+        base,
+        momentum_points=base.momentum_points + ((-0.5, 1.0, -0.25),),
+        chi_ph=base.chi_ph + base.chi_ph,
+    ))
+    rng = np.random.default_rng(5)
+    block_diagonal = _permuted_block_diagonal(rng)
+    inputs = [model.h_int.storage for model in fleet_models]
+    for model in (toy_model, lattice2):
+        inputs += [model.h_int.storage, model.h_int.H.storage]
+    inputs += [
+        block_diagonal,
+        csr_array(block_diagonal),
+        np.zeros((1, 1), dtype=complex),
+        np.zeros((5, 5), dtype=complex),
+        np.full((1, 1), 0.3 - 0.2j),
+        _permuted_tridiagonal(rng, 2000, cut_every=40),
+    ]
+    for storage in inputs:
+        n_rows, n_cols = storage.shape
+        rows, cols = storage.nonzero()
+        count, labels = _components(n_rows + n_cols, rows, n_rows + cols)
+        want_count, want_labels = _csgraph_labels(storage)
+        assert count == want_count and np.array_equal(labels, want_labels)
+        got, want = _blocks(storage), _csgraph_blocks(storage)
+        assert len(got) == len(want)
+        for (r, c, block), (want_r, want_c, want_block) in zip(got, want):
+            for idx, want_idx in ((r, want_r), (c, want_c)):
+                if isinstance(want_idx, slice):
+                    assert idx == want_idx
+                else:
+                    assert idx.dtype == want_idx.dtype
+                    assert np.array_equal(idx, want_idx)
+            assert block.dtype == want_block.dtype and block.shape == want_block.shape
+            assert block.tobytes() == want_block.tobytes()  # signed zeros too
+            assert block.flags.c_contiguous and not block.flags.writeable
+    # The labelling alone on a large connected pattern: its one block is the
+    # whole dense matrix, too large to gather here.
+    tri = _permuted_tridiagonal(rng, 10_000)
+    rows, cols = tri.nonzero()
+    count, labels = _components(20_000, rows, 10_000 + cols)
+    want_count, want_labels = _csgraph_labels(tri)
+    assert count == want_count == 1 and np.array_equal(labels, want_labels)
 
 
 def test_fresh_certify_stays_below_one_dense_float_array(toy_model):

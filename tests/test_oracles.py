@@ -1,8 +1,16 @@
 """Reference routes: matrix exponential, adaptive ODE, and report plumbing."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dysonprop
 from dysonprop.graded import GradedSpace, LinOp
 from dysonprop.oracles import Report, matrix_exp, ode_oracle, oracle_propagator
 
@@ -47,6 +55,48 @@ def test_ode_oracle_matches_exponential_route():
         got = ode_oracle(h0, h1, xi, t, tp, tol=1e-12)
         want = oracle_propagator(h0, h1, t, tp) @ xi
         assert np.linalg.norm(got - want) < 1e-9
+
+
+# Modules a fresh ``import dysonprop, dysonprop.cli`` must not load.
+DEFERRED_MODULES = (
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+)
+
+
+def test_package_import_defers_the_heavy_scipy_modules():
+    # A fresh interpreter, so the modules other tests loaded do not count.
+    script = textwrap.dedent(
+        f"""
+        import json, sys
+        import numpy as np
+        import dysonprop, dysonprop.cli
+        from dysonprop.suite import fleet
+
+        at_import = [m for m in {DEFERRED_MODULES!r} if m in sys.modules]
+        model = fleet(count=1)[0]
+        xi = np.ones(model.h_free.dim, dtype=complex) / np.sqrt(model.h_free.dim)
+        u = dysonprop.oracle_propagator(model.h_free, model.h_int, 0.7, -0.2)
+        psi = dysonprop.ode_oracle(model.h_free, model.h_int, xi, 0.7, -0.2)
+        print(json.dumps({{
+            "at_import": at_import,
+            "after_calls": [m for m in ("scipy.linalg", "scipy.integrate")
+                            if m in sys.modules],
+            "gap": float(np.linalg.norm(u @ xi - psi)),
+        }}))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dysonprop.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.strip().splitlines()[-1])
+    assert got["at_import"] == []
+    assert got["after_calls"] == ["scipy.linalg", "scipy.integrate"]
+    assert got["gap"] < 1e-9
 
 
 def test_report_verdict_boundary():
