@@ -210,20 +210,20 @@ def heisenberg_pairing_track(
     xi_block = _as_block(xis)
     if eta_block.shape != xi_block.shape:
         raise ValueError("eta and xi blocks must have matching shapes")
-    fwd = schrodinger_trajectory(
-        h_free, h_int, xi_block, t_end, steps, tol, max_order=max_order
+    times, xi_states, fwd, _ = _aligned_run(
+        h_free, h_int, xi_block, t_end, steps, tol, max_order
     )
-    dual = schrodinger_trajectory(
-        h_free, h_int.H, eta_block, t_end, steps, tol, max_order=max_order
+    _, eta_states, dual, _ = _aligned_run(
+        h_free, h_int.H, eta_block, t_end, steps, tol, max_order
     )
     values = np.einsum(
-        "tdp,de,tep->tp", dual.states.conj(), observable.matrix, fwd.states
+        "tdp,de,tep->tp", eta_states.conj(), observable.matrix, xi_states
     )
     return HeisenbergTrack(
-        times=fwd.times,
+        times=times,
         values=values,
-        eta_states=dual.states,
-        xi_states=fwd.states,
+        eta_states=eta_states,
+        xi_states=xi_states,
         achieved_order=max(fwd.achieved_order, dual.achieved_order),
         tail_bound=max(fwd.tail_bound, dual.tail_bound),
     )
@@ -291,15 +291,15 @@ def heisenberg_track(
     """The full B(t) matrices at steps+1 uniform times from 0."""
     dim = h_free.space.dim
     eye = np.eye(dim, dtype=complex)
-    fwd = schrodinger_trajectory(h_free, h_int, eye, t_end, steps, tol,
-                                 max_order=max_order)
-    bwd = schrodinger_trajectory(h_free, h_int, eye, -t_end, steps, tol,
-                                 max_order=max_order)
+    times, fwd, _, _ = _aligned_run(h_free, h_int, eye, t_end, steps, tol,
+                                    max_order)
+    _, bwd, _, _ = _aligned_run(h_free, h_int, eye, -t_end, steps, tol,
+                                max_order)
     b_mat = observable.matrix
     mats = np.empty((steps + 1, dim, dim), dtype=complex)
     for k in range(steps + 1):
-        mats[k] = bwd.states[k] @ b_mat @ fwd.states[k]
-    return ObservableTrack(times=fwd.times, matrices=mats, source=observable)
+        mats[k] = bwd[k] @ b_mat @ fwd[k]
+    return ObservableTrack(times=times, matrices=mats, source=observable)
 
 
 def heisenberg_residuals(
@@ -366,14 +366,14 @@ def observable_track(
     """
     block = _as_block(states0)
     dim, m = block.shape
-    fwd = schrodinger_trajectory(
-        h_free, h_int, block, t_end, steps, tol, max_order=max_order
+    times, fwd_states, fwd, _ = _aligned_run(
+        h_free, h_int, block, t_end, steps, tol, max_order
     )
     n_times = steps + 1
     b_mat = observable.matrix
     staged = np.empty((dim, n_times * m), dtype=complex)
     for k in range(n_times):
-        staged[:, k * m:(k + 1) * m] = b_mat @ fwd.states[k]
+        staged[:, k * m:(k + 1) * m] = b_mat @ fwd_states[k]
 
     # back_states[j] holds W(-t_j) B W(t_k) xi for every k; the track keeps
     # the column group with k = j.
@@ -383,7 +383,7 @@ def observable_track(
     states = np.stack([back_states[k][:, k * m:(k + 1) * m]
                        for k in range(n_times)])
     return Trajectory(
-        times=fwd.times,
+        times=times,
         states=states,
         achieved_order=max(fwd.achieved_order, back.achieved_order),
         tail_bound=max(fwd.tail_bound, back.tail_bound),
@@ -447,15 +447,16 @@ def strong_split_residual(
     v_next = track.states[substeps + 1][:, 0]
     diff = (v_next - v_prev) / (2.0 * dt)
 
-    fwd = schrodinger_trajectory(h_free, h_int, xi, t, 1, tol, max_order=max_order)
-    w_xi = fwd.states[1][:, 0]
+    _, fwd_states, fwd, _ = _aligned_run(h_free, h_int, xi[:, None], t, 1, tol,
+                                         max_order)
+    w_xi = fwd_states[1][:, 0]
     h1, b_mat = h_int.matrix, observable.matrix
     comm_int = 1j * (h1 @ b_mat - b_mat @ h1)
     staged = comm_int @ w_xi
-    backward = schrodinger_trajectory(
-        h_free, h_int, staged, -t, 1, tol, max_order=max_order
+    _, back_states, backward, _ = _aligned_run(
+        h_free, h_int, staged[:, None], -t, 1, tol, max_order
     )
-    term1 = backward.states[1][:, 0]
+    term1 = back_states[1][:, 0]
 
     u_t_xi = free_propagator(h_free, -t) @ w_xi
     b0_prime = free_observable_derivative(h_free, observable, t).matrix @ u_t_xi

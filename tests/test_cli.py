@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,9 +251,13 @@ def test_command_mismatch_rejected(tmp_path):
         ("evolve", {}, ["--tol", "nan"]),
         ("evolve", {}, ["--t-end", "inf"]),
         ("verify", {}, ["--tol", "nan"]),
+        ("verify", {"count": 1, "tuples": 1, "tol": 0}, []),
+        ("verify", {"count": 1, "tuples": 1, "series_tol": 0}, []),
+        ("verify", {"count": 1, "tuples": 1}, ["--t-end", "2"]),
     ],
     ids=["t_end", "tol-inf", "tol-nan", "t_end-huge-int", "initial_state",
-         "series_tol", "alphas", "flag-tol", "flag-t-end", "verify-flag-tol"],
+         "series_tol", "alphas", "flag-tol", "flag-t-end", "verify-flag-tol",
+         "tol-zero", "series_tol-zero", "verify-flag-not-taken"],
 )
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, fields,
                                               flags):
@@ -259,6 +265,55 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, fields,
     cfg = write_config(tmp_path, {**base, **fields, "out_dir": str(tmp_path)})
     assert main([command, cfg, *flags]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# Digests of stock configs: a refactor of the config handling must leave
+# every digested document, and so every artifact stamp, unchanged.
+_README_MODEL = {
+    "h_free": linop_doc([0, 1], np.diag([0.0, 1.0])),
+    "h_int": linop_doc([0, 1], [[0.0, 0.0], [0.3, 0.0]]),
+}
+_GOLDEN_DIGESTS = [
+    ("verify", {},
+     "19b893590d0bd9664ed6efbf6ce45091b1ee6958183b0633575434dc43261501"),
+    ("verify", {"count": 2, "tuples": 2, "seed": 11},
+     "ef340e0d638cadd7a7bbd066d31484ffc901ab0d899601fe223e5d64bdbdac79"),
+    ("qed-demo", {},
+     "f64bd4a7985cf1a42b59f0cc6789b748b9b847227faf47fcf90454bfed7e15fa"),
+    ("convergence", {},
+     "0ffed933797b563a781226e1f39591a448c61ddf70ff42194474f61eda99f8f0"),
+    ("evolve", {"command": "evolve", "model": _README_MODEL, "t_end": 1.0,
+                "steps": 8, "tol": 1e-8, "initial_state": {"basis_index": 0},
+                "out_dir": "out"},
+     "bdf9295fa0ee1cc230338c7b6bf044eda84b8842afd61d3e28925152f49c3413"),
+    ("heisenberg", {"model": _README_MODEL,
+                    "observable": linop_doc([0, 1], np.diag([1.0, 0.0])),
+                    "t_end": 0.5},
+     "6f606597ebf649d62ea260c68bf539a0ae52d63e8449c206118bfefb3079308e"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, digest", _GOLDEN_DIGESTS,
+    ids=["verify", "verify-small", "qed-demo", "convergence", "readme-evolve",
+         "readme-heisenberg"],
+)
+def test_stock_config_digests_are_pinned(tmp_path, command, doc, digest):
+    assert cli.assemble(command, doc, tmp_path, {}).digest == digest
+
+
+@pytest.mark.parametrize("source", ["docstring", "readme"])
+def test_field_lists_match_the_field_table(source):
+    text = (cli.__doc__ if source == "docstring" else
+            (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"))
+    listed = {name: [f.strip() for f in fields.split(",")]
+              for name, fields in re.findall(r"^ *([a-z-]+): +(.+)$", text, re.M)}
+    shared = listed.pop("all")
+    assert shared[:2] == ["command", "out_dir"]
+    assert set(listed) == set(cli._FIELDS)
+    for command, table in cli._FIELDS.items():
+        expected = [f + "*" if table[f] is None else f for f in table]
+        assert shared[2:] + listed[command] == expected, command
 
 
 # ------------------------------------------------------- suite commands

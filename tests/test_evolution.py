@@ -229,3 +229,26 @@ def test_weak_residual_stride_doubling(small_model):
 def test_interaction_is_actually_nonnormal(small_model):
     m = small_model.h_int.matrix
     assert np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2) > 1e-6
+
+
+def test_track_drivers_compute_no_schrodinger_defects(small_model, monkeypatch):
+    from dysonprop import evolution
+
+    calls = []
+    real = evolution.schrodinger_defects
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "schrodinger_defects", counted)
+    h_free, h_int = small_model.h_free, small_model.h_int
+    obs = LinOp(h_free.space, np.diag(np.arange(8.0)).astype(complex))
+    xi = unit(8, 0)
+    heisenberg_track(h_free, h_int, obs, 0.4, 4, tol=1e-10)
+    heisenberg_pairing_track(h_free, h_int, obs, xi, xi, 0.4, 4, tol=1e-10)
+    observable_track(h_free, h_int, obs, xi, 0.4, 4, tol=1e-10)
+    strong_split_residual(h_free, h_int, obs, xi, t=0.4, substeps=4)
+    assert calls == []
+    schrodinger_trajectory(h_free, h_int, xi, 0.4, 4, tol=1e-10)
+    assert calls == [1]
