@@ -2,7 +2,7 @@
 
 Usage:
 
-    dysonprop evolve CONFIG.json [--tol X] [--t-end T] [--seed N] [--out DIR]
+    dysonprop evolve CONFIG.json [--tol X] [--t-end T] [--out DIR]
     dysonprop heisenberg CONFIG.json [...]
     dysonprop verify [CONFIG.json] [...]
     dysonprop qed-demo [CONFIG.json] [...]
@@ -12,11 +12,11 @@ The config is a single JSON object.  Recognised fields by command, as in
 the ``_FIELDS`` table (unknown fields are rejected so typos fail loudly, and
 a flag for a field the command does not take is rejected the same way):
 
-    all:          command, out_dir, tol, seed
-    evolve:       model*, t_end, steps, max_order, initial_state
-    heisenberg:   model*, observable*, t_end, steps, max_order, pairs
-    verify:       count, tuples, series_tol
-    qed-demo:     model, t_end, steps, pairs, series_tol
+    all:          command, out_dir
+    evolve:       tol, model*, t_end, steps, max_order, initial_state
+    heisenberg:   tol, seed, model*, observable*, t_end, steps, max_order, pairs
+    verify:       tol, seed, count, tuples, series_tol
+    qed-demo:     tol, seed, model, t_end, steps, pairs, series_tol
     convergence:  model, t_end, n_max, alphas, initial_state
 
 Starred fields are required.  ``model`` is one of: the string
@@ -110,9 +110,8 @@ class RunConfig:
 # docstring; None marks a required field.  Every command also takes
 # ``command`` and ``out_dir``, which stay out of this table.
 _FIELDS = {
-    "evolve": {"tol": 1e-10, "seed": 2026, "model": None, "t_end": 1.0,
-               "steps": 200, "max_order": 64,
-               "initial_state": {"basis_index": 0}},
+    "evolve": {"tol": 1e-10, "model": None, "t_end": 1.0, "steps": 200,
+               "max_order": 64, "initial_state": {"basis_index": 0}},
     "heisenberg": {"tol": 1e-10, "seed": 2026, "model": None,
                    "observable": None, "t_end": 1.0, "steps": 200,
                    "max_order": 64, "pairs": 20},
@@ -120,9 +119,8 @@ _FIELDS = {
                "series_tol": 1e-10},
     "qed-demo": {"tol": 1e-6, "seed": 2026, "model": "qed-default",
                  "t_end": 1.0, "steps": 64, "pairs": 50, "series_tol": 1e-9},
-    "convergence": {"tol": 1e-10, "seed": 2026,
-                    "model": {"qed": dataclasses.replace(
-                        default_toy_config(), coupling=4.0).to_json()},
+    "convergence": {"model": {"qed": dataclasses.replace(default_toy_config(),
+                                                         coupling=4.0).to_json()},
                     "t_end": 1.0, "n_max": 12, "alphas": [0.0, 1.0, 2.0],
                     "initial_state": {"basis_index": 0}},
 }

@@ -14,9 +14,9 @@ is read off its diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .dyson import (
     DEFAULT_MAX_ORDER,
@@ -28,6 +28,9 @@ from .dyson import (
     free_propagator,
 )
 from .graded import LinOp, _dense, support_level
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 
 def uniform_times(t_end: float, steps: int) -> np.ndarray:

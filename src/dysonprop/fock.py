@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import diags_array
 
-from .graded import GradedSpace, LinOp
+from .graded import GradedSpace, LinOp, _diagonal_op
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,17 @@ class FockBasis:
         self._index = {s: i for i, s in enumerate(self.states)}
         self._boson_index = {m.label: i for i, m in enumerate(spec.bosons)}
         self._fermion_index = {m.label: i for i, m in enumerate(spec.fermions)}
-        self._grades = np.array([float(sum(b)) for b, _ in self.states])
-        self._grades.flags.writeable = False
+        # Occupation of each mode per state, shape (dim, modes), read-only.
+        n_b, n_f = len(self.boson_states), len(self.fermion_states)
+        self.boson_occ = np.repeat(
+            np.array(self.boson_states, dtype=int).reshape(n_b, -1), n_f, axis=0
+        )
+        self.fermion_occ = np.tile(
+            np.array(self.fermion_states, dtype=int).reshape(n_f, -1), (n_b, 1)
+        )
+        self._grades = self.boson_occ.sum(axis=1).astype(float)
+        for arr in (self.boson_occ, self.fermion_occ, self._grades):
+            arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -210,16 +218,14 @@ def second_quantize(basis: FockBasis, energies: Mapping[str, float]) -> LinOp:
     )
     if unknown:
         raise ValueError(f"unknown mode labels: {sorted(unknown)}")
+    # Modes added one at a time in declaration order, bosons first, so each
+    # entry is the left-to-right sum over the state's modes.
     diag = np.zeros(basis.dim)
-    for idx, (bocc, focc) in enumerate(basis.states):
-        e = 0.0
-        for m, n in zip(basis.spec.bosons, bocc):
-            e += n * energies.get(m.label, 0.0)
-        for m, n in zip(basis.spec.fermions, focc):
-            e += n * energies.get(m.label, 0.0)
-        diag[idx] = e
-    diag = diag.astype(complex)
-    return LinOp(basis.graded_space(), diags_array(diag, format="csr"))
+    for modes, occ in ((basis.spec.bosons, basis.boson_occ),
+                       (basis.spec.fermions, basis.fermion_occ)):
+        for k, m in enumerate(modes):
+            diag += occ[:, k] * energies.get(m.label, 0.0)
+    return _diagonal_op(basis.graded_space(), diag.astype(complex))
 
 
 def number_operator(basis: FockBasis) -> LinOp:
@@ -234,11 +240,8 @@ def eta_metric(basis: FockBasis, scalar_modes: Iterable[str] | None = None) -> L
     """
     labels = set(scalar_modes if scalar_modes is not None else basis.spec.scalar_modes)
     slots = [basis.boson_slot(lb) for lb in labels]
-    diag = np.array(
-        [(-1.0) ** sum(bocc[s] for s in slots) for bocc, _ in basis.states],
-        dtype=complex,
-    )
-    return LinOp(basis.graded_space(), diags_array(diag, format="csr"))
+    odd = basis.boson_occ[:, slots].sum(axis=1) % 2 == 1
+    return _diagonal_op(basis.graded_space(), np.where(odd, -1.0, 1.0).astype(complex))
 
 
 def top_sector_fraction(basis: FockBasis, vec: np.ndarray) -> float:
@@ -246,14 +249,18 @@ def top_sector_fraction(basis: FockBasis, vec: np.ndarray) -> float:
 
     This is the truncation health metric: evolved states should stay below
     the cap, so values above roughly 1e-6 mean the cap is distorting them.
+    A (dim, m) block gives the largest fraction over its columns; a zero
+    column counts 0.
     """
     v = np.asarray(vec, dtype=complex)
-    total = float(np.sum(np.abs(v) ** 2))
-    if total == 0.0:
-        return 0.0
     g = basis.grades()
-    top = g.max()
-    return float(np.sum(np.abs(v[g == top]) ** 2) / total)
+    # One contiguous row per column, so each column is summed in the order
+    # a single vector is.
+    weights = np.abs(np.ascontiguousarray(v.reshape(v.shape[0], -1).T)) ** 2
+    total = weights.sum(axis=1)
+    top = np.ascontiguousarray(weights[:, g == g.max()]).sum(axis=1)
+    fractions = np.divide(top, total, out=np.zeros_like(total), where=total != 0.0)
+    return float(fractions.max(initial=0.0))
 
 
 LEAKAGE_WARN_THRESHOLD = 1e-6

@@ -6,29 +6,36 @@ grading: the largest upward grade shift their support allows, and the
 relative bound constant ``C`` with ``||T v|| <= C ||(A + 1)^{1/2} v||`` where
 ``A`` is the diagonal grading operator.
 
-An operator is stored dense or as a CSR array, as its builder made it.  One
-block list per operator (``_op_blocks``) serves every reader.  The blocks
-are the connected components of the bipartite row/column graph of the
-storage's exact non-zero pattern (for the QED interaction: the charge and
-photon-parity sectors), labelled by a small numpy hook-and-shortcut routine
-(``_components``) and ordered by each component's first row.  Each block is
-filled once, for a CSR operator by one scatter of its non-zero entries, so
-no dense full-space matrix is made.  ``C`` and ``LinOp.norm2`` are exact
-spectral norms taken block by block, so no dense SVD of the full matrix is
-needed.  The grade shift, and the series engine's coupled gap, come from the
-entries inside the blocks above ``ENTRY_THRESHOLD`` times the largest
-magnitude; the series kernel applies the same blocks.
+An operator is stored dense or as a CSR array, as its builder made it.
+``scipy.sparse`` is imported by the first CSR construction (a CSR storage
+passed to ``LinOp``, ``sector_projector``, the Fock diagonals, the QED
+interaction), not with the package, so a run on dense operators alone loads
+numpy and nothing from scipy.  One block list per operator (``_op_blocks``)
+serves every reader.  The blocks are the connected components of the
+bipartite row/column graph of the storage's exact non-zero pattern (for the
+QED interaction: the charge and photon-parity sectors), labelled by a small
+numpy hook-and-shortcut routine (``_components``) and ordered by each
+component's first row.  Each block is filled once, for a CSR operator by one
+scatter of its non-zero entries, so no dense full-space matrix is made.
+``C`` and ``LinOp.norm2`` are exact spectral norms taken block by block, so
+no dense SVD of the full matrix is needed.  The grade shift, and the series
+engine's coupled gap, come from the entries inside the blocks above
+``ENTRY_THRESHOLD`` times the largest magnitude; the series kernel applies
+the same blocks.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, diags_array, issparse
 
 from .errors import AssumptionViolation
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 # Entries below ENTRY_THRESHOLD times the largest magnitude in a matrix (or
 # vector) are treated as structural zeros when reading off supports.
@@ -81,6 +88,16 @@ class GradeCert:
     rel_bound: float
 
 
+def _issparse(obj) -> bool:
+    """Whether ``obj`` is a ``scipy.sparse`` array, without importing it.
+
+    No object can be sparse before ``scipy.sparse`` is loaded, so a run that
+    builds no CSR operator never loads it.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(obj)
+
+
 def _pairs(matrix: np.ndarray) -> list[list[float]]:
     flat = matrix.reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
@@ -101,7 +118,8 @@ class LinOp:
 
     ``storage`` is a dense array or a ``scipy.sparse`` CSR array; the
     builder picks it from how it built the operator (diagonal operators and
-    the QED interaction are CSR).  Structured readers (``_op_blocks``,
+    the QED interaction are CSR, and building them loads ``scipy.sparse``;
+    dense storage never does).  Structured readers (``_op_blocks``,
     ``check_free_part``, ``.H``) read the storage directly; every other
     reader takes ``.matrix``, the dense array, which for CSR storage is a
     read-only array built afresh on each access and never cached.
@@ -117,7 +135,9 @@ class LinOp:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if issparse(self.storage):
+        if _issparse(self.storage):
+            from scipy.sparse import csr_array
+
             m = csr_array(self.storage, dtype=complex, copy=True)
             m.sum_duplicates()  # canonical: no later read rewrites the arrays
             values = m.data
@@ -154,7 +174,7 @@ class LinOp:
         """
         if "adjoint" not in self._memo:
             adjoint = self.storage.conj().T
-            if issparse(adjoint):
+            if _issparse(adjoint):
                 adjoint = adjoint.tocsr()
             self._memo["adjoint"] = LinOp(self.space, adjoint)
         return self._memo["adjoint"]
@@ -245,7 +265,7 @@ def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
     made C-contiguous).
     """
     n_rows, n_cols = storage.shape
-    sparse = issparse(storage)
+    sparse = _issparse(storage)
     if sparse:
         stored = storage.tocoo()
         nonzero = stored.data != 0
@@ -290,13 +310,13 @@ def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
 
 def _dense(storage: np.ndarray | csr_array) -> np.ndarray:
     """A storage, or a sum of storages, as a dense array (made only for CSR)."""
-    return storage.toarray() if issparse(storage) else storage
+    return storage.toarray() if _issparse(storage) else storage
 
 
 def _gather(storage: np.ndarray | csr_array, rows, cols) -> np.ndarray:
     """``storage[rows, cols]`` as a read-only C-contiguous dense array."""
     block = storage[rows, cols]
-    block = block.toarray() if issparse(block) else np.ascontiguousarray(block)
+    block = block.toarray() if _issparse(block) else np.ascontiguousarray(block)
     block.setflags(write=False)
     return block
 
@@ -340,7 +360,13 @@ def _op_blocks(op: LinOp) -> list[_Block]:
 
 def sector_projector(space: GradedSpace, level: float) -> LinOp:
     """Orthogonal projector onto basis indices with grade <= level."""
-    diag = (space.grade_array() <= level).astype(complex)
+    return _diagonal_op(space, (space.grade_array() <= level).astype(complex))
+
+
+def _diagonal_op(space: GradedSpace, diag: np.ndarray) -> LinOp:
+    """The diagonal operator with entries ``diag``, stored as CSR."""
+    from scipy.sparse import diags_array
+
     return LinOp(space, diags_array(diag, format="csr"))
 
 
@@ -414,7 +440,7 @@ def check_free_part(h_free: LinOp) -> bool:
     """
     storage = h_free.storage
     diag = storage.diagonal()
-    nnz = storage.count_nonzero() if issparse(storage) else np.count_nonzero(storage)
+    nnz = storage.count_nonzero() if _issparse(storage) else np.count_nonzero(storage)
     diagonal = nnz == np.count_nonzero(diag)
     if diagonal:
         # Every non-zero entry is on the diagonal: m - m^H is 2i Im(diag)

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .dyson import _prepare, free_propagator
+from .dyson import _prepare
 from .errors import StiffnessError
 from .graded import LinOp, _dense
 
@@ -69,7 +69,15 @@ def oracle_propagator(h_free: LinOp, h_int: LinOp, t: float, t_prime: float) -> 
     """
     h = _dense(h_free.storage + h_int.storage)
     mid = matrix_exp(-1j * (t - t_prime) * h)
-    return free_propagator(h_free, -t) @ mid @ free_propagator(h_free, t_prime)
+    # The free phases are diagonal in the free eigenbasis: e^{i t h_free}
+    # scales mid's rows there, and e^{-i t' h_free} on the right is
+    # e^{i t' h_free} applied to the adjoint from the left.
+    prep = _prepare(h_free, h_int)
+    left_phase = np.exp(1j * t * prep.energies)[:, None]
+    left = prep.from_working(left_phase * prep.to_working(mid))
+    right_adjoint = np.exp(1j * t_prime * prep.energies)[:, None]
+    both = prep.from_working(right_adjoint * prep.to_working(left.conj().T))
+    return np.conjugate(both.T, order="C")
 
 
 def ode_oracle(

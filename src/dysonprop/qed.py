@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse import kron as sparse_kron
 
 from .dyson import DEFAULT_MAX_ORDER, evolve_adjoint, free_propagator
 from .evolution import _aligned_run, _aligned_steps
@@ -508,6 +506,9 @@ class QedModel:
         zeros (exact cancellations) are dropped at the end, so the stored
         pattern is the exact ``!= 0`` pattern.
         """
+        from scipy.sparse import csr_array
+        from scipy.sparse import kron as sparse_kron
+
         total = csr_array((self.basis.dim,) * 2, dtype=complex)
         weights = self.config.position_weights or (1.0,) * len(self.config.positions)
         for x, wx, chi in zip(self.config.positions, weights, self.config.chi_sp):
@@ -639,8 +640,7 @@ def eta_unitarity_check(
         w_psi, w_phi = w_cols[:, :pairs], w_cols[:, pairs:]
         pairing = np.einsum("dm,d,dm->m", w_psi.conj(), eta_diag, w_phi)
         drift = max(drift, float(np.max(np.abs(pairing - base))))
-        for col in range(w_cols.shape[1]):
-            leakage = max(leakage, top_sector_fraction(model.basis, w_cols[:, col]))
+        leakage = max(leakage, top_sector_fraction(model.basis, w_cols))
 
     # eta W(t)* eta W(t) = 1 on a handful of columns: the adjoint series
     # U(t, 0)* runs on the reversed grid under h_int*, after the free phase

@@ -115,7 +115,6 @@ def test_rerun_is_byte_identical(tmp_path):
                 "model": pair_model_doc(),
                 "t_end": 0.5,
                 "steps": 4,
-                "seed": 7,
                 "out_dir": str(out),
             },
             name=f"cfg-{tag}.json",
@@ -267,6 +266,25 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, fields,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, field, flags",
+    [("convergence", "tol", ["--tol", "1e-3"]),
+     ("convergence", "seed", ["--seed", "3"]),
+     ("evolve", "seed", ["--seed", "3"])],
+    ids=["convergence-tol", "convergence-seed", "evolve-seed"],
+)
+def test_fields_no_pipeline_reads_are_unknown(tmp_path, capsys, command, field,
+                                              flags):
+    # The convergence table has no tolerance and no random draw, and evolve
+    # draws nothing, so these fields would only split the digest.
+    assert field not in cli._FIELDS[command]
+    base = {"model": pair_model_doc(), "steps": 4} if command == "evolve" else {}
+    cfg = write_config(tmp_path, {**base, "out_dir": str(tmp_path)})
+    assert main([command, cfg, *flags]) == 2
+    assert f"unknown field(s) for {command}: {field}" in capsys.readouterr().err
+    assert not any(tmp_path.glob(f"{command}.*"))
+
+
 # Digests of stock configs: a refactor of the config handling must leave
 # every digested document, and so every artifact stamp, unchanged.
 _README_MODEL = {
@@ -281,11 +299,11 @@ _GOLDEN_DIGESTS = [
     ("qed-demo", {},
      "f64bd4a7985cf1a42b59f0cc6789b748b9b847227faf47fcf90454bfed7e15fa"),
     ("convergence", {},
-     "0ffed933797b563a781226e1f39591a448c61ddf70ff42194474f61eda99f8f0"),
+     "b5e4dcfbe40877342f090cef177dd30b4e60fca562c8e9fffdee9161ecf45a0d"),
     ("evolve", {"command": "evolve", "model": _README_MODEL, "t_end": 1.0,
                 "steps": 8, "tol": 1e-8, "initial_state": {"basis_index": 0},
                 "out_dir": "out"},
-     "bdf9295fa0ee1cc230338c7b6bf044eda84b8842afd61d3e28925152f49c3413"),
+     "7e55cb03c7127f5e42fe0c5c8c89788ca45469a38680d6190dd96973e8d21dd9"),
     ("heisenberg", {"model": _README_MODEL,
                     "observable": linop_doc([0, 1], np.diag([1.0, 0.0])),
                     "t_end": 0.5},

@@ -187,3 +187,35 @@ def test_top_sector_fraction():
     assert top_sector_fraction(basis, v) == pytest.approx(0.5)
     assert top_sector_fraction(basis, np.zeros(3)) == 0.0
     assert top_sector_fraction(basis, basis.vacuum()) == 0.0
+
+
+def _column_fraction(basis, v):
+    """The single-vector definition: top-grade weight over total weight."""
+    total = float(np.sum(np.abs(v) ** 2))
+    if total == 0.0:
+        return 0.0
+    g = basis.grades()
+    return float(np.sum(np.abs(v[g == g.max()]) ** 2) / total)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_leakage_is_the_largest_column_fraction(toy_model, order):
+    basis = toy_model.basis
+    rng = np.random.default_rng(17)
+    d, m = basis.dim, 100
+    # Columns spread over many magnitudes, so a change in summation order
+    # shows in the last bit.
+    w = (rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))) * np.exp(
+        rng.uniform(-30.0, 0.0, size=(d, 1))
+    )
+    w[:, 3] = 0.0
+    w = np.asarray(w, order=order)
+    loop = [_column_fraction(basis, w[:, c]) for c in range(m)]
+    assert top_sector_fraction(basis, w) == max(loop)
+    for c in (0, 3, 57):
+        assert top_sector_fraction(basis, w[:, c]) == loop[c]
+        assert top_sector_fraction(basis, w[:, c:c + 1]) == loop[c]
+    # Every column's fraction, not only the largest one.
+    for c in range(0, m, 7):
+        assert top_sector_fraction(basis, w[:, c:c + 7]) == max(loop[c:c + 7])
+    assert top_sector_fraction(basis, np.zeros((d, 4))) == 0.0

@@ -57,35 +57,35 @@ def test_ode_oracle_matches_exponential_route():
         assert np.linalg.norm(got - want) < 1e-9
 
 
-# Modules a fresh ``import dysonprop, dysonprop.cli`` must not load.
-DEFERRED_MODULES = (
-    "scipy.integrate",
-    "scipy.optimize",
-    "scipy.linalg",
-    "scipy.sparse.linalg",
-    "scipy.sparse.csgraph",
-)
-
-
 def test_package_import_defers_the_heavy_scipy_modules():
-    # A fresh interpreter, so the modules other tests loaded do not count.
+    # A fresh interpreter, so the modules other tests loaded do not count:
+    # a fresh ``import dysonprop, dysonprop.cli`` loads nothing from scipy.
     script = textwrap.dedent(
         f"""
         import json, sys
         import numpy as np
         import dysonprop, dysonprop.cli
-        from dysonprop.suite import fleet
+        from dysonprop.suite import dense_propagator, fleet
 
-        at_import = [m for m in {DEFERRED_MODULES!r} if m in sys.modules]
+        at_import = [m for m in sys.modules if m.split(".")[0] == "scipy"]
         model = fleet(count=1)[0]
         xi = np.ones(model.h_free.dim, dtype=complex) / np.sqrt(model.h_free.dim)
+        dense = dense_propagator(model.h_free, model.h_int, 0.7, -0.2)
         u = dysonprop.oracle_propagator(model.h_free, model.h_int, 0.7, -0.2)
+        sparse_after_dense = "scipy.sparse" in sys.modules
         psi = dysonprop.ode_oracle(model.h_free, model.h_int, xi, 0.7, -0.2)
+        after_calls = [m for m in ("scipy.linalg", "scipy.integrate")
+                       if m in sys.modules]
+        qed = dysonprop.build_model(dysonprop.default_toy_config())
         print(json.dumps({{
             "at_import": at_import,
-            "after_calls": [m for m in ("scipy.linalg", "scipy.integrate")
-                            if m in sys.modules],
+            "sparse_after_dense": sparse_after_dense,
+            "after_calls": after_calls,
             "gap": float(np.linalg.norm(u @ xi - psi)),
+            "dense_gap": float(np.linalg.norm(dense - u, 2)),
+            "qed_storage": type(qed.h_int.storage).__module__ + "."
+                           + type(qed.h_int.storage).__name__,
+            "qed_format": qed.h_int.storage.format,
         }}))
         """
     )
@@ -94,9 +94,15 @@ def test_package_import_defers_the_heavy_scipy_modules():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout.strip().splitlines()[-1])
+    # The package and every dense path load nothing from scipy but the
+    # oracle's scipy.linalg; the first CSR operator brings scipy.sparse.
     assert got["at_import"] == []
+    assert got["sparse_after_dense"] is False
     assert got["after_calls"] == ["scipy.linalg", "scipy.integrate"]
     assert got["gap"] < 1e-9
+    assert got["dense_gap"] < 1e-9
+    assert got["qed_storage"].startswith("scipy.sparse.")
+    assert got["qed_format"] == "csr"
 
 
 def test_report_verdict_boundary():

@@ -11,6 +11,7 @@ from scipy.sparse import csr_array, issparse
 from dysonprop import graded
 from dysonprop.dyson import _prepare, default_grid, evolve_block
 from dysonprop.evolution import schrodinger_defects, schrodinger_trajectory
+from dysonprop.fock import eta_metric, second_quantize
 from dysonprop.graded import certify, grade_shift_bound, vectors_supported_below
 from dysonprop.oracles import ode_oracle
 from dysonprop.qed import (
@@ -367,6 +368,33 @@ def test_structured_operators_equal_the_dense_build(config):
         hi = min(lo + step, model.space.dim)
         for op, want in zip(ops, rows(lo, hi)):
             assert np.array_equal(op.storage[lo:hi].toarray(), want), (lo, op)
+
+
+@pytest.mark.parametrize("config", [default_toy_config(), _two_momentum_config()],
+                         ids=["stock", "two-momentum"])
+def test_fock_diagonals_equal_the_loop_definition(config):
+    basis = build_model(config).basis
+    assert [(tuple(b), tuple(f)) for b, f in zip(basis.boson_occ, basis.fermion_occ)] \
+        == basis.states
+    modes = basis.spec.bosons + basis.spec.fermions
+    # Mixed signs and an omitted mode; every mode added in declaration order.
+    energies = {m.label: (-1.0) ** k * (0.3 + 0.7 * k) for k, m in enumerate(modes)
+                if k != 1}
+    scalar = sorted(basis.spec.scalar_modes)
+    for labels in (scalar, scalar[:1], []):
+        sign = [(-1.0) ** sum(b[basis.boson_slot(lb)] for lb in labels)
+                for b, _ in basis.states]
+        assert np.array_equal(eta_metric(basis, labels).storage.diagonal(),
+                              np.array(sign, dtype=complex))
+    energy = np.zeros(basis.dim)
+    for idx, (bocc, focc) in enumerate(basis.states):
+        e = 0.0
+        for m, n in zip(modes, bocc + focc):
+            e += n * energies.get(m.label, 0.0)
+        energy[idx] = e
+    got = second_quantize(basis, energies).storage.diagonal()
+    assert np.array_equal(got, energy.astype(complex))
+    assert np.array_equal(basis.grades(), [float(sum(b)) for b, _ in basis.states])
 
 
 def test_stock_pipeline_reads_no_dense_structured_operator(monkeypatch):
