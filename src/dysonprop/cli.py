@@ -639,13 +639,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certified time-ordered series propagators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _FIELDS:
+    for name, fields in _FIELDS.items():
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None,
                        help="JSON config path (optional for suite commands)")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--t-end", type=float, default=None, dest="t_end")
-        p.add_argument("--seed", type=int, default=None)
+        # A flag for a field the command does not take is parsed but not
+        # shown, so that assemble rejects it as an unknown field.
+        for flag, field, kind in (("--tol", "tol", float),
+                                  ("--t-end", "t_end", float),
+                                  ("--seed", "seed", int)):
+            p.add_argument(flag, type=kind, default=None, dest=field,
+                           help=None if field in fields else argparse.SUPPRESS)
         p.add_argument("--out", type=str, default=None,
                        help="output directory (overrides out_dir)")
     return parser

@@ -31,6 +31,10 @@ interaction picture.  A run reuses two order buffers for all its orders.
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
+Every free evolution e^{-i t h_free} of the library is applied in
+``_FreeBasis``, the memoised eigenbasis of h_free, as one phase per energy;
+only the kernel's phase tables and the ODE oracle's right-hand side form
+phases of their own.
 """
 
 from __future__ import annotations
@@ -270,12 +274,47 @@ def apriori_tail(
 
 
 @dataclass(frozen=True)
-class _Prepared:
-    """Model rotated so the free part is diagonal (sector-wise eigenbasis)."""
+class _FreeBasis:
+    """The free part's energies and sector-wise eigenbasis.
 
-    space: GradedSpace
+    Every free evolution e^{-i t h_free} of the library is ``evolve``: a
+    phase per energy, applied in this basis.
+    """
+
     energies: np.ndarray  # real, length dim
     rotation: np.ndarray | None  # columns: eigenbasis; None when already diagonal
+
+    def to_working(self, vecs: np.ndarray) -> np.ndarray:
+        if self.rotation is None:
+            return np.asarray(vecs, dtype=complex)
+        return self.rotation.conj().T @ vecs
+
+    def from_working(self, vecs: np.ndarray) -> np.ndarray:
+        if self.rotation is None:
+            return vecs
+        return self.rotation @ vecs
+
+    def evolve(self, t, data: np.ndarray) -> np.ndarray:
+        """e^{-i t h_free} applied to the (dim, m) block ``data``.
+
+        A 1-D array of n times takes a (n, dim, m) stack and evolves
+        ``data[k]`` by ``t[k]``.  The two-sided e^{i t h_free} M
+        e^{-i t h_free} is ``evolve(-t, evolve(-t, M).conj().T).conj().T``.
+        """
+        times = np.asarray(t, dtype=float)
+        phase = np.exp(-1j * times[..., None] * self.energies)[..., None]
+        return self.from_working(phase * self.to_working(data))
+
+
+@dataclass(frozen=True)
+class _Prepared(_FreeBasis):
+    """Model rotated so the free part is diagonal (sector-wise eigenbasis).
+
+    The free basis and its maps are the ``_FreeBasis`` of h_free, so every
+    e^{-i t h_free} is applied there.
+    """
+
+    space: GradedSpace
     # The interaction in the eigenbasis; None when the free part is diagonal,
     # where it is h_int itself (held here, it would form a reference cycle
     # through h_int's memo).
@@ -297,18 +336,8 @@ class _Prepared:
     cert: GradeCert
     gap: float  # see coupled_gap
 
-    def to_working(self, vecs: np.ndarray) -> np.ndarray:
-        if self.rotation is None:
-            return np.asarray(vecs, dtype=complex)
-        return self.rotation.conj().T @ vecs
 
-    def from_working(self, vecs: np.ndarray) -> np.ndarray:
-        if self.rotation is None:
-            return vecs
-        return self.rotation @ vecs
-
-
-def _free_spectrum(h_free: LinOp) -> tuple[np.ndarray, np.ndarray | None]:
+def _free_spectrum(h_free: LinOp) -> _FreeBasis:
     """Energies of h_free and its sector-wise eigenbasis (None when diagonal).
 
     Checked and computed once per ``h_free`` (memoised on it).  Diagonalizing
@@ -329,8 +358,8 @@ def _free_spectrum(h_free: LinOp) -> tuple[np.ndarray, np.ndarray | None]:
             rotation[np.ix_(idx, idx)] = vecs
         rotation.setflags(write=False)
     energies.setflags(write=False)
-    h_free._memo["spectrum"] = energies, rotation
-    return energies, rotation
+    h_free._memo["spectrum"] = basis = _FreeBasis(energies, rotation)
+    return basis
 
 
 def _as_range(index: np.ndarray) -> np.ndarray | slice:
@@ -346,13 +375,14 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
     if cached_free is h_free:
         return prep
     h_free._same_space(h_int)
-    energies, rotation = _free_spectrum(h_free)
+    free = _free_spectrum(h_free)
+    rotation = free.rotation
     if rotation is None:
         h_rot, labels = None, _op_blocks(h_int)  # shared with certify
     else:
         h_rot = LinOp(h_int.space, rotation.conj().T @ h_int.matrix @ rotation)
         labels = _op_blocks(h_rot)
-    gap = float(np.abs(_support_differences(labels, energies)).max(initial=0.0))
+    gap = float(np.abs(_support_differences(labels, free.energies)).max(initial=0.0))
     if labels and isinstance(labels[0][0], slice):  # one component
         order = unorder = slice(None)
         blocks = tuple(labels)
@@ -369,8 +399,8 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
             for lo, hi, (_, cols, mat) in zip(ends, ends[1:], labels)
         )
     prep = _Prepared(
-        h_free.space, energies, rotation, h_rot, order, unorder, blocks,
-        certify(h_int), gap,
+        free.energies, rotation, h_free.space, h_rot, order, unorder,
+        blocks, certify(h_int), gap,
     )
     h_int._memo["prepared"] = h_free, prep
     return prep
@@ -382,22 +412,14 @@ def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
     For a diagonal free part with energies E the entries are exactly
     ``h_int[j, k] * exp(i tau (E_j - E_k))``.
     """
-    prep = _prepare(h_free, h_int)
-    phase = np.exp(1j * tau * prep.energies)
-    h_rot = h_int if prep.h_int_rot is None else prep.h_int_rot
-    core = phase[:, None] * h_rot.matrix * phase.conj()[None, :]
-    if prep.rotation is not None:
-        core = prep.rotation @ core @ prep.rotation.conj().T
-    return LinOp(h_free.space, core)
+    free = _free_spectrum(h_free)
+    left = free.evolve(-tau, h_int.matrix)
+    return LinOp(h_free.space, free.evolve(-tau, left.conj().T).conj().T)
 
 
 def free_propagator(h_free: LinOp, t: float) -> np.ndarray:
     """The unitary  e^{-i t h_free}  as a dense matrix."""
-    energies, rotation = _free_spectrum(h_free)
-    phase = np.exp(-1j * t * energies)
-    if rotation is None:
-        return np.diag(phase)
-    return (rotation * phase[None, :]) @ rotation.conj().T
+    return _free_spectrum(h_free).evolve(t, np.eye(h_free.dim, dtype=complex))
 
 
 class _GridKernels:

@@ -22,10 +22,9 @@ from .dyson import (
     DEFAULT_MAX_ORDER,
     SeriesResult,
     TimeGrid,
-    _prepare,
+    _free_spectrum,
     default_grid,
     evolve_block,
-    free_propagator,
 )
 from .graded import LinOp, _dense, support_level
 
@@ -57,11 +56,15 @@ def _time_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
-def _aligned_steps(times) -> int:
+def _aligned_steps(times) -> tuple[int, list[int]]:
     """Fewest uniform steps from 0 to max(times) that land on every time.
 
-    Raises ValueError when no count up to 64 does.
+    Returns the step count and, per time, its index among the steps + 1
+    uniform times.  Raises ValueError unless every time is positive and some
+    count up to 64 lands on all of them.
     """
+    if min(times) <= 0:
+        raise ValueError("check times must be positive")
     t_max = max(times)
     fractions = [t / t_max for t in times]
     steps = 1
@@ -69,7 +72,7 @@ def _aligned_steps(times) -> int:
         steps += 1
         if steps > 64:
             raise ValueError("times do not share a coarse refinement")
-    return steps
+    return steps, [round(f * steps) for f in fractions]
 
 
 def _aligned_run(
@@ -98,12 +101,8 @@ def _aligned_run(
     drift = np.abs(grid.boundaries()[::stride] - times).max()
     if drift > 1e-9 * max(1.0, abs(t_end)):
         raise AssertionError("panel boundaries drifted off the output times")
-    # W(t) = e^{-i t h_free} U(t, 0), the free phase taken in the eigenbasis.
-    # Every output time at once: the sums are (times, d, m), the phase (times, d).
-    prep = _prepare(h_free, h_int)
-    sums = result.boundary_sums[::stride]
-    phase = np.exp(-1j * times[:, None] * prep.energies)
-    states = prep.from_working(phase[:, :, None] * prep.to_working(sums))
+    # W(t) = e^{-i t h_free} U(t, 0) at every output time at once.
+    states = _free_spectrum(h_free).evolve(times, result.boundary_sums[::stride])
     return times, states, result, stride
 
 
@@ -394,18 +393,6 @@ def observable_track(
     )
 
 
-def free_observable_derivative(h_free: LinOp, observable: LinOp, t: float) -> LinOp:
-    """d/dt of the freely-evolved observable at time t.
-
-    Equals  e^{i t h0} (i [h0, B]) e^{-i t h0}.
-    """
-    h0, b_mat = h_free.matrix, observable.matrix
-    comm = 1j * (h0 @ b_mat - b_mat @ h0)
-    left = free_propagator(h_free, -t)
-    right = free_propagator(h_free, t)
-    return LinOp(h_free.space, left @ comm @ right)
-
-
 @dataclass(frozen=True)
 class SplitFormCheck:
     """Residuals of the strong Heisenberg equation at one time.
@@ -461,8 +448,10 @@ def strong_split_residual(
     )
     term1 = back_states[1][:, 0]
 
-    u_t_xi = free_propagator(h_free, -t) @ w_xi
-    b0_prime = free_observable_derivative(h_free, observable, t).matrix @ u_t_xi
+    # B0'(t) U(t, 0) xi = e^{i t h0} i[h0, B] W(t) xi.
+    h0 = h_free.storage
+    comm_free = 1j * (h0 @ (b_mat @ w_xi) - b_mat @ (h0 @ w_xi))
+    b0_prime = _free_spectrum(h_free).evolve(-t, comm_free[:, None])[:, 0]
     grid_down = default_grid(
         h_free, h_int, t, 0.0,
         support=support_level(h_free.space, b0_prime), tol=tol,

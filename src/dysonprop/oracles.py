@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .dyson import _prepare
+from .dyson import _free_spectrum, _prepare
 from .errors import StiffnessError
 from .graded import LinOp, _dense
 
@@ -69,15 +69,10 @@ def oracle_propagator(h_free: LinOp, h_int: LinOp, t: float, t_prime: float) -> 
     """
     h = _dense(h_free.storage + h_int.storage)
     mid = matrix_exp(-1j * (t - t_prime) * h)
-    # The free phases are diagonal in the free eigenbasis: e^{i t h_free}
-    # scales mid's rows there, and e^{-i t' h_free} on the right is
-    # e^{i t' h_free} applied to the adjoint from the left.
-    prep = _prepare(h_free, h_int)
-    left_phase = np.exp(1j * t * prep.energies)[:, None]
-    left = prep.from_working(left_phase * prep.to_working(mid))
-    right_adjoint = np.exp(1j * t_prime * prep.energies)[:, None]
-    both = prep.from_working(right_adjoint * prep.to_working(left.conj().T))
-    return np.conjugate(both.T, order="C")
+    # e^{-i t' h_free} on the right is e^{i t' h_free} applied to the adjoint.
+    free = _free_spectrum(h_free)
+    left = free.evolve(-t, mid)
+    return np.conjugate(free.evolve(-t_prime, left.conj().T).T, order="C")
 
 
 def ode_oracle(

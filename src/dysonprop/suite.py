@@ -17,13 +17,13 @@ from .dyson import (
     DEFAULT_MAX_ORDER,
     TimeGrid,
     _apriori_table,
+    _free_spectrum,
     _prepare,
     _run_block,
     default_grid,
     evolve_adjoint,
     evolve_block,
     evolve_vector,
-    free_propagator,
 )
 from .evolution import _aligned_run, _aligned_steps
 from .graded import (
@@ -176,6 +176,7 @@ def identity_suite(
     )
     cocycle = covariance = inverse = unitarity = duality = 0.0
     eye = np.eye(dim)
+    free = _free_spectrum(h_free)
     for _ in range(tuples):
         t, t_p, t_pp, s = rng.uniform(*time_range, size=4)
         u_t_tp = dense_propagator(h_free, h_int, t, t_p, series_tol)
@@ -185,7 +186,9 @@ def identity_suite(
             cocycle, float(np.linalg.norm(u_t_tp @ u_tp_tpp - u_t_tpp, 2))
         )
         shifted = dense_propagator(h_free, h_int, t + s, t_p + s, series_tol)
-        conj = free_propagator(h_free, -s) @ u_t_tp @ free_propagator(h_free, s)
+        # e^{i s h0} U(t, t') e^{-i s h0}, the right factor through the adjoint.
+        left = free.evolve(-s, u_t_tp)
+        conj = free.evolve(-s, left.conj().T).conj().T
         covariance = max(covariance, float(np.linalg.norm(conj - shifted, 2)))
         u_back = dense_propagator(h_free, h_int, t_p, t, series_tol)
         inverse = max(inverse, float(np.linalg.norm(u_t_tp @ u_back - eye, 2)))
@@ -234,16 +237,15 @@ def oracle_reports(
     h_free, h_int = model.h_free, model.h_int
     space = h_free.space
     dim = space.dim
-    t_max = max(times)
-    steps = _aligned_steps(times)
+    steps, indices = _aligned_steps(times)
     _, _, run, stride = _aligned_run(
-        h_free, h_int, np.eye(dim, dtype=complex), t_max, steps, series_tol,
+        h_free, h_int, np.eye(dim, dtype=complex), max(times), steps, series_tol,
         DEFAULT_MAX_ORDER,
     )
     boundaries = run.grid.boundaries()
     worst = 0.0
-    for t in times:
-        idx = round(t / t_max * steps) * stride
+    for k in indices:
+        idx = k * stride
         u_num = run.boundary_sums[idx]
         u_ref = oracle_propagator(h_free, h_int, float(boundaries[idx]), 0.0)
         worst = max(worst, float(np.linalg.norm(u_num - u_ref, 2)))

@@ -285,6 +285,16 @@ def test_fields_no_pipeline_reads_are_unknown(tmp_path, capsys, command, field,
     assert not any(tmp_path.glob(f"{command}.*"))
 
 
+@pytest.mark.parametrize("command", ["evolve", "verify", "convergence"])
+def test_help_lists_only_the_flags_the_command_takes(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    shown = capsys.readouterr().out
+    for flag, field in (("--tol", "tol"), ("--t-end", "t_end"), ("--seed", "seed")):
+        assert (flag in shown) == (field in cli._FIELDS[command]), flag
+
+
 # Digests of stock configs: a refactor of the config handling must leave
 # every digested document, and so every artifact stamp, unchanged.
 _README_MODEL = {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from dysonprop.dyson import (
     interaction_picture,
 )
 from dysonprop.errors import TruncationError
-from dysonprop.evolution import schrodinger_trajectory
+from dysonprop.evolution import schrodinger_trajectory, strong_split_residual
 from dysonprop.graded import (
     ENTRY_THRESHOLD,
     GradedSpace,
@@ -38,8 +39,9 @@ from dysonprop.graded import (
     support_level,
     vectors_supported_below,
 )
-from dysonprop.oracles import oracle_propagator
-from dysonprop.suite import fleet, random_graded_model
+from dysonprop.oracles import matrix_exp, oracle_propagator
+from dysonprop.qed import build_model, default_toy_config, eta_unitarity_check
+from dysonprop.suite import fleet, identity_suite, random_graded_model
 
 
 def two_level(delta=1.0, g=0.3):
@@ -196,9 +198,59 @@ def test_free_propagator_diagonal_and_rotated():
     space = GradedSpace((0.0, 0.0))
     m = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     u2 = free_propagator(LinOp(space, m), 0.3)
-    from dysonprop.oracles import matrix_exp
-
     np.testing.assert_allclose(u2, matrix_exp(-0.3j * m), atol=1e-13)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["diagonal", "block"])
+def test_free_evolution_matches_the_matrix_exponential(fleet_models, index):
+    h_free = fleet_models[index].h_free
+    free = dyson._free_spectrum(h_free)
+    assert (free.rotation is None) == (index == 0)
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(3, h_free.dim, 2)) + 1j * rng.normal(size=(3, h_free.dim, 2))
+    times = np.array([0.7, -0.45, 1.3])
+
+    def exact(t, block):
+        return matrix_exp(-1j * t * h_free.matrix) @ block
+
+    for t in times[:2]:
+        np.testing.assert_allclose(free.evolve(t, data[0]), exact(t, data[0]),
+                                   rtol=0, atol=1e-13)
+    stacked = free.evolve(times, data)
+    for k, t in enumerate(times):
+        np.testing.assert_allclose(stacked[k], exact(t, data[k]), rtol=0, atol=1e-13)
+
+
+def test_no_library_path_builds_a_dense_free_propagator(monkeypatch):
+    def refuse(h_free, t):
+        raise AssertionError("a library path built a dense free propagator")
+
+    for name, module in list(sys.modules.items()):
+        if name == "dysonprop" or name.startswith("dysonprop."):
+            if getattr(module, "free_propagator", None) is free_propagator:
+                monkeypatch.setattr(module, "free_propagator", refuse)
+    certified = []
+    real_certify = dyson.certify
+
+    def counted(op):
+        certified.append(op)
+        return real_certify(op)
+
+    monkeypatch.setattr(dyson, "certify", counted)
+    # Fresh operators throughout, so no memo hides a call.
+    eta_unitarity_check(build_model(default_toy_config()), pairs=4)
+    assert certified
+    block = random_graded_model(seed=21, dim=6, grade_shift=1, block_free_part=True)
+    identity_suite(block.h_free, block.h_int, tuples=1, pairs=4)
+    small = random_graded_model(11, 8, grade_shift=2)
+    rng = np.random.default_rng(6)
+    obs = LinOp(small.h_free.space, rng.normal(size=(8, 8)) + 0j)
+    strong_split_residual(small.h_free, small.h_int, obs, np.eye(8)[:, 1], t=0.4,
+                          substeps=4)
+    fresh = random_graded_model(seed=22, dim=6, grade_shift=1, block_free_part=True)
+    before = len(certified)
+    interaction_picture(fresh.h_free, fresh.h_int, 0.3)
+    assert len(certified) == before
 
 
 def test_coupled_gap_reads_the_supported_entries():

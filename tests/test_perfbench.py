@@ -1,15 +1,18 @@
 """Tooling guards: the tracer's names exist in the library it traces and it
 can count what the series entry points return, every exported name
-resolves, and every committed BENCH record names the machine it was measured
-on."""
+resolves, every committed BENCH record names the machine it was measured
+on, and the package version stamped into artifacts is the one pyproject.toml
+declares."""
 
 import importlib
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dysonprop
+from dysonprop._version import VERSION
 from dysonprop.dyson import TimeGrid
 from dysonprop.suite import random_graded_model
 
@@ -58,3 +61,9 @@ def test_every_bench_record_names_its_machine():
         keys = ("nproc", "blas", "numpy", "scipy", "threads")
         missing = [key for key in keys if not machine.get(key)]
         assert not missing, f"{path.name}: machine block lacks {missing}"
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == VERSION

@@ -137,8 +137,10 @@ def test_oracle_reports_bundle():
 
 def test_oracle_reports_rejects_incommensurate_times():
     model = random_graded_model(seed=61, dim=4, grade_shift=1)
-    with pytest.raises(ValueError):
-        oracle_reports(model, times=(0.1, 1.0 / 3.0**0.5))
+    # A non-positive time has no index among the uniform times from 0 up.
+    for times in ((0.1, 1.0 / 3.0**0.5), (-0.5, 1.0), (0.0,)):
+        with pytest.raises(ValueError):
+            oracle_reports(model, times=times)
 
 
 def test_fleet_verification_report_count():
