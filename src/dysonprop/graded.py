@@ -248,6 +248,17 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
 
 
+def _entries(storage: np.ndarray | csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the exact non-zero entries (``!= 0``) of a
+    storage, dense or CSR; explicit CSR zeros are dropped."""
+    if _issparse(storage):
+        stored = storage.tocoo()
+        nonzero = stored.data != 0
+        return stored.row[nonzero], stored.col[nonzero], stored.data[nonzero]
+    rows, cols = np.nonzero(storage)
+    return rows, cols, storage[rows, cols]
+
+
 def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
     """``(rows, cols, block)`` for each independent block of a matrix.
 
@@ -266,13 +277,7 @@ def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
     """
     n_rows, n_cols = storage.shape
     sparse = _issparse(storage)
-    if sparse:
-        stored = storage.tocoo()
-        nonzero = stored.data != 0
-        rows, cols = stored.row[nonzero], stored.col[nonzero]
-        values = stored.data[nonzero]
-    else:
-        rows, cols = np.nonzero(storage)
+    rows, cols, values = _entries(storage)
     count, labels = _components(n_rows + n_cols, rows, n_rows + cols)
     if count == 1:
         whole = slice(None)

@@ -3,9 +3,15 @@
 The matrix-exponential route uses Pade scaling-and-squaring; the ODE route
 uses an adaptive high-order Runge-Kutta pair.  Both are valid for non-normal
 generators, and the two are compared against each other as well as against
-the series.  ``scipy.linalg`` and ``scipy.integrate`` are imported on the
-first call of ``matrix_exp`` and ``ode_oracle``, not with the package, so a
-run that calls neither does not pay for loading them.
+the series.  The exponential of ``h = h_free + h_int`` is taken per connected
+component of h's exact non-zero pattern: a matrix that is block diagonal up
+to a permutation exponentiates block by block, with no loss of accuracy.
+The stock QED model falls into 63 such blocks (the largest of 106 of its
+560 states), every fleet model into one.  The ODE route integrates the
+whole space, so the two routes stay independent.  ``scipy.linalg`` and
+``scipy.integrate`` are imported on the first call of ``matrix_exp`` and
+``ode_oracle``, not with the package, so a run that calls neither does not
+pay for loading them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .dyson import _free_spectrum, _prepare
 from .errors import StiffnessError
-from .graded import LinOp, _dense
+from .graded import LinOp, _components, _entries
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,49 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_times(t: float, t_prime: float) -> None:
+    if not (np.isfinite(t) and np.isfinite(t_prime)):
+        raise ValueError(f"times must be finite, got t={t!r}, t'={t_prime!r}")
+
+
+def _component_exp(scale: complex, h) -> np.ndarray:
+    """e^{scale h}, one ``matrix_exp`` per connected component of h.
+
+    ``h`` is a ``LinOp`` storage (or a sum of them), dense or CSR.  The
+    components are those of the undirected graph with an edge i -- j for
+    each stored ``h[i, j] != 0``; each one's exponential is scattered into
+    its rows and columns of the dense result, which is zero elsewhere.
+    """
+    n = h.shape[0]
+    rows, cols, values = _entries(h)
+    count, labels = _components(n, rows, cols)
+    # The block scatter is exact only if no entry crosses two components;
+    # checking it keeps the oracle independent of the labeller.
+    entry_labels = labels[rows]
+    if np.any(entry_labels != labels[cols]):
+        raise RuntimeError("a non-zero entry joins two components of the labelling")
+    out = np.zeros((n, n), dtype=complex)
+    local = np.empty(n, dtype=np.intp)  # a state's index inside its component
+    for k in range(count):
+        states = np.flatnonzero(labels == k)
+        local[states] = np.arange(states.size)
+        taken = entry_labels == k
+        block = np.zeros((states.size, states.size), dtype=complex)
+        block[local[rows[taken]], local[cols[taken]]] = values[taken]
+        out[np.ix_(states, states)] = matrix_exp(scale * block)
+    return out
+
+
 def oracle_propagator(h_free: LinOp, h_int: LinOp, t: float, t_prime: float) -> np.ndarray:
     """Reference propagator  e^{i t h_free} e^{-i (t - t') h} e^{-i t' h_free}.
 
     In finite dimension this solves the same initial-value problem as the
-    series for any interaction, symmetric or not, by uniqueness.
+    series for any interaction, symmetric or not, by uniqueness.  The middle
+    factor is exponentiated per connected component of h (``_component_exp``).
     """
-    h = _dense(h_free.storage + h_int.storage)
-    mid = matrix_exp(-1j * (t - t_prime) * h)
+    _finite_times(t, t_prime)
+    h_free._same_space(h_int)
+    mid = _component_exp(-1j * (t - t_prime), h_free.storage + h_int.storage)
     # e^{-i t' h_free} on the right is e^{i t' h_free} applied to the adjoint.
     free = _free_spectrum(h_free)
     left = free.evolve(-t, mid)
@@ -88,6 +129,7 @@ def ode_oracle(
     An embedded Runge-Kutta pair (DOP853) supplies the reference solution in
     the rotated picture; failure to advance raises StiffnessError.
     """
+    _finite_times(t, t_prime)
     import scipy.integrate
 
     prep = _prepare(h_free, h_int)
