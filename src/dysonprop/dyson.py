@@ -20,9 +20,14 @@ Every order is held node-major, as (q, d, P*m) arrays (q nodes per panel,
 dimension d, P panels, m columns), in the node frame: the value at node tau
 is e^{-i tau E} times the interaction-picture value, E the free energies.
 Applying h_int(tau) there is the bare product with the rotated interaction,
-one mat-mat product over all nodes per independent block; the kernel orders
-the basis so that each block's rows are one contiguous range written in
-place, and reads a block's columns as a view when they are one range too.
+taken in one of two ways fixed per operator by ``_prepare``.  By default it
+is one mat-mat product over all nodes per independent block; the kernel
+orders the basis so that each block's rows are one contiguous range written
+in place, and reads a block's columns as a view when they are one range too.
+An interaction stored as CSR whose dense blocks hold more than
+``CSR_APPLY_RATIO`` times its non-zeros (the larger QED lattices) is instead
+applied as one CSR product per node, the CSR array permuted into the
+kernel's basis once; a rotated interaction is dense and always takes blocks.
 Every phase, with the series' -i and the panel half-width, sits in small
 per-state integration matrices built once per grid (``_GridKernels``): one
 batched product per order maps the applied values and the panel-frame edge
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -51,6 +57,7 @@ from .graded import (
     GradeCert,
     GradedSpace,
     LinOp,
+    _issparse,
     _op_blocks,
     _support_differences,
     certify,
@@ -58,6 +65,9 @@ from .graded import (
     grade_sectors,
     support_level,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 DEFAULT_MAX_ORDER = 64
 DEFAULT_NODES_PER_PANEL = 8
@@ -67,6 +77,14 @@ PANEL_PRODUCT_FACTOR = 0.1
 PANEL_PHASE_FACTOR = 0.7
 # Panel count cap, applied before rounding up to a panel multiple.
 MAX_PANELS = 4096
+# A CSR-stored interaction is applied as one CSR product per node once its
+# dense blocks hold more than this many entries per non-zero.  Per node
+# column, a CSR product costs about 8.5-11 times as much per non-zero as a
+# block GEMM per block entry, and on a density sweep the two cross between
+# ratios 10 and 12 (BENCH_sparse_apply.json).  The stock 560-state
+# interaction (ratio 6.2) keeps the blocks; the 2640- and 7280-state
+# lattices (18.7 and 38.6) take CSR.
+CSR_APPLY_RATIO = 10
 
 
 @lru_cache(maxsize=None)
@@ -333,8 +351,28 @@ class _Prepared(_FreeBasis):
     # component is one block of whole-axis slices holding the whole dense
     # matrix; a zero interaction has no block.
     blocks: tuple[tuple[slice, np.ndarray | slice, np.ndarray], ...]
+    # The interaction as CSR in the kernel's basis when the kernel applies
+    # it that way: stored as CSR, with blocks holding more than
+    # CSR_APPLY_RATIO times its non-zeros.  None otherwise, and then the
+    # kernel multiplies ``blocks``.
+    csr: csr_array | None
     cert: GradeCert
     gap: float  # see coupled_gap
+
+    def apply_interaction(self, values: np.ndarray, out: np.ndarray) -> None:
+        """The interaction applied to each node's values, into ``out``.
+
+        ``values`` and ``out`` are (q, d, k) node-major arrays in the kernel's
+        basis, and ``out[j]`` becomes h ``values[j]``.  Rows in no block are
+        zero rows of h: the block products leave them as they are, so
+        ``out`` must hold zeros there.
+        """
+        if self.csr is not None:
+            for node, dest in zip(values, out):
+                dest[...] = self.csr @ node
+            return
+        for rows, cols, mat in self.blocks:
+            np.matmul(mat, values[:, cols], out=out[:, rows])
 
 
 def _free_spectrum(h_free: LinOp) -> _FreeBasis:
@@ -398,9 +436,15 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
             (slice(lo, hi), _as_range(unorder[cols]), mat)
             for lo, hi, (_, cols, mat) in zip(ends, ends[1:], labels)
         )
+    stored = (h_int if h_rot is None else h_rot).storage
+    csr = None
+    if _issparse(stored):
+        entries = sum(mat.size for _, _, mat in blocks)
+        if entries > CSR_APPLY_RATIO * stored.count_nonzero():
+            csr = stored[order][:, order]
     prep = _Prepared(
         free.energies, rotation, h_free.space, h_rot, order, unorder,
-        blocks, certify(h_int), gap,
+        blocks, csr, certify(h_int), gap,
     )
     h_int._memo["prepared"] = h_free, prep
     return prep
@@ -557,8 +601,7 @@ def _run_block(
             ))
         if order >= max_order or tails[order].max() < tol:
             break
-        for rows, cols, mat in prep.blocks:
-            np.matmul(mat, node_vals[:, cols], out=applied[:q, rows])
+        prep.apply_interaction(node_vals, applied[:q])
         kern.integrate(applied, out=node_vals, edges=edge_vals)
         sums += edge_vals
         order += 1
@@ -678,8 +721,11 @@ def default_grid(
     The first cap keeps panels below PANEL_PRODUCT_FACTOR / (C * sqrt(L + N b
     + 1)) with N the order the tail needs at this tolerance; the second keeps
     the fastest coupled phase resolved.  ``panel_multiple`` rounds the count
-    up to a multiple, which aligns panel edges with output times.
+    up to a multiple, which aligns panel edges with output times; it must
+    be at least 1.
     """
+    if panel_multiple < 1:
+        raise ValueError("panel_multiple must be at least 1")
     prep = _prepare(h_free, h_int)
     cert = prep.cert
     duration = abs(t_end - t_start)

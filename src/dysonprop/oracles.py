@@ -135,7 +135,10 @@ def ode_oracle(
     prep = _prepare(h_free, h_int)
     y0 = prep.to_working(np.asarray(xi, dtype=complex).reshape(-1, 1))[:, 0]
     energies = prep.energies
-    # The stored operator, not prep.blocks: an independent check of the block apply.
+    # The stored operator itself.  On its CSR path the series kernel
+    # multiplies these same stored entries, so this check is independent of
+    # the series only in its time integration: an adaptive Runge-Kutta
+    # route, not the Gauss-Legendre quadrature.
     h_rot = (h_int if prep.h_int_rot is None else prep.h_int_rot).storage
 
     def rhs(tau, y):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ SEED = 2026
 def toy_model():
     """The stock 560-dimensional photon/electron model, built once."""
     return build_model(default_toy_config())
+
+
+@pytest.fixture(scope="session")
+def lattice2_model():
+    """The stock model with a second photon momentum: 2640 states, built once."""
+    base = default_toy_config()
+    return build_model(dataclasses.replace(
+        base,
+        momentum_points=base.momentum_points + ((-0.5, 1.0, -0.25),),
+        chi_ph=base.chi_ph + base.chi_ph,
+    ))
 
 
 @pytest.fixture(scope="session")

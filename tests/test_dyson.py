@@ -453,6 +453,63 @@ def test_fleet_takes_the_single_product_path(fleet_models):
         assert np.shares_memory(block, _rotated(prep, model.h_int))
 
 
+def test_apply_path_is_read_off_the_stored_interaction(
+    toy_model, fleet_models, lattice2_model
+):
+    ratio = dyson.CSR_APPLY_RATIO
+    h_int = lattice2_model.h_int
+    for op in (h_int, h_int.H):
+        prep = _prepare(lattice2_model.h_free, op)
+        entries = sum(block.size for _, _, block in prep.blocks)
+        assert entries > ratio * op.storage.count_nonzero()
+        # Permuted back out of the kernel's basis, it is the stored operator.
+        back = prep.csr[prep.unorder][:, prep.unorder]
+        assert back.shape == op.storage.shape and abs(back - op.storage).max() == 0
+    stock = _prepare(toy_model.h_free, toy_model.h_int)
+    entries = sum(block.size for _, _, block in stock.blocks)
+    assert entries <= ratio * toy_model.h_int.storage.count_nonzero()
+    pairs = [(m.h_free, m.h_int) for m in (toy_model, *fleet_models)]
+    pairs.append(_three_block_model())
+    assert len(pairs) == 22
+    for h_free, op in pairs:
+        assert _prepare(h_free, op).csr is None
+
+
+def _assert_same_series(got, want):
+    assert got.achieved_order == want.achieved_order >= 3
+    np.testing.assert_array_equal(got.tail_bounds, want.tail_bounds)
+    pairs = [(got.boundary_sums, want.boundary_sums),
+             (got.per_order_sup_norms, want.per_order_sup_norms)]
+    assert len(got.terms) == len(want.terms)
+    for a, b in zip(got.terms, want.terms):
+        pairs += [(a.node_values, b.node_values), (a.boundary_values, b.boundary_values)]
+    for a, b in pairs:
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+
+def test_csr_apply_matches_the_block_apply(lattice2_model, monkeypatch):
+    h_free, h_int = lattice2_model.h_free, lattice2_model.h_int
+    level = lattice2_model.config.photon_cap - 2
+    rng = np.random.default_rng(17)
+    block = vectors_supported_below(rng, lattice2_model.space, level, 3)
+    grid = default_grid(h_free, h_int, 0.0, 1.0, support=level, tol=1e-9)
+    routes = [(evolve_block, block), (evolve_vector, block[:, 0]),
+              (evolve_adjoint, block)]
+    by_csr = [route(h_free, h_int, xi, grid, 1e-9) for route, xi in routes]
+    assert by_csr[1].terms
+    # The CSR path reads the CSR array alone, never the blocks.
+    prep = _prepare(h_free, h_int)
+    blind = dataclasses.replace(prep, blocks=())
+    blind_run = _run_block(blind, grid, block, 1e-9, 64, keep_terms=False)
+    np.testing.assert_array_equal(blind_run.boundary_sums, by_csr[0].boundary_sums)
+    # Every route again, on the block path of the same prepared model.
+    monkeypatch.setattr(dyson, "_prepare", lambda f, h: dataclasses.replace(
+        _prepare(f, h), csr=None))
+    assert dyson._prepare(h_free, h_int).csr is None
+    for (route, xi), got in zip(routes, by_csr):
+        _assert_same_series(got, route(h_free, h_int, xi, grid, 1e-9))
+
+
 def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
     models = [toy_model, fleet_models[9], fleet_models[19]]
     for model in models:
@@ -474,14 +531,18 @@ def test_block_rows_are_disjoint_contiguous_slices(toy_model, fleet_models):
         assert not h_rot[order[stop:]].any()
 
 
-def test_run_without_kept_terms_reuses_two_order_buffers(toy_model, fleet_models):
+def test_run_without_kept_terms_reuses_two_order_buffers(
+    toy_model, fleet_models, lattice2_model
+):
     # The design holds two order-sized buffers (the order's node values and
-    # the apply output, one edge row longer).  The (d, P + 1, m) edge arrays
-    # and the per-grid integration matrices add well under one more order at
-    # these sizes, so the peak stays below three orders; building every
-    # order afresh needs at least four.
+    # the apply output, one edge row longer).  The (d, P + 1, m) edge arrays,
+    # the per-grid integration matrices and, on the CSR path (the 2640-state
+    # model), the one node's product that `csr @` returns add well under one
+    # more order at these sizes, so the peak stays below three orders;
+    # building every order afresh needs at least four.
     cases = [(fleet_models[19], TimeGrid(0.0, 0.5, 16, 8), 64),
-             (toy_model, TimeGrid(0.0, 0.2, 4, 8), 32)]
+             (toy_model, TimeGrid(0.0, 0.2, 4, 8), 32),
+             (lattice2_model, TimeGrid(0.0, 0.2, 5, 8), 16)]
     for model, grid, m in cases:
         prep = _prepare(model.h_free, model.h_int)
         dim = model.space.dim
@@ -840,6 +901,10 @@ def test_default_grid_aligns_to_multiple():
     assert grid.panels % 7 == 0
     zero_len = default_grid(model.h_free, model.h_int, 0.5, 0.5, support=0.0)
     assert zero_len.duration == 0.0
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="panel_multiple"):
+            default_grid(model.h_free, model.h_int, 0.0, 1.0, support=0.0,
+                         panel_multiple=bad)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,6 +1,5 @@
 """Graded spaces, operator certificates, and the wire format."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,6 @@ from dysonprop.graded import (
     support_level,
     weighted_norm,
 )
-from dysonprop.qed import build_model, default_toy_config
 from dysonprop.suite import fleet
 
 
@@ -194,17 +192,11 @@ def _permuted_tridiagonal(rng, n, cut_every=None):
     return csr_array(m[perm][:, perm])
 
 
-def test_components_and_blocks_match_csgraph(toy_model, fleet_models):
-    base = default_toy_config()
-    lattice2 = build_model(dataclasses.replace(
-        base,
-        momentum_points=base.momentum_points + ((-0.5, 1.0, -0.25),),
-        chi_ph=base.chi_ph + base.chi_ph,
-    ))
+def test_components_and_blocks_match_csgraph(toy_model, fleet_models, lattice2_model):
     rng = np.random.default_rng(5)
     block_diagonal = _permuted_block_diagonal(rng)
     inputs = [model.h_int.storage for model in fleet_models]
-    for model in (toy_model, lattice2):
+    for model in (toy_model, lattice2_model):
         inputs += [model.h_int.storage, model.h_int.H.storage]
     inputs += [
         block_diagonal,
