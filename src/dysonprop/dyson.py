@@ -312,16 +312,36 @@ class _FreeBasis:
             return vecs
         return self.rotation @ vecs
 
+    def _phases(self, t) -> np.ndarray:
+        """e^{-i t E} per energy E; a 1-D array of n times gives (n, dim)."""
+        times = np.asarray(t, dtype=float)
+        return np.exp(-1j * times[..., None] * self.energies)
+
     def evolve(self, t, data: np.ndarray) -> np.ndarray:
         """e^{-i t h_free} applied to the (dim, m) block ``data``.
 
         A 1-D array of n times takes a (n, dim, m) stack and evolves
-        ``data[k]`` by ``t[k]``.  The two-sided e^{i t h_free} M
-        e^{-i t h_free} is ``evolve(-t, evolve(-t, M).conj().T).conj().T``.
+        ``data[k]`` by ``t[k]``.
         """
-        times = np.asarray(t, dtype=float)
-        phase = np.exp(-1j * times[..., None] * self.energies)[..., None]
+        phase = self._phases(t)[..., None]
         return self.from_working(phase * self.to_working(data))
+
+    def two_sided(self, t: float, m: np.ndarray, t_prime: float) -> np.ndarray:
+        """e^{i t h_free} M e^{-i t' h_free} for a square M, as a new C array.
+
+        The right factor is e^{i t' h_free} applied to the adjoint of the
+        left product, then adjoined back.  On a diagonal free part that is
+        a row phase, a conjugation, a column phase and a conjugation, done
+        in place on one array.
+        """
+        if self.rotation is not None:
+            left = self.evolve(-t, m)
+            return np.conjugate(self.evolve(-t_prime, left.conj().T).T, order="C")
+        out = np.empty(m.shape, dtype=complex)
+        np.multiply(self._phases(-t)[:, None], m, out=out)
+        np.conjugate(out, out=out)
+        np.multiply(self._phases(-t_prime), out, out=out)
+        return np.conjugate(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -456,9 +476,7 @@ def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
     For a diagonal free part with energies E the entries are exactly
     ``h_int[j, k] * exp(i tau (E_j - E_k))``.
     """
-    free = _free_spectrum(h_free)
-    left = free.evolve(-tau, h_int.matrix)
-    return LinOp(h_free.space, free.evolve(-tau, left.conj().T).conj().T)
+    return LinOp(h_free.space, _free_spectrum(h_free).two_sided(tau, h_int.matrix, tau))
 
 
 def free_propagator(h_free: LinOp, t: float) -> np.ndarray:

@@ -5,15 +5,20 @@ every panel boundary of a single run; the lab-frame group is
 
     W(t) = e^{-i t h_free} U(t, 0),
 
-so one run yields a whole trajectory.  Heisenberg evolution B(t) =
-W(-t) B W(t) is sampled through paired forward and backward runs: the
-backward run carries one column per output time and the matching boundary
-is read off its diagonal.
+so one run yields a whole trajectory.  ``_aligned_run`` is that run: it is
+the one place that puts the output times on panel edges, and it returns a
+``Trajectory`` whose ``series`` keeps the interaction-picture sums at every
+edge.  Callers look states up by time (``Trajectory.at_time``).  Heisenberg
+evolution B(t) = W(-t) B W(t) is sampled through paired forward and
+backward runs: the backward run carries one column per output time and the
+matching boundary is read off its diagonal.  A result that several runs
+certify reports the largest order and tail among them
+(``_joint_certificate``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +31,7 @@ from .dyson import (
     default_grid,
     evolve_block,
 )
-from .graded import LinOp, _dense, support_level
+from .graded import LinOp, support_level
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -56,12 +61,11 @@ def _time_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
-def _aligned_steps(times) -> tuple[int, list[int]]:
+def _aligned_steps(times) -> int:
     """Fewest uniform steps from 0 to max(times) that land on every time.
 
-    Returns the step count and, per time, its index among the steps + 1
-    uniform times.  Raises ValueError unless every time is positive and some
-    count up to 64 lands on all of them.
+    Raises ValueError unless every time is positive and some count up to 64
+    lands on all of them.
     """
     if min(times) <= 0:
         raise ValueError("check times must be positive")
@@ -72,43 +76,12 @@ def _aligned_steps(times) -> tuple[int, list[int]]:
         steps += 1
         if steps > 64:
             raise ValueError("times do not share a coarse refinement")
-    return steps, [round(f * steps) for f in fractions]
-
-
-def _aligned_run(
-    h_free: LinOp,
-    h_int: LinOp,
-    block: np.ndarray,
-    t_end: float,
-    steps: int,
-    tol: float,
-    max_order: int,
-):
-    """One block run whose panel edges include steps+1 uniform times from 0.
-
-    Returns (times, states, result, stride): ``states[k]`` is W(times[k])
-    applied to the block and ``result.boundary_sums[k * stride]`` the
-    interaction-picture sum it was read from.
-    """
-    times = uniform_times(t_end, steps)
-    support = float(support_level(h_free.space, block).max())
-    grid = default_grid(
-        h_free, h_int, 0.0, float(t_end), support, tol=tol,
-        max_order=max_order, panel_multiple=steps,
-    )
-    result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
-    stride = grid.panels // steps
-    drift = np.abs(grid.boundaries()[::stride] - times).max()
-    if drift > 1e-9 * max(1.0, abs(t_end)):
-        raise AssertionError("panel boundaries drifted off the output times")
-    # W(t) = e^{-i t h_free} U(t, 0) at every output time at once.
-    states = _free_spectrum(h_free).evolve(times, result.boundary_sums[::stride])
-    return times, states, result, stride
+    return steps
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled on uniform times, all certified by one series run.
+    """States sampled on uniform times, certified by the runs they were read from.
 
     ``states[k]`` has shape (dim, columns) and holds W(times[k]) applied to
     the initial block.  ``tail_bound`` covers the interaction-picture sums
@@ -129,6 +102,44 @@ class Trajectory:
 
     def at_time(self, t: float) -> np.ndarray:
         return self.states[_time_index(self.times, t)]
+
+
+def _aligned_run(
+    h_free: LinOp,
+    h_int: LinOp,
+    block: np.ndarray,
+    t_end: float,
+    steps: int,
+    tol: float,
+    max_order: int,
+) -> Trajectory:
+    """One block run whose panel edges include steps+1 uniform times from 0.
+
+    Returns the block's trajectory on those times, without residuals; its
+    ``series`` is the run, whose ``boundary_sums`` hold the
+    interaction-picture sums at every panel edge (``grid.boundaries()``).
+    """
+    times = uniform_times(t_end, steps)
+    support = float(support_level(h_free.space, block).max())
+    grid = default_grid(
+        h_free, h_int, 0.0, float(t_end), support, tol=tol,
+        max_order=max_order, panel_multiple=steps,
+    )
+    result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
+    stride = grid.panels // steps
+    drift = np.abs(grid.boundaries()[::stride] - times).max()
+    if drift > 1e-9 * max(1.0, abs(t_end)):
+        raise AssertionError("panel boundaries drifted off the output times")
+    # W(t) = e^{-i t h_free} U(t, 0) at every output time at once.
+    states = _free_spectrum(h_free).evolve(times, result.boundary_sums[::stride])
+    return Trajectory(times, states, result.achieved_order, result.tail_bound,
+                      grid, series=result)
+
+
+def _joint_certificate(*runs) -> tuple[int, float]:
+    """Order and tail of a result that several runs certify: the largest of each."""
+    return (max(run.achieved_order for run in runs),
+            max(run.tail_bound for run in runs))
 
 
 def schrodinger_defects(
@@ -165,19 +176,11 @@ def schrodinger_trajectory(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> Trajectory:
     """W(t) applied to the initial block at steps+1 uniform times from 0."""
-    times, states, result, _ = _aligned_run(
-        h_free, h_int, _as_block(states0), t_end, steps, tol, max_order
-    )
-    residuals = schrodinger_defects(times, states, h_free.storage + h_int.storage)
-    return Trajectory(
-        times=times,
-        states=states,
-        achieved_order=result.achieved_order,
-        tail_bound=result.tail_bound,
-        grid=result.grid,
-        residuals=residuals,
-        series=result,
-    )
+    run = _aligned_run(h_free, h_int, _as_block(states0), t_end, steps, tol,
+                       max_order)
+    residuals = schrodinger_defects(run.times, run.states,
+                                    h_free.storage + h_int.storage)
+    return replace(run, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -212,23 +215,13 @@ def heisenberg_pairing_track(
     xi_block = _as_block(xis)
     if eta_block.shape != xi_block.shape:
         raise ValueError("eta and xi blocks must have matching shapes")
-    times, xi_states, fwd, _ = _aligned_run(
-        h_free, h_int, xi_block, t_end, steps, tol, max_order
-    )
-    _, eta_states, dual, _ = _aligned_run(
-        h_free, h_int.H, eta_block, t_end, steps, tol, max_order
-    )
+    fwd = _aligned_run(h_free, h_int, xi_block, t_end, steps, tol, max_order)
+    dual = _aligned_run(h_free, h_int.H, eta_block, t_end, steps, tol, max_order)
     values = np.einsum(
-        "tdp,de,tep->tp", eta_states.conj(), observable.matrix, xi_states
+        "tdp,de,tep->tp", dual.states.conj(), observable.matrix, fwd.states
     )
-    return HeisenbergTrack(
-        times=times,
-        values=values,
-        eta_states=eta_states,
-        xi_states=xi_states,
-        achieved_order=max(fwd.achieved_order, dual.achieved_order),
-        tail_bound=max(fwd.tail_bound, dual.tail_bound),
-    )
+    return HeisenbergTrack(fwd.times, values, dual.states, fwd.states,
+                           *_joint_certificate(fwd, dual))
 
 
 def weak_residual(
@@ -250,7 +243,7 @@ def weak_residual(
     xis = track.xi_states[::stride]
     if len(times) < 3:
         raise ValueError("need at least three sampled times")
-    h_mat = _dense(h_free.storage + h_int.storage)
+    h_mat = (h_free + h_int).matrix
     b_mat = observable.matrix
     comm = h_mat @ b_mat - b_mat @ h_mat
     inst = 1j * np.einsum("tdp,de,tep->tp", etas.conj(), comm, xis)
@@ -293,15 +286,13 @@ def heisenberg_track(
     """The full B(t) matrices at steps+1 uniform times from 0."""
     dim = h_free.space.dim
     eye = np.eye(dim, dtype=complex)
-    times, fwd, _, _ = _aligned_run(h_free, h_int, eye, t_end, steps, tol,
-                                    max_order)
-    _, bwd, _, _ = _aligned_run(h_free, h_int, eye, -t_end, steps, tol,
-                                max_order)
+    fwd = _aligned_run(h_free, h_int, eye, t_end, steps, tol, max_order)
+    bwd = _aligned_run(h_free, h_int, eye, -t_end, steps, tol, max_order)
     b_mat = observable.matrix
     mats = np.empty((steps + 1, dim, dim), dtype=complex)
     for k in range(steps + 1):
-        mats[k] = bwd[k] @ b_mat @ fwd[k]
-    return ObservableTrack(times=times, matrices=mats, source=observable)
+        mats[k] = bwd.states[k] @ b_mat @ fwd.states[k]
+    return ObservableTrack(times=fwd.times, matrices=mats, source=observable)
 
 
 def heisenberg_residuals(
@@ -368,29 +359,19 @@ def observable_track(
     """
     block = _as_block(states0)
     dim, m = block.shape
-    times, fwd_states, fwd, _ = _aligned_run(
-        h_free, h_int, block, t_end, steps, tol, max_order
-    )
+    fwd = _aligned_run(h_free, h_int, block, t_end, steps, tol, max_order)
     n_times = steps + 1
     b_mat = observable.matrix
     staged = np.empty((dim, n_times * m), dtype=complex)
     for k in range(n_times):
-        staged[:, k * m:(k + 1) * m] = b_mat @ fwd_states[k]
+        staged[:, k * m:(k + 1) * m] = b_mat @ fwd.states[k]
 
-    # back_states[j] holds W(-t_j) B W(t_k) xi for every k; the track keeps
+    # back.states[j] holds W(-t_j) B W(t_k) xi for every k; the track keeps
     # the column group with k = j.
-    _, back_states, back, _ = _aligned_run(
-        h_free, h_int, staged, -t_end, steps, tol, max_order
-    )
-    states = np.stack([back_states[k][:, k * m:(k + 1) * m]
+    back = _aligned_run(h_free, h_int, staged, -t_end, steps, tol, max_order)
+    states = np.stack([back.states[k][:, k * m:(k + 1) * m]
                        for k in range(n_times)])
-    return Trajectory(
-        times=times,
-        states=states,
-        achieved_order=max(fwd.achieved_order, back.achieved_order),
-        tail_bound=max(fwd.tail_bound, back.tail_bound),
-        grid=fwd.grid,
-    )
+    return Trajectory(fwd.times, states, *_joint_certificate(fwd, back), fwd.grid)
 
 
 @dataclass(frozen=True)
@@ -425,7 +406,7 @@ def strong_split_residual(
     if t <= 0:
         raise ValueError("the check time must be positive")
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    h_mat = _dense(h_free.storage + h_int.storage)
+    h_mat = (h_free + h_int).matrix
     columns = np.stack([xi, h_mat @ xi], axis=1)
     dt = t / substeps
     track = observable_track(
@@ -437,16 +418,13 @@ def strong_split_residual(
     v_next = track.states[substeps + 1][:, 0]
     diff = (v_next - v_prev) / (2.0 * dt)
 
-    _, fwd_states, fwd, _ = _aligned_run(h_free, h_int, xi[:, None], t, 1, tol,
-                                         max_order)
-    w_xi = fwd_states[1][:, 0]
+    fwd = _aligned_run(h_free, h_int, xi[:, None], t, 1, tol, max_order)
+    w_xi = fwd.states[1][:, 0]
     h1, b_mat = h_int.matrix, observable.matrix
     comm_int = 1j * (h1 @ b_mat - b_mat @ h1)
     staged = comm_int @ w_xi
-    _, back_states, backward, _ = _aligned_run(
-        h_free, h_int, staged[:, None], -t, 1, tol, max_order
-    )
-    term1 = back_states[1][:, 0]
+    backward = _aligned_run(h_free, h_int, staged[:, None], -t, 1, tol, max_order)
+    term1 = backward.states[1][:, 0]
 
     # B0'(t) U(t, 0) xi = e^{i t h0} i[h0, B] W(t) xi.
     h0 = h_free.storage
@@ -470,6 +448,5 @@ def strong_split_residual(
         difference_residual=float(np.linalg.norm(diff - split)),
         commutator_residual=float(np.linalg.norm(split - commutator)),
         derivative_norm=float(np.linalg.norm(split)),
-        tail_bound=max(track.tail_bound, fwd.tail_bound, backward.tail_bound,
-                       down.tail_bound),
+        tail_bound=_joint_certificate(track, fwd, backward, down)[1],
     )

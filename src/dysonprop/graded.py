@@ -126,8 +126,7 @@ class LinOp:
 
     Immutable once constructed; derived data is computed lazily and memoised
     in ``_memo``.  Sums and differences add the stored arrays, so CSR plus
-    CSR stays CSR; every other arithmetic helper returns a new dense
-    instance on the same space.
+    CSR stays CSR.
     """
 
     space: GradedSpace
@@ -179,10 +178,6 @@ class LinOp:
             self._memo["adjoint"] = LinOp(self.space, adjoint)
         return self._memo["adjoint"]
 
-    def __matmul__(self, other: "LinOp") -> "LinOp":
-        self._same_space(other)
-        return LinOp(self.space, self.matrix @ other.matrix)
-
     def __add__(self, other: "LinOp") -> "LinOp":
         self._same_space(other)
         return LinOp(self.space, self.storage + other.storage)
@@ -190,14 +185,6 @@ class LinOp:
     def __sub__(self, other: "LinOp") -> "LinOp":
         self._same_space(other)
         return LinOp(self.space, self.storage - other.storage)
-
-    def __neg__(self) -> "LinOp":
-        return LinOp(self.space, -self.matrix)
-
-    def __mul__(self, scalar: complex) -> "LinOp":
-        return LinOp(self.space, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
 
     def norm2(self) -> float:
         return _spectral_norm(_op_blocks(self))
@@ -311,11 +298,6 @@ def _blocks(storage: np.ndarray | csr_array) -> list[_Block]:
             block = _gather(storage, *np.ix_(block_rows, block_cols))
         out.append((block_rows, block_cols, block))
     return out
-
-
-def _dense(storage: np.ndarray | csr_array) -> np.ndarray:
-    """A storage, or a sum of storages, as a dense array (made only for CSR)."""
-    return storage.toarray() if _issparse(storage) else storage
 
 
 def _gather(storage: np.ndarray | csr_array, rows, cols) -> np.ndarray:

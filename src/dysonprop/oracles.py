@@ -110,10 +110,7 @@ def oracle_propagator(h_free: LinOp, h_int: LinOp, t: float, t_prime: float) -> 
     _finite_times(t, t_prime)
     h_free._same_space(h_int)
     mid = _component_exp(-1j * (t - t_prime), h_free.storage + h_int.storage)
-    # e^{-i t' h_free} on the right is e^{i t' h_free} applied to the adjoint.
-    free = _free_spectrum(h_free)
-    left = free.evolve(-t, mid)
-    return np.conjugate(free.evolve(-t_prime, left.conj().T).T, order="C")
+    return _free_spectrum(h_free).two_sided(t, mid, t_prime)
 
 
 def ode_oracle(

@@ -25,7 +25,7 @@ from .dyson import (
     evolve_block,
     evolve_vector,
 )
-from .evolution import _aligned_run, _aligned_steps
+from .evolution import _aligned_run, _aligned_steps, _time_index
 from .graded import (
     GradedSpace,
     LinOp,
@@ -186,9 +186,7 @@ def identity_suite(
             cocycle, float(np.linalg.norm(u_t_tp @ u_tp_tpp - u_t_tpp, 2))
         )
         shifted = dense_propagator(h_free, h_int, t + s, t_p + s, series_tol)
-        # e^{i s h0} U(t, t') e^{-i s h0}, the right factor through the adjoint.
-        left = free.evolve(-s, u_t_tp)
-        conj = free.evolve(-s, left.conj().T).conj().T
+        conj = free.two_sided(s, u_t_tp, s)  # e^{i s h0} U(t, t') e^{-i s h0}
         covariance = max(covariance, float(np.linalg.norm(conj - shifted, 2)))
         u_back = dense_propagator(h_free, h_int, t_p, t, series_tol)
         inverse = max(inverse, float(np.linalg.norm(u_t_tp @ u_back - eye, 2)))
@@ -237,18 +235,17 @@ def oracle_reports(
     h_free, h_int = model.h_free, model.h_int
     space = h_free.space
     dim = space.dim
-    steps, indices = _aligned_steps(times)
-    _, _, run, stride = _aligned_run(
-        h_free, h_int, np.eye(dim, dtype=complex), max(times), steps, series_tol,
-        DEFAULT_MAX_ORDER,
-    )
-    boundaries = run.grid.boundaries()
+    run = _aligned_run(
+        h_free, h_int, np.eye(dim, dtype=complex), max(times),
+        _aligned_steps(times), series_tol, DEFAULT_MAX_ORDER,
+    ).series
+    edges = run.grid.boundaries()
     worst = 0.0
-    for k in indices:
-        idx = k * stride
-        u_num = run.boundary_sums[idx]
-        u_ref = oracle_propagator(h_free, h_int, float(boundaries[idx]), 0.0)
-        worst = max(worst, float(np.linalg.norm(u_num - u_ref, 2)))
+    for t in times:
+        # U(t, 0) is the interaction-picture sum at the edge that sits at t.
+        idx = _time_index(edges, t)
+        u_ref = oracle_propagator(h_free, h_int, float(edges[idx]), 0.0)
+        worst = max(worst, float(np.linalg.norm(run.boundary_sums[idx] - u_ref, 2)))
     context = {"model": model.name, "dim": dim, "times": list(times),
                "series_tol": series_tol}
     reports = [Report("oracle-propagator-agreement", worst, tol, context)]

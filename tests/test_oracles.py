@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 import dysonprop
 from dysonprop import oracles
 from dysonprop.dyson import _free_spectrum
-from dysonprop.graded import GradedSpace, LinOp, _dense
+from dysonprop.errors import StiffnessError
+from dysonprop.graded import GradedSpace, LinOp
 from dysonprop.oracles import Report, matrix_exp, ode_oracle, oracle_propagator
 
 
@@ -61,7 +63,7 @@ def test_ode_oracle_matches_exponential_route():
 
 def _whole_matrix_oracle(h_free, h_int, t, t_prime):
     """The oracle with one exponential of the whole dense h."""
-    h = _dense(h_free.storage + h_int.storage)
+    h = (h_free + h_int).matrix
     mid = matrix_exp(-1j * (t - t_prime) * h)
     free = _free_spectrum(h_free)
     left = free.evolve(-t, mid)
@@ -170,6 +172,25 @@ def test_oracles_reject_non_finite_times_before_any_work(fleet_models, monkeypat
         oracle_propagator(model.h_free, model.h_int, t, t_prime)
     with pytest.raises(ValueError, match="finite"):
         ode_oracle(model.h_free, model.h_int, xi, t, t_prime)
+
+
+def test_ode_oracle_raises_stiffness_error_when_the_integrator_fails(fleet_models, monkeypatch):
+    import scipy.integrate
+
+    message = "Required step size is less than spacing between numbers."
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return SimpleNamespace(success=False, message=message, y=None)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+    model = fleet_models[1]
+    xi = np.ones(model.h_free.dim, dtype=complex)
+    with pytest.raises(StiffnessError, match="failed to reach") as err:
+        ode_oracle(model.h_free, model.h_int, xi, 0.5, 0.0)
+    assert err.value.detail == message
+    assert calls == ["DOP853"]
 
 
 def test_oracle_propagator_rejects_operators_on_different_spaces(fleet_models):

@@ -1,10 +1,12 @@
 """Tooling guards: the tracer's names exist in the library it traces and it
-can count what the series entry points return, every exported name
-resolves, every committed BENCH record names the machine it was measured
-on, and the package version stamped into artifacts is the one pyproject.toml
-declares."""
+can count what the series entry points return, every library name and
+call signature the workloads use exists, every exported name resolves,
+every committed BENCH record names the machine it was measured on, and the
+package version stamped into artifacts is the one pyproject.toml declares."""
 
+import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -45,6 +47,39 @@ def test_the_tracer_counts_every_series_entry_point(monkeypatch):
         assert counts["orders"] == result.achieved_order > 0, name
         assert (counts["panels"], counts["columns"]) == (grid.panels, 1), name
         assert counts["node_matvecs"] == result.achieved_order * nodes, name
+
+
+def test_every_library_name_the_workloads_use_exists():
+    # A deletion or rename in the library must fail here, not only when the
+    # benchmark runs: read the workloads' source, import nothing of it.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"dysonprop.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dysonprop"
+        for alias in node.names
+    }
+    assert modules
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    used = 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            continue
+        where = f"{node.value.id}.{node.attr} (workloads.py line {node.lineno})"
+        assert hasattr(modules[node.value.id], node.attr), where
+        used += 1
+        call = calls.get(id(node))
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            continue
+        signature = inspect.signature(getattr(modules[node.value.id], node.attr))
+        try:
+            signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+    assert used
 
 
 def test_every_exported_name_resolves():
