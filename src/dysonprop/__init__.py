@@ -53,7 +53,6 @@ from .dyson import (
 )
 from .oracles import Report, matrix_exp, ode_oracle, oracle_propagator
 from .evolution import (
-    ObservableTrack,
     Trajectory,
     heisenberg_pairing_track,
     heisenberg_residuals,
@@ -124,7 +123,6 @@ __all__ = [
     "matrix_exp",
     "ode_oracle",
     "oracle_propagator",
-    "ObservableTrack",
     "Trajectory",
     "heisenberg_pairing_track",
     "heisenberg_residuals",

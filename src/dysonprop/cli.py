@@ -21,8 +21,9 @@ a flag for a field the command does not take is rejected the same way):
 
 Starred fields are required.  ``model`` is one of: the string
 "qed-default"; a path to a JSON file holding a model document; an object
-{"qed": {...}} with a photon/electron lattice config; or an object
-{"h_free": {...}, "h_int": {...}} with two dense operators in the
+{"qed": {...}} with a photon/electron lattice config, whose fields are
+checked like top-level fields (an unknown key or a bad value exits 2); or
+an object {"h_free": {...}, "h_int": {...}} with two dense operators in the
 {"dim", "grades", "matrix"} wire format.  ``initial_state`` is either
 {"basis_index": n} or an explicit vector [[re, im], ...].
 
@@ -51,7 +52,6 @@ import numpy as np
 from .dyson import default_grid, evolve_block
 from .errors import AssumptionViolation, TruncationError
 from .evolution import (
-    ObservableTrack,
     heisenberg_pairing_track,
     heisenberg_residuals,
     heisenberg_track,
@@ -430,7 +430,7 @@ def _run_evolve(cfg: RunConfig) -> list[Report]:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_json(cfg.out_dir / "evolve.json", doc, cfg.digest)
     write_csv(cfg.out_dir / "trajectory.csv", ["time", "norm", "residual"],
-              trajectory_rows(traj, traj.residuals), cfg.digest)
+              trajectory_rows(traj), cfg.digest)
     write_csv(cfg.out_dir / "orders.csv", ["order", "sup_norm", "apriori_bound"],
               series_order_rows(series), cfg.digest)
     print(f"wrote {cfg.out_dir / 'evolve.json'}, trajectory.csv, orders.csv")
@@ -459,13 +459,13 @@ def _run_heisenberg(cfg: RunConfig) -> list[Report]:
     strong = heisenberg_residuals(track, h_total, mode="strong")
     weak = heisenberg_residuals(track, h_total, mode="weak", pairs=cfg["pairs"],
                                 seed=cfg["seed"])
-    coarse_track = ObservableTrack(track.times[::2], track.matrices[::2],
-                                   observable)
+    coarse_track = dataclasses.replace(track, times=track.times[::2],
+                                       states=track.states[::2])
     strong_coarse = heisenberg_residuals(coarse_track, h_total, mode="strong")
 
     b_norm = observable.norm2()
     floor = _difference_floor(h_total.norm2(), b_norm)
-    init_defect = float(np.linalg.norm(track.matrices[0] - observable.matrix, 2))
+    init_defect = float(np.linalg.norm(track.states[0] - observable.matrix, 2))
     reports = [
         Report("heisenberg-initial-value", init_defect, floor, {}),
         _ratio_report(
@@ -478,7 +478,7 @@ def _run_heisenberg(cfg: RunConfig) -> list[Report]:
     rows = []
     for k, t in enumerate(track.times):
         res = strong[k - 1] if 0 < k < len(track.times) - 1 else None
-        rows.append((float(t), float(np.linalg.norm(track.matrices[k], 2)), res))
+        rows.append((float(t), float(np.linalg.norm(track.states[k], 2)), res))
     doc = {
         "command": "heisenberg",
         "config": cfg.doc,

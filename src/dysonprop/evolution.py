@@ -54,9 +54,18 @@ def _as_block(states) -> np.ndarray:
     return arr
 
 
+# How far, relative to the latest time (or 1, if larger), a time may sit
+# from an output time and still be that output time.
+_TIME_RTOL = 1e-12
+
+
+def _time_slack(t_max: float) -> float:
+    return _TIME_RTOL * max(1.0, abs(t_max))
+
+
 def _time_index(times: np.ndarray, t: float) -> int:
     idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-12 * max(1.0, float(np.abs(times).max())):
+    if abs(times[idx] - t) > _time_slack(float(np.abs(times).max())):
         raise ValueError(f"time {t} is not one of the sampled times")
     return idx
 
@@ -65,14 +74,15 @@ def _aligned_steps(times) -> int:
     """Fewest uniform steps from 0 to max(times) that land on every time.
 
     Raises ValueError unless every time is positive and some count up to 64
-    lands on all of them.
+    lands on all of them, each within the slack ``_time_index`` allows.
     """
     if min(times) <= 0:
         raise ValueError("check times must be positive")
     t_max = max(times)
-    fractions = [t / t_max for t in times]
+    slack = _time_slack(t_max)
     steps = 1
-    while any(abs(f * steps - round(f * steps)) > 1e-9 for f in fractions):
+    while any(abs(t - round(t / t_max * steps) * t_max / steps) > slack
+              for t in times):
         steps += 1
         if steps > 64:
             raise ValueError("times do not share a coarse refinement")
@@ -84,7 +94,9 @@ class Trajectory:
     """States sampled on uniform times, certified by the runs they were read from.
 
     ``states[k]`` has shape (dim, columns) and holds W(times[k]) applied to
-    the initial block.  ``tail_bound`` covers the interaction-picture sums
+    the initial block; the Heisenberg tracks hold B(times[k]) applied to it
+    (``observable_track``) or B(times[k]) itself (``heisenberg_track``).
+    ``tail_bound`` covers the interaction-picture sums
     the states were read from; the free phase does not change norms.
     ``residuals[k]`` is the central-difference defect of the Schrodinger
     equation at interior times (NaN at the two endpoints), maximised over
@@ -128,7 +140,7 @@ def _aligned_run(
     result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
     stride = grid.panels // steps
     drift = np.abs(grid.boundaries()[::stride] - times).max()
-    if drift > 1e-9 * max(1.0, abs(t_end)):
+    if drift > _time_slack(t_end):
         raise AssertionError("panel boundaries drifted off the output times")
     # W(t) = e^{-i t h_free} U(t, 0) at every output time at once.
     states = _free_spectrum(h_free).evolve(times, result.boundary_sums[::stride])
@@ -258,22 +270,6 @@ def weak_residual(
     }
 
 
-@dataclass(frozen=True)
-class ObservableTrack:
-    """Dense Heisenberg matrices  B(t_k) = W(-t_k) B W(t_k)  on uniform times.
-
-    Assembled from two identity block runs, so the cost grows with the
-    square of the dimension; meant for small spaces and cross-checks.
-    """
-
-    times: np.ndarray
-    matrices: np.ndarray  # (times, dim, dim)
-    source: LinOp
-
-    def at_time(self, t: float) -> np.ndarray:
-        return self.matrices[_time_index(self.times, t)]
-
-
 def heisenberg_track(
     h_free: LinOp,
     h_int: LinOp,
@@ -282,8 +278,13 @@ def heisenberg_track(
     steps: int,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-) -> ObservableTrack:
-    """The full B(t) matrices at steps+1 uniform times from 0."""
+) -> Trajectory:
+    """The full B(t) = W(-t) B W(t) matrices at steps+1 uniform times from 0.
+
+    ``states[k]`` is B(times[k]), certified by the forward and backward
+    identity runs it is assembled from; the cost grows with the square of
+    the dimension, so this is meant for small spaces and cross-checks.
+    """
     dim = h_free.space.dim
     eye = np.eye(dim, dtype=complex)
     fwd = _aligned_run(h_free, h_int, eye, t_end, steps, tol, max_order)
@@ -292,11 +293,11 @@ def heisenberg_track(
     mats = np.empty((steps + 1, dim, dim), dtype=complex)
     for k in range(steps + 1):
         mats[k] = bwd.states[k] @ b_mat @ fwd.states[k]
-    return ObservableTrack(times=fwd.times, matrices=mats, source=observable)
+    return Trajectory(fwd.times, mats, *_joint_certificate(fwd, bwd), fwd.grid)
 
 
 def heisenberg_residuals(
-    track: ObservableTrack,
+    track: Trajectory,
     h_total: LinOp,
     mode: str = "strong",
     pairs: int = 20,
@@ -319,8 +320,8 @@ def heisenberg_residuals(
     out = np.empty(len(track.times) - 2)
     if mode == "strong":
         for i, k in enumerate(interior):
-            diff = (track.matrices[k + 1] - track.matrices[k - 1]) / (2.0 * dt)
-            comm = 1j * (h_mat @ track.matrices[k] - track.matrices[k] @ h_mat)
+            diff = (track.states[k + 1] - track.states[k - 1]) / (2.0 * dt)
+            comm = 1j * (h_mat @ track.states[k] - track.states[k] @ h_mat)
             out[i] = float(np.linalg.norm(diff - comm, 2))
         return out
     rng = np.random.default_rng(seed)
@@ -330,9 +331,9 @@ def heisenberg_residuals(
     ih_etas = (1j * h_mat).conj().T @ etas
     ih_xis = 1j * (h_mat @ xis)
     for i, k in enumerate(interior):
-        diff = (track.matrices[k + 1] - track.matrices[k - 1]) / (2.0 * dt)
+        diff = (track.states[k + 1] - track.states[k - 1]) / (2.0 * dt)
         lhs = np.einsum("dp,de,ep->p", etas.conj(), diff, xis)
-        b_now = track.matrices[k]
+        b_now = track.states[k]
         rhs = np.einsum("dp,de,ep->p", ih_etas.conj(), b_now, xis) - np.einsum(
             "dp,dp->p", (b_now.conj().T @ etas).conj(), ih_xis
         )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -180,14 +181,36 @@ class MomentumGrid:
         return self.points.shape[0]
 
 
-def _as_float_list(doc, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {name!r} must be a list of numbers") from exc
-    if arr.ndim != 1:
-        raise ValueError(f"field {name!r} must be a flat list of numbers")
-    return arr
+# Each lattice of a config: its points, the chi values sampled on them, its
+# weights (unit weights when unset), and whether a weight may be zero.  Zero
+# position weights only drop a term of the interaction.
+_LATTICES = (
+    ("momentum_points", "chi_ph", "momentum_weights", False),
+    ("fermion_momenta", "chi_el", "fermion_weights", False),
+    ("positions", "chi_sp", "position_weights", True),
+)
+_POINTS_OF = {weights: points for points, _, weights, _ in _LATTICES}
+
+
+def _finite(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+
+def _from_wire(value):
+    """JSON lists become tuples and JSON numbers floats; the rest is checked later."""
+    if isinstance(value, list):
+        return tuple(_from_wire(v) for v in value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    return value
+
+
+def _to_wire(value):
+    if isinstance(value, (tuple, list)):
+        return [_to_wire(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -196,7 +219,7 @@ class QedConfig:
 
     chi_ph and chi_el are momentum-space cutoff samples at the photon and
     fermion grid points; chi_sp holds position-space coupling values at the
-    declared positions.
+    declared positions.  Every field is checked when the config is made.
     """
 
     momentum_points: tuple[tuple[float, float, float], ...]
@@ -213,93 +236,80 @@ class QedConfig:
     position_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.photon_cap < 1:
-            raise ValueError("photon_cap must be >= 1")
+        _finite("mass", self.mass)
+        _finite("coupling", self.coupling)
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if len(self.chi_ph) != len(self.momentum_points):
-            raise ValueError("chi_ph must have one value per momentum point")
-        if len(self.chi_el) != len(self.fermion_momenta):
-            raise ValueError("chi_el must have one value per fermion momentum")
-        if len(self.chi_sp) != len(self.positions):
-            raise ValueError("chi_sp must have one value per position")
+        cap = self.photon_cap
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"photon_cap must be an integer >= 1, not {cap!r}")
+        for points, chi, weights, zero_ok in _LATTICES:
+            pts = getattr(self, points)
+            if (not isinstance(pts, (tuple, list)) or not pts or not all(
+                    isinstance(p, (tuple, list)) and len(p) == 3 for p in pts)):
+                raise ValueError(f"{points} must be a non-empty list of 3-vectors")
+            for p in pts:
+                for x in p:
+                    _finite(points, x)
+            for name in (chi, weights):
+                values = self._field(name)
+                if not isinstance(values, (tuple, list)) or len(values) != len(pts):
+                    raise ValueError(f"{name} must have one value per entry of {points}")
+                for v in values:
+                    _finite(name, v)
+            if any(w < 0 or (w == 0 and not zero_ok) for w in self._field(weights)):
+                raise ValueError(f"{weights} must be "
+                                 f"{'non-negative' if zero_ok else 'positive'}")
+        if any(k[0] == 0 and k[1] == 0 for k in self.momentum_points):
+            raise ValueError(
+                "a photon momentum lies on the z-axis, where the transverse "
+                "polarization frame is undefined; move the point off the axis"
+            )
+
+    def _field(self, name: str):
+        """Field ``name``; an unset weights field reads as unit weights, one
+        per point."""
+        value = getattr(self, name)
+        if value is None:
+            value = (1.0,) * len(getattr(self, _POINTS_OF[name]))
+        return value
 
     def photon_grid(self) -> MomentumGrid:
-        w = self.momentum_weights or (1.0,) * len(self.momentum_points)
-        grid = MomentumGrid(np.array(self.momentum_points), np.array(w))
-        grid.require_off_axis()
-        return grid
+        return MomentumGrid(np.array(self.momentum_points),
+                            np.array(self._field("momentum_weights")))
 
     def fermion_grid(self) -> MomentumGrid:
-        w = self.fermion_weights or (1.0,) * len(self.fermion_momenta)
-        return MomentumGrid(np.array(self.fermion_momenta), np.array(w))
+        return MomentumGrid(np.array(self.fermion_momenta),
+                            np.array(self._field("fermion_weights")))
 
     def to_json(self) -> dict:
-        return {
-            "momentum_points": [list(p) for p in self.momentum_points],
-            "momentum_weights": list(
-                self.momentum_weights or (1.0,) * len(self.momentum_points)
-            ),
-            "fermion_momenta": [list(p) for p in self.fermion_momenta],
-            "fermion_weights": list(
-                self.fermion_weights or (1.0,) * len(self.fermion_momenta)
-            ),
-            "mass": self.mass,
-            "coupling": self.coupling,
-            "photon_cap": self.photon_cap,
-            "positions": [list(p) for p in self.positions],
-            "position_weights": list(
-                self.position_weights or (1.0,) * len(self.positions)
-            ),
-            "chi_sp": list(self.chi_sp),
-            "chi_ph": list(self.chi_ph),
-            "chi_el": list(self.chi_el),
-        }
+        return {f.name: _to_wire(self._field(f.name)) for f in fields(self)}
 
     @staticmethod
     def from_json(doc: dict | str) -> "QedConfig":
+        """Read a config document; unknown or missing fields are errors.
+
+        A null optional field takes its default; an integral photon_cap
+        (2 or 2.0) reads as an integer.
+        """
         if isinstance(doc, str):
             doc = json.loads(doc)
         if not isinstance(doc, dict):
             raise ValueError("model config must be a JSON object")
-        for name in ("momentum_points", "fermion_momenta", "mass", "coupling",
-                     "photon_cap", "chi_sp", "chi_ph", "chi_el"):
-            if name not in doc:
-                raise ValueError(f"missing required field {name!r}")
-
-        def vec_list(name):
-            raw = doc[name] if name in doc else None
-            if raw is None:
-                return None
-            arr = np.asarray(raw, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError(f"field {name!r} must be a list of 3-vectors")
-            return tuple(tuple(float(x) for x in row) for row in arr)
-
-        kwargs = dict(
-            momentum_points=vec_list("momentum_points"),
-            fermion_momenta=vec_list("fermion_momenta"),
-            mass=float(doc["mass"]),
-            coupling=float(doc["coupling"]),
-            photon_cap=int(doc["photon_cap"]),
-            chi_sp=tuple(_as_float_list(doc["chi_sp"], "chi_sp")),
-            chi_ph=tuple(_as_float_list(doc["chi_ph"], "chi_ph")),
-            chi_el=tuple(_as_float_list(doc["chi_el"], "chi_el")),
-        )
-        if doc.get("momentum_weights") is not None:
-            kwargs["momentum_weights"] = tuple(
-                _as_float_list(doc["momentum_weights"], "momentum_weights")
-            )
-        if doc.get("fermion_weights") is not None:
-            kwargs["fermion_weights"] = tuple(
-                _as_float_list(doc["fermion_weights"], "fermion_weights")
-            )
-        if doc.get("positions") is not None:
-            kwargs["positions"] = vec_list("positions")
-        if doc.get("position_weights") is not None:
-            kwargs["position_weights"] = tuple(
-                _as_float_list(doc["position_weights"], "position_weights")
-            )
+        known = fields(QedConfig)
+        unknown = sorted(set(doc) - {f.name for f in known})
+        if unknown:
+            raise ValueError(f"unknown fields {unknown}")
+        kwargs = {}
+        for f in known:
+            if doc.get(f.name) is None:
+                if f.default is MISSING:
+                    raise ValueError(f"missing required field {f.name!r}")
+                continue
+            kwargs[f.name] = _from_wire(doc[f.name])
+        cap = kwargs["photon_cap"]
+        if isinstance(cap, float) and cap.is_integer():
+            kwargs["photon_cap"] = int(cap)
         return QedConfig(**kwargs)
 
 
@@ -358,8 +368,6 @@ class QedModel:
         self.photon_grid = ph_grid
         self.fermion_grid = el_grid
         self.omegas = np.linalg.norm(ph_grid.points, axis=1)
-        if np.any(self.omegas == 0):
-            raise ValueError("photon momenta must be non-zero")
         self.energies = np.array(
             [fermion_energy(p, config.mass) for p in el_grid.points]
         )
@@ -508,7 +516,7 @@ class QedModel:
         from scipy.sparse import kron as sparse_kron
 
         total = csr_array((self.basis.dim,) * 2, dtype=complex)
-        weights = self.config.position_weights or (1.0,) * len(self.config.positions)
+        weights = self.config._field("position_weights")
         for x, wx, chi in zip(self.config.positions, weights, self.config.chi_sp):
             if chi == 0.0 or wx == 0.0:
                 continue
@@ -522,7 +530,7 @@ class QedModel:
         return LinOp(self.space, total)
 
     def _lattice_constants(self) -> dict:
-        weights = self.config.position_weights or (1.0,) * len(self.config.positions)
+        weights = self.config._field("position_weights")
         current_norm = 0.0
         for mu in range(4):
             best = max(

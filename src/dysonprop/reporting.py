@@ -161,8 +161,9 @@ def series_order_rows(result) -> list[tuple]:
             for order, (sup, bound) in enumerate(zip(sups, bounds))]
 
 
-def trajectory_rows(trajectory, residuals=None) -> list[tuple]:
+def trajectory_rows(trajectory) -> list[tuple]:
     """Columns: time, norm, residual (empty at the endpoints)."""
+    residuals = trajectory.residuals
     rows = []
     for k, t in enumerate(trajectory.times):
         norm = float(np.linalg.norm(trajectory.states[k][:, 0]))

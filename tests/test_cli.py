@@ -285,6 +285,25 @@ def test_fields_no_pipeline_reads_are_unknown(tmp_path, capsys, command, field,
     assert not any(tmp_path.glob(f"{command}.*"))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [{"coupling": math.nan}, {"coupling": math.inf}, {"coupling": True},
+     {"coupling": "0.1"}, {"photon_cap": 2.5}, {"momentum_weight": [1.0]},
+     {"momentum_weights": [-1.0]}, {"position_weights": [-1.0]},
+     {"fermion_weights": [1.0, 1.0]}, {"momentum_points": [[0.0, 0.0, 1.0]]}],
+    ids=["coupling-nan", "coupling-inf", "coupling-bool", "coupling-string",
+         "photon_cap-fraction", "unknown-key", "momentum_weights-negative",
+         "position_weights-negative", "weights-length", "photon-on-axis"],
+)
+def test_bad_qed_fields_are_config_errors(tmp_path, capsys, edit):
+    doc = small_qed_doc()
+    doc["qed"].update(edit)
+    cfg = write_config(tmp_path, {"model": doc, "out_dir": str(tmp_path)})
+    assert main(["evolve", cfg]) == 2
+    assert "field 'model.qed'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("evolve.*"))
+
+
 @pytest.mark.parametrize("command", ["evolve", "verify", "convergence"])
 def test_help_lists_only_the_flags_the_command_takes(capsys, command):
     with pytest.raises(SystemExit) as exit_info:
@@ -318,13 +337,21 @@ _GOLDEN_DIGESTS = [
                     "observable": linop_doc([0, 1], np.diag([1.0, 0.0])),
                     "t_end": 0.5},
      "6f606597ebf649d62ea260c68bf539a0ae52d63e8449c206118bfefb3079308e"),
+    ("convergence", {"command": "convergence",
+                     "model": {"qed": {"momentum_points": [[1.0, 0.5, 0.25]],
+                                       "fermion_momenta": [[0.0, 0.0, 0.0]],
+                                       "mass": 1.0, "coupling": 0.5,
+                                       "photon_cap": 3, "chi_sp": [1.0],
+                                       "chi_ph": [0.15], "chi_el": [0.35]}},
+                     "n_max": 6},
+     "08d09bdee53287cc05c32eb36b10fe16906e671f731ffb3fef068c377b3eb1d8"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, doc, digest", _GOLDEN_DIGESTS,
     ids=["verify", "verify-small", "qed-demo", "convergence", "readme-evolve",
-         "readme-heisenberg"],
+         "readme-heisenberg", "readme-convergence-qed"],
 )
 def test_stock_config_digests_are_pinned(tmp_path, command, doc, digest):
     assert cli.assemble(command, doc, tmp_path, {}).digest == digest
@@ -446,7 +473,7 @@ def test_heisenberg_initial_value_is_graded_against_the_rounding_floor(
 
     def wrong_start(*args, **kwargs):
         track = real_track(*args, **kwargs)
-        track.matrices[0] += 1e-6
+        track.states[0] += 1e-6
         return track
 
     monkeypatch.setattr(cli, "heisenberg_track", wrong_start)

@@ -120,13 +120,13 @@ def test_heisenberg_track_initial_value_and_oracle(small_model):
     track = heisenberg_track(
         small_model.h_free, small_model.h_int, obs, t_end=0.6, steps=6, tol=1e-12
     )
-    np.testing.assert_array_equal(track.matrices[0], b)
+    np.testing.assert_array_equal(track.states[0], b)
     h = full_h(small_model)
     for k in (3, 6):
         t = track.times[k]
         want = matrix_exp(1j * t * h) @ b @ matrix_exp(-1j * t * h)
-        assert np.linalg.norm(track.matrices[k] - want, 2) < 1e-8
-    np.testing.assert_array_equal(track.at_time(0.3), track.matrices[3])
+        assert np.linalg.norm(track.states[k] - want, 2) < 1e-8
+    np.testing.assert_array_equal(track.at_time(0.3), track.states[3])
 
 
 def test_heisenberg_residuals_strong_and_weak(small_model):
@@ -158,7 +158,7 @@ def test_observable_track_agrees_with_dense_route(small_model):
         )
         dense = heisenberg_track(model.h_free, model.h_int, obs, 0.5, 5, tol=1e-12)
         for k in range(6):
-            want = dense.matrices[k] @ xi
+            want = dense.states[k] @ xi
             assert np.linalg.norm(per_state.states[k][:, 0] - want) < 1e-10
 
 
@@ -195,7 +195,7 @@ def test_pairing_track_matches_dense_pairing(small_model):
         small_model.h_free, small_model.h_int, obs, 0.6, 6, tol=1e-12
     )
     for k in range(7):
-        want = eta.conj() @ dense.matrices[k] @ xi
+        want = eta.conj() @ dense.states[k] @ xi
         assert abs(track.values[k, 0] - want) < 1e-9
     with pytest.raises(ValueError):
         heisenberg_pairing_track(
@@ -252,3 +252,22 @@ def test_track_drivers_compute_no_schrodinger_defects(small_model, monkeypatch):
     assert calls == []
     schrodinger_trajectory(h_free, h_int, xi, 0.4, 4, tol=1e-10)
     assert calls == [1]
+
+
+def test_check_times_off_the_steps_fail_before_any_run(small_model, toy_model,
+                                                       monkeypatch):
+    # One slack decides both where a check time may sit and where it is
+    # looked up, so a time just off a step multiple is refused up front.
+    from dysonprop import evolution, qed, suite
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a series ran")
+
+    monkeypatch.setattr(evolution, "evolve_block", no_run)
+    off = (0.5 + 1e-11, 1.0)
+    with pytest.raises(ValueError, match="coarse refinement"):
+        suite.oracle_reports(small_model, times=off)
+    with pytest.raises(ValueError, match="coarse refinement"):
+        qed.eta_unitarity_check(toy_model, times=off, pairs=2)
+    assert evolution._aligned_steps((0.5 + 1e-14, 1.0)) == 2
+    assert evolution._aligned_steps((0.1, 0.2, 0.3)) == 3

@@ -164,6 +164,20 @@ def test_config_roundtrip_and_validation():
         QedConfig.from_json(bad)
 
 
+def test_config_codec_reads_json_numbers_and_defaults():
+    doc = small_config().to_json()
+    doc.update(mass=1, photon_cap=2.0, positions=None, position_weights=None)
+    cfg = QedConfig.from_json(doc)
+    assert cfg == dataclasses.replace(small_config(),
+                                      momentum_weights=(1.0,), fermion_weights=(1.0,))
+    assert type(cfg.mass) is float and type(cfg.photon_cap) is int
+    assert cfg.to_json() == small_config().to_json()
+    # A zero position weight drops its term; zero momentum weights are refused.
+    build_model(dataclasses.replace(small_config(), position_weights=(0.0,)))
+    with pytest.raises(ValueError, match="fermion_weights must be positive"):
+        dataclasses.replace(small_config(), fermion_weights=(0.0,))
+
+
 def test_photon_momentum_on_axis_is_rejected_at_build():
     doc = small_config().to_json()
     doc["momentum_points"] = [[0.0, 0.0, 1.0]]

@@ -190,7 +190,7 @@ def test_trajectory_rows_leave_endpoint_residuals_empty():
     xi = np.zeros(4, dtype=complex)
     xi[0] = 1.0
     traj = schrodinger_trajectory(model.h_free, model.h_int, xi, 0.5, 4, 1e-10)
-    rows = trajectory_rows(traj, traj.residuals)
+    rows = trajectory_rows(traj)
     assert len(rows) == 5
     assert rows[0][0] == 0.0 and rows[0][1] == pytest.approx(1.0)
     assert np.isnan(rows[0][2]) and np.isnan(rows[-1][2])
