@@ -27,6 +27,13 @@ an object {"h_free": {...}, "h_int": {...}} with two dense operators in the
 {"dim", "grades", "matrix"} wire format.  ``initial_state`` is either
 {"basis_index": n} or an explicit vector [[re, im], ...].
 
+Every command writes ``<stem>.json`` and the JUnit report ``<stem>.xml``
+(the stem is the command name with "-" replaced by "_") plus its CSV
+tables, which are trajectory.csv and orders.csv for evolve, and
+heisenberg.csv, qed_demo.csv and convergence.csv.  The pipelines only
+compute; ``run`` writes every file, and a run that exits 2, 3 or 4 writes
+none.
+
 Exit status: 0 all checks passed and no truncation, 1 a check failed,
 2 config/schema problem, 3 violated model assumption, 4 certified tail
 above tolerance.  Every artifact embeds the digest of the fully resolved
@@ -232,10 +239,10 @@ def _resolve_model(doc, base_dir: Path, depth: int = 0):
             h_int = LinOp.from_json(doc["h_int"])
         except (ValueError, TypeError, KeyError) as err:
             raise ConfigError(f"field 'model.h_int': {err}") from err
-        if h_free.space != h_int.space:
-            raise ConfigError(
-                "field 'model': h_free and h_int live on different graded spaces"
-            )
+        try:
+            h_free._same_space(h_int)
+        except ValueError as err:
+            raise ConfigError(f"field 'model': {err}") from err
         return "pair", (h_free, h_int), {"h_free": h_free.to_json(),
                                          "h_int": h_int.to_json()}
     raise ConfigError(
@@ -390,8 +397,12 @@ def _ratio_report(name: str, fine: float, coarse: float, floor: float,
 
 # -- command pipelines --------------------------------------------------------
 
+# Each pipeline returns its reports, its extra top-level JSON fields and its
+# CSV tables (file name -> (header, rows)); ``run`` writes them all.
+_Outputs = tuple[list[Report], dict, dict]
 
-def _run_evolve(cfg: RunConfig) -> list[Report]:
+
+def _run_evolve(cfg: RunConfig) -> _Outputs:
     h_free, h_int = _model_operators(cfg)
     xi = _initial_vector(cfg, h_free.space.dim)
     t_end, steps = cfg["t_end"], cfg["steps"]
@@ -412,9 +423,7 @@ def _run_evolve(cfg: RunConfig) -> list[Report]:
     sups = series.per_order_sup_norms.max(axis=1)
     final_u = series.boundary_sums[-1][:, 0]
     final_state = traj.states[-1][:, 0]
-    doc = {
-        "command": "evolve",
-        "config": cfg.doc,
+    fields = {
         "t_end": t_end,
         "steps": steps,
         "series": {
@@ -425,21 +434,15 @@ def _run_evolve(cfg: RunConfig) -> list[Report]:
         },
         "final_state": [[float(z.real), float(z.imag)] for z in final_state],
     }
-    doc.update(reports_document(reports))
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(cfg.out_dir / "evolve.json", doc, cfg.digest)
-    write_csv(cfg.out_dir / "trajectory.csv", ["time", "norm", "residual"],
-              trajectory_rows(traj), cfg.digest)
-    write_csv(cfg.out_dir / "orders.csv", ["order", "sup_norm", "apriori_bound"],
-              series_order_rows(series), cfg.digest)
-    print(f"wrote {cfg.out_dir / 'evolve.json'}, trajectory.csv, orders.csv")
-    print(f"achieved order {series.achieved_order}, tail bound "
-          f"{series.tail_bound:.3e}")
-    return reports
+    tables = {
+        "trajectory.csv": (["time", "norm", "residual"], trajectory_rows(traj)),
+        "orders.csv": (["order", "sup_norm", "apriori_bound"],
+                       series_order_rows(series)),
+    }
+    return reports, fields, tables
 
 
-def _run_heisenberg(cfg: RunConfig) -> list[Report]:
+def _run_heisenberg(cfg: RunConfig) -> _Outputs:
     h_free, h_int = _model_operators(cfg)
     dim = h_free.space.dim
     if dim > DENSE_TRACK_LIMIT:
@@ -448,10 +451,10 @@ def _run_heisenberg(cfg: RunConfig) -> list[Report]:
             f"limit {DENSE_TRACK_LIMIT}"
         )
     observable = LinOp.from_json(cfg["observable"])
-    if observable.space != h_free.space:
-        raise ConfigError(
-            "field 'observable': graded space does not match the model"
-        )
+    try:
+        h_free._same_space(observable)
+    except ValueError as err:
+        raise ConfigError(f"field 'observable': {err}") from err
 
     track = heisenberg_track(h_free, h_int, observable, cfg["t_end"],
                              cfg["steps"], cfg["tol"], max_order=cfg["max_order"])
@@ -479,42 +482,27 @@ def _run_heisenberg(cfg: RunConfig) -> list[Report]:
     for k, t in enumerate(track.times):
         res = strong[k - 1] if 0 < k < len(track.times) - 1 else None
         rows.append((float(t), float(np.linalg.norm(track.states[k], 2)), res))
-    doc = {
-        "command": "heisenberg",
-        "config": cfg.doc,
+    fields = {
         "t_end": cfg["t_end"],
         "steps": cfg["steps"],
+        "achieved_order": track.achieved_order,
+        "tail_bound": track.tail_bound,
         "max_strong_residual": float(strong.max()),
         "max_weak_residual": float(weak.max()),
     }
-    doc.update(reports_document(reports))
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(cfg.out_dir / "heisenberg.json", doc, cfg.digest)
-    write_csv(cfg.out_dir / "heisenberg.csv",
-              ["time", "observable_norm", "strong_residual"], rows, cfg.digest)
-    print(f"wrote {cfg.out_dir / 'heisenberg.json'}, heisenberg.csv")
-    return reports
+    tables = {"heisenberg.csv": (["time", "observable_norm", "strong_residual"],
+                                 rows)}
+    return reports, fields, tables
 
 
-def _run_verify(cfg: RunConfig) -> list[Report]:
+def _run_verify(cfg: RunConfig) -> _Outputs:
     models = fleet(seed=cfg["seed"], count=cfg["count"])
     reports = fleet_verification(models, seed=cfg["seed"], tuples=cfg["tuples"],
                                  tol=cfg["tol"], series_tol=cfg["series_tol"])
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"command": "verify", "config": cfg.doc}
-    doc.update(reports_document(reports))
-    write_json(cfg.out_dir / "verify.json", doc, cfg.digest)
-    write_junit(cfg.out_dir / "verify.xml", "verify", reports, cfg.digest)
-    for line in summary_lines(reports):
-        print(line)
-    failed = sum(0 if r.passed else 1 for r in reports)
-    print(f"{len(reports)} checks over {len(models)} models, {failed} failed")
-    print(f"wrote {cfg.out_dir / 'verify.json'}, verify.xml")
-    return reports
+    return reports, {}, {}
 
 
-def _run_qed_demo(cfg: RunConfig) -> list[Report]:
+def _run_qed_demo(cfg: RunConfig) -> _Outputs:
     model = build_model(cfg.model_payload)
     seed, series_tol, t_end = cfg["seed"], cfg["series_tol"], cfg["t_end"]
     reports = structure_reports(model, seed=seed)
@@ -552,23 +540,13 @@ def _run_qed_demo(cfg: RunConfig) -> list[Report]:
     reports.append(Report("oracle-cross-check", cross, 1e-7,
                           {"time": t_mid, "dim": model.space.dim}))
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"command": "qed-demo", "config": cfg.doc, "dim": model.space.dim,
-           "constants": model.constants}
-    doc.update(reports_document(reports))
-    write_json(cfg.out_dir / "qed_demo.json", doc, cfg.digest)
-    write_junit(cfg.out_dir / "qed_demo.xml", "qed-demo", reports, cfg.digest)
+    fields = {"dim": model.space.dim, "constants": model.constants}
     rows = [(float(t), float(r)) for t, r
             in zip(fine["interior_times"], fine["per_time"])]
-    write_csv(cfg.out_dir / "qed_demo.csv", ["time", "weak_residual"], rows,
-              cfg.digest)
-    for line in summary_lines(reports):
-        print(line)
-    print(f"wrote {cfg.out_dir / 'qed_demo.json'}, qed_demo.xml, qed_demo.csv")
-    return reports
+    return reports, fields, {"qed_demo.csv": (["time", "weak_residual"], rows)}
 
 
-def _run_convergence(cfg: RunConfig) -> list[Report]:
+def _run_convergence(cfg: RunConfig) -> _Outputs:
     h_free, h_int = _model_operators(cfg)
     xi = _initial_vector(cfg, h_free.space.dim)
     alphas, n_max = cfg["alphas"], cfg["n_max"]
@@ -592,17 +570,8 @@ def _run_convergence(cfg: RunConfig) -> list[Report]:
         Report("alpha-monotonicity", mono, 1e-12 * max(scale, 1.0), {}),
     ]
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"command": "convergence", "config": cfg.doc, "t_end": cfg["t_end"],
-           "table": table.to_json()}
-    doc.update(reports_document(reports))
-    write_json(cfg.out_dir / "convergence.json", doc, cfg.digest)
-    header, rows = convergence_rows(table)
-    write_csv(cfg.out_dir / "convergence.csv", header, rows, cfg.digest)
-    for line in summary_lines(reports):
-        print(line)
-    print(f"wrote {cfg.out_dir / 'convergence.json'}, convergence.csv")
-    return reports
+    fields = {"t_end": cfg["t_end"], "table": table.to_json()}
+    return reports, fields, {"convergence.csv": convergence_rows(table)}
 
 
 _PIPELINES = {
@@ -614,10 +583,32 @@ _PIPELINES = {
 }
 
 
+def _write_outputs(cfg: RunConfig, reports: list[Report], fields: dict,
+                   tables: dict) -> None:
+    """Write ``<stem>.json``, the JUnit ``<stem>.xml`` and the CSV tables,
+    then print one line per check and the summary."""
+    stem = cfg.command.replace("-", "_")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    doc = {"command": cfg.command, "config": cfg.doc, **fields,
+           **reports_document(reports)}
+    write_json(cfg.out_dir / f"{stem}.json", doc, cfg.digest)
+    write_junit(cfg.out_dir / f"{stem}.xml", cfg.command, reports, cfg.digest)
+    for name, (header, rows) in tables.items():
+        write_csv(cfg.out_dir / name, header, rows, cfg.digest)
+    for line in summary_lines(reports):
+        print(line)
+    failed = sum(0 if r.passed else 1 for r in reports)
+    print(f"{len(reports)} checks, {failed} failed")
+    print(", ".join([f"wrote {cfg.out_dir / stem}.json", f"{stem}.xml", *tables]))
+
+
 def run(cfg: RunConfig) -> int:
-    """Execute one pipeline; returns the process exit status."""
+    """Execute one pipeline and write its outputs; returns the exit status.
+
+    A pipeline that raises writes nothing.
+    """
     try:
-        reports = _PIPELINES[cfg.command](cfg)
+        reports, fields, tables = _PIPELINES[cfg.command](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -630,6 +621,7 @@ def run(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 4
+    _write_outputs(cfg, reports, fields, tables)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -163,14 +163,6 @@ class MomentumGrid:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    def require_off_axis(self) -> None:
-        perp = np.hypot(self.points[:, 0], self.points[:, 1])
-        if np.any(perp == 0.0):
-            raise ValueError(
-                "photon momentum grid touches the z-axis; the polarization "
-                "frame is undefined there"
-            )
-
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         return complex(np.sum(self.weights * np.conj(f) * g))
 

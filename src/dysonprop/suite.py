@@ -31,7 +31,6 @@ from .graded import (
     LinOp,
     certify,
     grade_sectors,
-    sector_projector,
     support_level,
 )
 from .oracles import Report, ode_oracle, oracle_propagator
@@ -285,11 +284,10 @@ def oracle_reports(
 
     growth = 0.0
     level = support_level(space, xi)
+    shift = certify(h_int).grade_shift
+    grades = space.grade_array()
     for term in series.terms:
-        reach = level + term.order * certify(h_int).grade_shift
-        inside = sector_projector(space, reach).storage.diagonal()
-        nodes = term.node_values[..., 0]
-        outside = nodes - nodes * inside
+        outside = term.node_values[..., 0] * (grades > level + term.order * shift)
         norm_out = float(np.linalg.norm(outside, axis=-1).max())
         growth = max(growth, norm_out / max(term.sup_norm, 1e-300))
     reports.append(Report("support-growth", growth, 1e-12, context))

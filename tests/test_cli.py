@@ -229,6 +229,22 @@ def test_failing_reports_exit_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_operators_on_different_spaces_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "out"
+    pair = pair_model_doc()
+    pair["h_int"]["grades"] = [0, 1, 3]
+    obs = linop_doc([0, 1], np.eye(2))
+    for command, doc, field in (
+        ("evolve", {"model": pair, "steps": 4}, "model"),
+        ("heisenberg", {"model": pair_model_doc(), "observable": obs, "steps": 4},
+         "observable"),
+    ):
+        cfg = write_config(tmp_path, {**doc, "out_dir": str(out)})
+        assert main([command, cfg]) == 2, command
+        assert f"field '{field}'" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = write_config(
         tmp_path, {"command": "verify", "model": pair_model_doc()}
@@ -312,6 +328,41 @@ def test_help_lists_only_the_flags_the_command_takes(capsys, command):
     shown = capsys.readouterr().out
     for flag, field in (("--tol", "tol"), ("--t-end", "t_end"), ("--seed", "seed")):
         assert (flag in shown) == (field in cli._FIELDS[command]), flag
+
+
+_OBSERVABLE = linop_doc([0, 1, 2], np.diag([1.0, 0.0, 0.0]))
+_TINY_RUNS = {
+    "evolve": ({"model": pair_model_doc(), "steps": 4},
+               ["trajectory.csv", "orders.csv"]),
+    "heisenberg": ({"model": pair_model_doc(), "observable": _OBSERVABLE,
+                    "steps": 4}, ["heisenberg.csv"]),
+    "verify": ({"count": 1, "tuples": 1}, []),
+    "qed-demo": ({"model": small_qed_doc(), "t_end": 0.5, "steps": 8,
+                  "pairs": 4}, ["qed_demo.csv"]),
+    "convergence": ({"model": pair_model_doc(), "n_max": 6}, ["convergence.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_TINY_RUNS))
+def test_every_command_writes_json_junit_and_its_tables(tmp_path, command):
+    doc, tables = _TINY_RUNS[command]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**doc, "out_dir": str(out)})
+    assert main([command, cfg]) == 0
+    stem = command.replace("-", "_")
+    assert {p.name for p in out.iterdir()} == {f"{stem}.json", f"{stem}.xml",
+                                               *tables}
+    digest = cli.assemble(command, doc, tmp_path, {}).digest
+    result = json.loads((out / f"{stem}.json").read_text())
+    assert result["config_digest"] == digest
+    root = ET.fromstring((out / f"{stem}.xml").read_text())
+    assert int(root.get("tests")) == len(result["reports"])
+    assert root.find("properties/property[@name='config_digest']").get(
+        "value") == digest
+    for name in tables:
+        rows = (out / name).read_text().splitlines()
+        assert len(rows) > 1, name
+        assert all(row.split(",")[-2] == digest for row in rows[1:]), name
 
 
 # Digests of stock configs: a refactor of the config handling must leave
@@ -406,6 +457,8 @@ def test_heisenberg_pipeline(tmp_path):
     names = [r["check_name"] for r in doc["reports"]]
     assert "heisenberg-initial-value" in names
     assert "heisenberg-residual-order" in names
+    assert doc["achieved_order"] >= 1
+    assert doc["tail_bound"] < doc["config"]["tol"]
     lines = (tmp_path / "heisenberg.csv").read_text().splitlines()
     assert lines[0].startswith("time,observable_norm,strong_residual")
     assert len(lines) == 1 + 9

@@ -128,15 +128,11 @@ def test_momentum_grid_validation():
         MomentumGrid(np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError):
         MomentumGrid(np.ones((2, 3)), np.array([1.0, 0.0]))
-    grid = MomentumGrid(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        grid.require_off_axis()
 
 
 def test_random_momentum_grid_stays_off_axis():
     rng = np.random.default_rng(3)
     grid = random_momentum_grid(rng, 40, min_polar_angle=0.2)
-    grid.require_off_axis()
     perp = np.hypot(grid.points[:, 0], grid.points[:, 1])
     radii = np.linalg.norm(grid.points, axis=1)
     assert np.all(perp >= radii * math.sin(0.2) * 0.999)
