@@ -57,7 +57,6 @@ from .evolution import (
     heisenberg_pairing_track,
     heisenberg_residuals,
     heisenberg_track,
-    observable_track,
     schrodinger_trajectory,
     strong_split_residual,
     weak_residual,
@@ -127,7 +126,6 @@ __all__ = [
     "heisenberg_pairing_track",
     "heisenberg_residuals",
     "heisenberg_track",
-    "observable_track",
     "schrodinger_trajectory",
     "strong_split_residual",
     "weak_residual",

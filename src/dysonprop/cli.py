@@ -72,7 +72,14 @@ from .graded import (
     vectors_supported_below,
 )
 from .oracles import Report, oracle_propagator
-from .qed import QedConfig, build_model, default_toy_config, eta_unitarity_check, structure_reports
+from .qed import (
+    QedConfig,
+    build_model,
+    default_toy_config,
+    eta_unitarity_check,
+    fock_basis,
+    structure_reports,
+)
 from .reporting import (
     config_digest,
     convergence_rows,
@@ -443,13 +450,15 @@ def _run_evolve(cfg: RunConfig) -> _Outputs:
 
 
 def _run_heisenberg(cfg: RunConfig) -> _Outputs:
-    h_free, h_int = _model_operators(cfg)
-    dim = h_free.space.dim
+    # The limit is checked on the basis alone, before any operator is built.
+    dim = (cfg.model_payload[0].space.dim if cfg.model_kind == "pair"
+           else fock_basis(cfg.model_payload).dim)
     if dim > DENSE_TRACK_LIMIT:
         raise ConfigError(
-            f"field 'model': dimension {dim} exceeds the dense observable-track "
+            f"field 'model': dimension {dim} exceeds the dense Heisenberg-track "
             f"limit {DENSE_TRACK_LIMIT}"
         )
+    h_free, h_int = _model_operators(cfg)
     observable = LinOp.from_json(cfg["observable"])
     try:
         h_free._same_space(observable)
@@ -459,12 +468,9 @@ def _run_heisenberg(cfg: RunConfig) -> _Outputs:
     track = heisenberg_track(h_free, h_int, observable, cfg["t_end"],
                              cfg["steps"], cfg["tol"], max_order=cfg["max_order"])
     h_total = h_free + h_int
-    strong = heisenberg_residuals(track, h_total, mode="strong")
-    weak = heisenberg_residuals(track, h_total, mode="weak", pairs=cfg["pairs"],
-                                seed=cfg["seed"])
-    coarse_track = dataclasses.replace(track, times=track.times[::2],
-                                       states=track.states[::2])
-    strong_coarse = heisenberg_residuals(coarse_track, h_total, mode="strong")
+    strong, weak = heisenberg_residuals(track, h_total, pairs=cfg["pairs"],
+                                        seed=cfg["seed"])
+    strong_coarse, _ = heisenberg_residuals(track, h_total, stride=2)
 
     b_norm = observable.norm2()
     floor = _difference_floor(h_total.norm2(), b_norm)
@@ -521,8 +527,8 @@ def _run_qed_demo(cfg: RunConfig) -> _Outputs:
     track = heisenberg_pairing_track(
         h_free, h_int, observable, etas, xis, t_end, cfg["steps"], series_tol,
     )
-    fine = weak_residual(track, h_free, h_int, observable, stride=1)
-    coarse = weak_residual(track, h_free, h_int, observable, stride=2)
+    fine = weak_residual(track)
+    coarse = weak_residual(track, stride=2)
     floor = _difference_floor((h_free + h_int).norm2(), observable.norm2())
     reports.append(_ratio_report(
         "weak-residual-order", fine["max_residual"], coarse["max_residual"],

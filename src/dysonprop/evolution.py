@@ -8,12 +8,20 @@ every panel boundary of a single run; the lab-frame group is
 so one run yields a whole trajectory.  ``_aligned_run`` is that run: it is
 the one place that puts the output times on panel edges, and it returns a
 ``Trajectory`` whose ``series`` keeps the interaction-picture sums at every
-edge.  Callers look states up by time (``Trajectory.at_time``).  Heisenberg
-evolution B(t) = W(-t) B W(t) is sampled through paired forward and
-backward runs: the backward run carries one column per output time and the
-matching boundary is read off its diagonal.  A result that several runs
-certify reports the largest order and tail among them
-(``_joint_certificate``).
+edge.  Callers look states up by time (``Trajectory.at_time``).
+
+Heisenberg evolution B(t) = W(-t) B W(t) has one route per form of its
+equation of motion:
+
+* strong: ``heisenberg_track`` assembles the dense B(t) from a forward and a
+  backward identity run, and ``heisenberg_residuals`` grades it;
+* weak: ``heisenberg_pairing_track`` follows <eta(t), B xi(t)> with its
+  derivative, and ``weak_residual`` grades the track on its own;
+* split: ``strong_split_residual`` checks the split derivative at one time.
+
+The strong and split routes cost d columns and d x d matrices per time, so
+they are small-space checks.  A result that several runs certify reports
+the largest order and tail among them (``_joint_certificate``).
 """
 
 from __future__ import annotations
@@ -94,8 +102,7 @@ class Trajectory:
     """States sampled on uniform times, certified by the runs they were read from.
 
     ``states[k]`` has shape (dim, columns) and holds W(times[k]) applied to
-    the initial block; the Heisenberg tracks hold B(times[k]) applied to it
-    (``observable_track``) or B(times[k]) itself (``heisenberg_track``).
+    the initial block; ``heisenberg_track`` stores B(times[k]) itself there.
     ``tail_bound`` covers the interaction-picture sums
     the states were read from; the free phase does not change norms.
     ``residuals[k]`` is the central-difference defect of the Schrodinger
@@ -197,17 +204,18 @@ def schrodinger_trajectory(
 
 @dataclass(frozen=True)
 class HeisenbergTrack:
-    """Weak-form samples  <eta(t), B xi(t)>  on uniform times.
+    """Weak-form samples  <eta(t), B xi(t)>  on uniform times, with derivatives.
 
     eta(t) runs under the conjugate-transposed interaction, so the pairing
     equals the matrix element of B(t) between the two fixed vectors even
-    when the interaction is not Hermitian.
+    when the interaction is not Hermitian.  ``derivatives[k]`` is the
+    instantaneous derivative  i <eta(t), [h, B] xi(t)>  at times[k], with h
+    the full generator, so the track grades itself (``weak_residual``).
     """
 
     times: np.ndarray
     values: np.ndarray        # (times, pairs)
-    eta_states: np.ndarray    # (times, dim, pairs)
-    xi_states: np.ndarray
+    derivatives: np.ndarray   # (times, pairs)
     achieved_order: int
     tail_bound: float
 
@@ -223,45 +231,42 @@ def heisenberg_pairing_track(
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> HeisenbergTrack:
+    """The weak-form track of B between each column pair (eta, xi).
+
+    xi runs forward under h and eta under h_free + h_int^*; each time's
+    pairings and their derivatives are read from the two runs' states, so
+    the track costs two series runs with one column per pair.
+    """
     eta_block = _as_block(etas)
     xi_block = _as_block(xis)
     if eta_block.shape != xi_block.shape:
         raise ValueError("eta and xi blocks must have matching shapes")
     fwd = _aligned_run(h_free, h_int, xi_block, t_end, steps, tol, max_order)
     dual = _aligned_run(h_free, h_int.H, eta_block, t_end, steps, tol, max_order)
-    values = np.einsum(
-        "tdp,de,tep->tp", dual.states.conj(), observable.matrix, fwd.states
-    )
-    return HeisenbergTrack(fwd.times, values, dual.states, fwd.states,
+    h_mat = (h_free + h_int).matrix
+    b_mat = observable.matrix
+    comm = h_mat @ b_mat - b_mat @ h_mat
+    eta_bar = dual.states.conj()
+    values = np.einsum("tdp,de,tep->tp", eta_bar, b_mat, fwd.states)
+    derivatives = 1j * np.einsum("tdp,de,tep->tp", eta_bar, comm, fwd.states)
+    return HeisenbergTrack(fwd.times, values, derivatives,
                            *_joint_certificate(fwd, dual))
 
 
-def weak_residual(
-    track: HeisenbergTrack,
-    h_free: LinOp,
-    h_int: LinOp,
-    observable: LinOp,
-    stride: int = 1,
-) -> dict:
+def weak_residual(track: HeisenbergTrack, stride: int = 1) -> dict:
     """Central-difference check of the weak Heisenberg equation.
 
-    The instantaneous derivative is  i <eta(t), [h, B] xi(t)>  with h the
-    full generator.  ``stride`` subsamples the track, doubling the step for
+    The difference of the track's values is compared with the derivatives
+    it carries.  ``stride`` subsamples the track, doubling the step for
     the finite-difference order check without a second run.
     """
     times = track.times[::stride]
     values = track.values[::stride]
-    etas = track.eta_states[::stride]
-    xis = track.xi_states[::stride]
     if len(times) < 3:
         raise ValueError("need at least three sampled times")
-    h_mat = (h_free + h_int).matrix
-    b_mat = observable.matrix
-    comm = h_mat @ b_mat - b_mat @ h_mat
-    inst = 1j * np.einsum("tdp,de,tep->tp", etas.conj(), comm, xis)
     dt = float(times[1] - times[0])
     diffs = (values[2:] - values[:-2]) / (2.0 * dt)
-    resid = np.abs(diffs - inst[1:-1])
+    resid = np.abs(diffs - track.derivatives[::stride][1:-1])
     return {
         "max_residual": float(resid.max()),
         "dt": dt,
@@ -282,97 +287,58 @@ def heisenberg_track(
     """The full B(t) = W(-t) B W(t) matrices at steps+1 uniform times from 0.
 
     ``states[k]`` is B(times[k]), certified by the forward and backward
-    identity runs it is assembled from; the cost grows with the square of
-    the dimension, so this is meant for small spaces and cross-checks.
+    identity runs it is assembled from; the runs carry d columns and the
+    result d x d matrices per time, so this is meant for small spaces and
+    cross-checks.
     """
-    dim = h_free.space.dim
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(h_free.space.dim, dtype=complex)
     fwd = _aligned_run(h_free, h_int, eye, t_end, steps, tol, max_order)
     bwd = _aligned_run(h_free, h_int, eye, -t_end, steps, tol, max_order)
-    b_mat = observable.matrix
-    mats = np.empty((steps + 1, dim, dim), dtype=complex)
-    for k in range(steps + 1):
-        mats[k] = bwd.states[k] @ b_mat @ fwd.states[k]
+    mats = bwd.states @ observable.matrix @ fwd.states
     return Trajectory(fwd.times, mats, *_joint_certificate(fwd, bwd), fwd.grid)
 
 
 def heisenberg_residuals(
     track: Trajectory,
     h_total: LinOp,
-    mode: str = "strong",
     pairs: int = 20,
     seed: int = 11,
-) -> np.ndarray:
-    """Defect of the Heisenberg equation at the interior times.
+    stride: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strong and weak defects of the Heisenberg equation at interior times.
 
-    Strong mode compares the central difference of B(t) with i[h, B(t)] in
-    spectral norm.  Weak mode contracts the same difference with random
-    fixed pairs (eta, xi), testing the sesquilinear form with the adjoint
-    acting on the left slot, and returns the max over pairs.
+    Both compare one central difference of B(t) per interior time.  The
+    strong defect is its distance from i[h, B(t)] in spectral norm.  The
+    weak defect contracts it with random fixed pairs (eta, xi), testing the
+    sesquilinear form with h acting on the vectors (its adjoint on the left
+    slot), and is the max over pairs.  ``stride`` subsamples the track,
+    doubling the step for the order check without a second run.
     """
-    if len(track.times) < 3:
+    times = track.times[::stride]
+    states = track.states[::stride]
+    if len(times) < 3:
         raise ValueError("need at least three sampled times")
-    if mode not in ("strong", "weak"):
-        raise ValueError("mode must be 'strong' or 'weak'")
     h_mat = h_total.matrix
-    dt = float(track.times[1] - track.times[0])
-    interior = range(1, len(track.times) - 1)
-    out = np.empty(len(track.times) - 2)
-    if mode == "strong":
-        for i, k in enumerate(interior):
-            diff = (track.states[k + 1] - track.states[k - 1]) / (2.0 * dt)
-            comm = 1j * (h_mat @ track.states[k] - track.states[k] @ h_mat)
-            out[i] = float(np.linalg.norm(diff - comm, 2))
-        return out
+    dt = float(times[1] - times[0])
     rng = np.random.default_rng(seed)
     dim = h_mat.shape[0]
     etas = rng.normal(size=(dim, pairs)) + 1j * rng.normal(size=(dim, pairs))
     xis = rng.normal(size=(dim, pairs)) + 1j * rng.normal(size=(dim, pairs))
     ih_etas = (1j * h_mat).conj().T @ etas
     ih_xis = 1j * (h_mat @ xis)
-    for i, k in enumerate(interior):
-        diff = (track.states[k + 1] - track.states[k - 1]) / (2.0 * dt)
+    strong = np.empty(len(times) - 2)
+    weak = np.empty(len(times) - 2)
+    for i in range(len(times) - 2):
+        b_now = states[i + 1]
+        diff = (states[i + 2] - states[i]) / (2.0 * dt)
+        comm = 1j * (h_mat @ b_now - b_now @ h_mat)
+        strong[i] = float(np.linalg.norm(diff - comm, 2))
         lhs = np.einsum("dp,de,ep->p", etas.conj(), diff, xis)
-        b_now = track.states[k]
         rhs = np.einsum("dp,de,ep->p", ih_etas.conj(), b_now, xis) - np.einsum(
             "dp,dp->p", (b_now.conj().T @ etas).conj(), ih_xis
         )
-        out[i] = float(np.abs(lhs - rhs).max())
-    return out
-
-
-def observable_track(
-    h_free: LinOp,
-    h_int: LinOp,
-    observable: LinOp,
-    states0,
-    t_end: float,
-    steps: int,
-    tol: float,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> Trajectory:
-    """Strong-form samples  B(t) xi = W(-t) B W(t) xi  on uniform times.
-
-    One forward block run produces W(t) xi at every output time; the
-    backward run then carries one column per (time, initial column) pair
-    and the matching time is read off its own boundary, so the whole track
-    costs two series runs.
-    """
-    block = _as_block(states0)
-    dim, m = block.shape
-    fwd = _aligned_run(h_free, h_int, block, t_end, steps, tol, max_order)
-    n_times = steps + 1
-    b_mat = observable.matrix
-    staged = np.empty((dim, n_times * m), dtype=complex)
-    for k in range(n_times):
-        staged[:, k * m:(k + 1) * m] = b_mat @ fwd.states[k]
-
-    # back.states[j] holds W(-t_j) B W(t_k) xi for every k; the track keeps
-    # the column group with k = j.
-    back = _aligned_run(h_free, h_int, staged, -t_end, steps, tol, max_order)
-    states = np.stack([back.states[k][:, k * m:(k + 1) * m]
-                       for k in range(n_times)])
-    return Trajectory(fwd.times, states, *_joint_certificate(fwd, back), fwd.grid)
+        weak[i] = float(np.abs(lhs - rhs).max())
+    return strong, weak
 
 
 @dataclass(frozen=True)
@@ -408,16 +374,13 @@ def strong_split_residual(
         raise ValueError("the check time must be positive")
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     h_mat = (h_free + h_int).matrix
-    columns = np.stack([xi, h_mat @ xi], axis=1)
     dt = t / substeps
-    track = observable_track(
-        h_free, h_int, observable, columns, t + dt, substeps + 1, tol,
+    track = heisenberg_track(
+        h_free, h_int, observable, t + dt, substeps + 1, tol,
         max_order=max_order,
     )
-    v_prev = track.states[substeps - 1][:, 0]
-    v_here = track.states[substeps]
-    v_next = track.states[substeps + 1][:, 0]
-    diff = (v_next - v_prev) / (2.0 * dt)
+    b_prev, b_here, b_next = track.states[substeps - 1:substeps + 2]
+    diff = (b_next - b_prev) @ xi / (2.0 * dt)
 
     fwd = _aligned_run(h_free, h_int, xi[:, None], t, 1, tol, max_order)
     w_xi = fwd.states[1][:, 0]
@@ -442,7 +405,7 @@ def strong_split_residual(
     term2 = down.final()[:, 0]
     split = term1 + term2
 
-    commutator = 1j * (h_mat @ v_here[:, 0] - v_here[:, 1])
+    commutator = 1j * (h_mat @ (b_here @ xi) - b_here @ (h_mat @ xi))
     return SplitFormCheck(
         time=float(t),
         dt=float(dt),

@@ -350,6 +350,25 @@ def default_toy_config() -> QedConfig:
     )
 
 
+def fock_basis(config: QedConfig) -> FockBasis:
+    """The occupation basis of a config's model, without any operator.
+
+    Four photon modes (component 0 scalar) per photon momentum, capped in
+    total at ``photon_cap``, then an electron and a positron mode per
+    fermion momentum and spin.
+    """
+    omegas = np.linalg.norm(config.photon_grid().points, axis=1)
+    energies = [fermion_energy(p, config.mass) for p in config.fermion_grid().points]
+    bosons = tuple(BosonMode(f"ph{i}.{lam}", float(w), config.photon_cap)
+                   for i, w in enumerate(omegas) for lam in range(4))
+    fermions = tuple(FermionMode(f"{kind}{j}.{_SPIN_TAG[s]}", float(e))
+                     for kind in ("el", "po") for j, e in enumerate(energies)
+                     for s in _SPINS)
+    scalar = frozenset(f"ph{i}.0" for i in range(len(omegas)))
+    return FockBasis(ModeSpec(bosons, fermions, scalar),
+                     total_boson_cap=config.photon_cap)
+
+
 class QedModel:
     """Assembled operators and lattice constants for one QedConfig."""
 
@@ -359,36 +378,17 @@ class QedModel:
         el_grid = config.fermion_grid()
         self.photon_grid = ph_grid
         self.fermion_grid = el_grid
-        self.omegas = np.linalg.norm(ph_grid.points, axis=1)
-        self.energies = np.array(
-            [fermion_energy(p, config.mass) for p in el_grid.points]
-        )
+        self.basis = fock_basis(config)
+        spec = self.spec = self.basis.spec
+        energies = {m.label: m.energy for m in spec.bosons + spec.fermions}
+        self.omegas = np.array([energies[f"ph{i}.0"] for i in range(len(ph_grid))])
+        self.energies = np.array([energies[f"el{j}.+"] for j in range(len(el_grid))])
         self.pol = np.array([polarization_vectors(k) for k in ph_grid.points])
-
-        boson_modes = []
-        for i, k in enumerate(ph_grid.points):
-            for lam in range(4):
-                boson_modes.append(
-                    BosonMode(f"ph{i}.{lam}", float(self.omegas[i]), config.photon_cap)
-                )
-        fermion_modes = []
-        for j in range(len(el_grid)):
-            for s in _SPINS:
-                fermion_modes.append(
-                    FermionMode(f"el{j}.{_SPIN_TAG[s]}", float(self.energies[j]))
-                )
-        for j in range(len(el_grid)):
-            for s in _SPINS:
-                fermion_modes.append(
-                    FermionMode(f"po{j}.{_SPIN_TAG[s]}", float(self.energies[j]))
-                )
-        scalar = frozenset(f"ph{i}.0" for i in range(len(ph_grid)))
-        self.spec = ModeSpec(tuple(boson_modes), tuple(fermion_modes), scalar)
-        self.basis = FockBasis(self.spec, total_boson_cap=config.photon_cap)
         self.photon_basis = FockBasis(
-            ModeSpec(tuple(boson_modes), (), scalar), total_boson_cap=config.photon_cap
+            ModeSpec(spec.bosons, (), spec.scalar_modes),
+            total_boson_cap=config.photon_cap,
         )
-        self.fermion_basis = FockBasis(ModeSpec((), tuple(fermion_modes)))
+        self.fermion_basis = FockBasis(ModeSpec((), spec.fermions))
         self.space = self.basis.graded_space()
 
         self._photon_ann = {
@@ -408,8 +408,6 @@ class QedModel:
         }
         self.eta = eta_metric(self.basis)
 
-        energies = {m.label: m.energy for m in boson_modes}
-        energies.update({m.label: m.energy for m in fermion_modes})
         self.h_free = second_quantize(self.basis, energies)
 
         self.spinors_u = {}

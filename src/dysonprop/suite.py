@@ -334,9 +334,6 @@ class ConvergenceTable:
     orders: tuple[int, ...]
     norms: np.ndarray
     tails: np.ndarray
-    support: float
-    rel_bound: float
-    grade_shift: float
 
     def onset(self, alpha_index: int) -> int:
         """First order from which the column decreases strictly to the end.
@@ -433,7 +430,4 @@ def appendix_convergence(
         orders=orders,
         norms=norms,
         tails=tails,
-        support=level,
-        rel_bound=cert.rel_bound,
-        grade_shift=cert.grade_shift,
     )

@@ -154,8 +154,8 @@ def test_criterion_06_residual_order_and_split_form(small_model):
     track_c = heisenberg_track(h_free, h_int, obs, t_end, 50, tol=1e-13)
     track_f = heisenberg_track(h_free, h_int, obs, t_end, 100, tol=1e-13)
     heis_ratio = float(
-        heisenberg_residuals(track_c, h_total, mode="strong").max()
-        / heisenberg_residuals(track_f, h_total, mode="strong").max()
+        heisenberg_residuals(track_c, h_total)[0].max()
+        / heisenberg_residuals(track_f, h_total)[0].max()
     )
 
     split = strong_split_residual(h_free, h_int, obs, xi, t=0.5, substeps=10,

@@ -477,6 +477,27 @@ def test_heisenberg_requires_even_steps(tmp_path):
     assert main(["heisenberg", cfg]) == 2
 
 
+def test_heisenberg_refuses_a_large_model_before_building_it(
+    tmp_path, monkeypatch, capsys
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "build_model", no_build)
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "qed-default",
+            "observable": linop_doc([0, 1], np.eye(2)),
+            "out_dir": str(tmp_path),
+        },
+    )
+    assert main(["heisenberg", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "dimension 560" in err and f"limit {cli.DENSE_TRACK_LIMIT}" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def _initial_value_report(tmp_path):
     doc = json.loads((tmp_path / "heisenberg.json").read_text())
     (report,) = [r for r in doc["reports"]

@@ -1,5 +1,7 @@
 """Trajectories in lab frame, Heisenberg tracks, and the split-form check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from dysonprop.evolution import (
     heisenberg_pairing_track,
     heisenberg_residuals,
     heisenberg_track,
-    observable_track,
     schrodinger_defects,
     schrodinger_trajectory,
     strong_split_residual,
@@ -138,28 +139,62 @@ def test_heisenberg_residuals_strong_and_weak(small_model):
         small_model.h_free, small_model.h_int, obs, t_end=0.4, steps=40, tol=1e-12
     )
     h_total = LinOp(small_model.h_free.space, full_h(small_model))
-    strong = heisenberg_residuals(track, h_total, mode="strong")
+    strong, _ = heisenberg_residuals(track, h_total)
     assert strong.shape == (39,)
     assert strong.max() < 1e-2
-    weak = heisenberg_residuals(track, h_total, mode="weak", pairs=5, seed=3)
+    _, weak = heisenberg_residuals(track, h_total, pairs=5, seed=3)
     assert weak.max() < strong.max() * 50  # random pairs scale, same dt order
     with pytest.raises(ValueError):
-        heisenberg_residuals(track, h_total, mode="nope")
+        heisenberg_residuals(track, h_total, stride=40)
 
 
-def test_observable_track_agrees_with_dense_route(small_model):
-    for model in (small_model, block_free_model()):
-        rng = np.random.default_rng(8)
-        b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        obs = LinOp(model.h_free.space, b)
-        xi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        per_state = observable_track(
-            model.h_free, model.h_int, obs, xi, 0.5, 5, tol=1e-12
+def reference_residuals(track, h_total, mode, pairs=20, seed=11):
+    """The strong and the weak loop, each run on its own as separate modes."""
+    h_mat = h_total.matrix
+    dt = float(track.times[1] - track.times[0])
+    interior = range(1, len(track.times) - 1)
+    out = np.empty(len(track.times) - 2)
+    if mode == "strong":
+        for i, k in enumerate(interior):
+            diff = (track.states[k + 1] - track.states[k - 1]) / (2.0 * dt)
+            comm = 1j * (h_mat @ track.states[k] - track.states[k] @ h_mat)
+            out[i] = float(np.linalg.norm(diff - comm, 2))
+        return out
+    rng = np.random.default_rng(seed)
+    dim = h_mat.shape[0]
+    etas = rng.normal(size=(dim, pairs)) + 1j * rng.normal(size=(dim, pairs))
+    xis = rng.normal(size=(dim, pairs)) + 1j * rng.normal(size=(dim, pairs))
+    ih_etas = (1j * h_mat).conj().T @ etas
+    ih_xis = 1j * (h_mat @ xis)
+    for i, k in enumerate(interior):
+        diff = (track.states[k + 1] - track.states[k - 1]) / (2.0 * dt)
+        lhs = np.einsum("dp,de,ep->p", etas.conj(), diff, xis)
+        b_now = track.states[k]
+        rhs = np.einsum("dp,de,ep->p", ih_etas.conj(), b_now, xis) - np.einsum(
+            "dp,dp->p", (b_now.conj().T @ etas).conj(), ih_xis
         )
-        dense = heisenberg_track(model.h_free, model.h_int, obs, 0.5, 5, tol=1e-12)
-        for k in range(6):
-            want = dense.states[k] @ xi
-            assert np.linalg.norm(per_state.states[k][:, 0] - want) < 1e-10
+        out[i] = float(np.abs(lhs - rhs).max())
+    return out
+
+
+def test_one_pass_residuals_equal_the_separate_loops(small_model):
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    obs = LinOp(small_model.h_free.space, b)
+    track = heisenberg_track(
+        small_model.h_free, small_model.h_int, obs, t_end=0.4, steps=12, tol=1e-12
+    )
+    h_total = small_model.h_free + small_model.h_int
+    strong, weak = heisenberg_residuals(track, h_total, pairs=6, seed=5)
+    np.testing.assert_array_equal(strong, reference_residuals(track, h_total, "strong"))
+    np.testing.assert_array_equal(
+        weak, reference_residuals(track, h_total, "weak", pairs=6, seed=5)
+    )
+    coarse = dataclasses.replace(track, times=track.times[::2],
+                                 states=track.states[::2])
+    for got, want in zip(heisenberg_residuals(track, h_total, stride=2),
+                         heisenberg_residuals(coarse, h_total)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_split_form_matches_commutator_form(small_model):
@@ -204,6 +239,27 @@ def test_pairing_track_matches_dense_pairing(small_model):
         )
 
 
+def test_pairing_track_derivatives_match_the_dense_commutator(small_model):
+    rng = np.random.default_rng(41)
+    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    obs = LinOp(small_model.h_free.space, b)
+    etas = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    xis = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    track = heisenberg_pairing_track(
+        small_model.h_free, small_model.h_int, obs, etas, xis,
+        t_end=0.6, steps=6, tol=1e-12,
+    )
+    dense = heisenberg_track(
+        small_model.h_free, small_model.h_int, obs, 0.6, 6, tol=1e-12
+    )
+    h = full_h(small_model)
+    assert track.derivatives.shape == (7, 3)
+    for k in range(7):
+        comm = h @ dense.states[k] - dense.states[k] @ h
+        want = 1j * np.einsum("dp,de,ep->p", etas.conj(), comm, xis)
+        assert np.abs(track.derivatives[k] - want).max() < 1e-9
+
+
 def test_weak_residual_stride_doubling(small_model):
     rng = np.random.default_rng(6)
     b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -214,16 +270,13 @@ def test_weak_residual_stride_doubling(small_model):
         small_model.h_free, small_model.h_int, obs, etas, xis,
         t_end=0.4, steps=80, tol=1e-13,
     )
-    fine = weak_residual(track, small_model.h_free, small_model.h_int, obs)
-    coarse = weak_residual(
-        track, small_model.h_free, small_model.h_int, obs, stride=2
-    )
+    fine = weak_residual(track)
+    coarse = weak_residual(track, stride=2)
     assert coarse["dt"] == pytest.approx(2 * fine["dt"])
     ratio = coarse["max_residual"] / fine["max_residual"]
     assert ratio == pytest.approx(4.0, rel=0.1)
     with pytest.raises(ValueError):
-        weak_residual(track, small_model.h_free, small_model.h_int, obs,
-                      stride=50)
+        weak_residual(track, stride=50)
 
 
 def test_interaction_is_actually_nonnormal(small_model):
@@ -247,7 +300,6 @@ def test_track_drivers_compute_no_schrodinger_defects(small_model, monkeypatch):
     xi = unit(8, 0)
     heisenberg_track(h_free, h_int, obs, 0.4, 4, tol=1e-10)
     heisenberg_pairing_track(h_free, h_int, obs, xi, xi, 0.4, 4, tol=1e-10)
-    observable_track(h_free, h_int, obs, xi, 0.4, 4, tol=1e-10)
     strong_split_residual(h_free, h_int, obs, xi, t=0.4, substeps=4)
     assert calls == []
     schrodinger_trajectory(h_free, h_int, xi, 0.4, 4, tol=1e-10)

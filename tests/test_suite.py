@@ -167,7 +167,6 @@ def make_table(norm_col, tail_col=None):
     )
     return ConvergenceTable(
         alphas=(0.0,), orders=tuple(range(n)), norms=norms, tails=tails,
-        support=0.0, rel_bound=0.5, grade_shift=1.0,
     )
 
 
