@@ -31,11 +31,9 @@ from .graded import (
     GradeCert,
     GradedSpace,
     LinOp,
-    as_linop,
     certify,
     grade_shift_bound,
     relative_bound_constant,
-    sector_projector,
     support_level,
     weighted_norm,
 )
@@ -49,7 +47,6 @@ from .dyson import (
     evolve_block,
     evolve_vector,
     free_propagator,
-    interaction_picture,
 )
 from .oracles import Report, matrix_exp, ode_oracle, oracle_propagator
 from .evolution import (
@@ -69,7 +66,6 @@ from .fock import (
     boson_ops,
     eta_metric,
     fermion_ops,
-    number_operator,
     second_quantize,
 )
 from .qed import (
@@ -101,11 +97,9 @@ __all__ = [
     "GradeCert",
     "GradedSpace",
     "LinOp",
-    "as_linop",
     "certify",
     "grade_shift_bound",
     "relative_bound_constant",
-    "sector_projector",
     "support_level",
     "weighted_norm",
     "SeriesResult",
@@ -117,7 +111,6 @@ __all__ = [
     "evolve_block",
     "evolve_vector",
     "free_propagator",
-    "interaction_picture",
     "Report",
     "matrix_exp",
     "ode_oracle",
@@ -136,7 +129,6 @@ __all__ = [
     "boson_ops",
     "eta_metric",
     "fermion_ops",
-    "number_operator",
     "second_quantize",
     "QedConfig",
     "QedModel",

@@ -91,7 +91,7 @@ from .reporting import (
     write_json,
     write_junit,
 )
-from .suite import appendix_convergence, fleet, fleet_verification
+from .suite import TAIL_SLACK, appendix_convergence, fleet, fleet_verification
 
 DENSE_TRACK_LIMIT = 128
 RESIDUAL_RATIO_SLACK = 1.2  # |ratio - 4| allowed for the h -> h/2 order check
@@ -569,7 +569,7 @@ def _run_convergence(cfg: RunConfig) -> _Outputs:
                 (table.norms[:, a] - table.norms[:, a + 1]).max()
             ))
     reports = [
-        Report("tail-domination", max(0.0, worst - 1.0), 1e-3,
+        Report("tail-domination", max(0.0, worst - 1.0), TAIL_SLACK,
                {"worst_ratio": worst}),
         Report("convergence-onset", float(max(onsets)), float(n_max - 3),
                {"onsets": onsets}),

@@ -45,6 +45,7 @@ phases of their own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -123,6 +124,10 @@ class TimeGrid:
     nodes_per_panel: int = DEFAULT_NODES_PER_PANEL
 
     def __post_init__(self):
+        for name in ("panels", "nodes_per_panel"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {count!r}")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
         if self.nodes_per_panel < 2:
@@ -172,9 +177,6 @@ class DysonTerm:
         nodes = np.linalg.norm(self.node_values, axis=-2).max()
         edges = np.linalg.norm(self.boundary_values, axis=-2).max()
         return float(max(nodes, edges))
-
-    def value_at_end(self) -> np.ndarray:
-        return self.boundary_values[-1]
 
 
 @dataclass(frozen=True)
@@ -468,15 +470,6 @@ def _prepare(h_free: LinOp, h_int: LinOp) -> _Prepared:
     )
     h_int._memo["prepared"] = h_free, prep
     return prep
-
-
-def interaction_picture(h_free: LinOp, h_int: LinOp, tau: float) -> LinOp:
-    """The rotated interaction  e^{i tau h_free} h_int e^{-i tau h_free}.
-
-    For a diagonal free part with energies E the entries are exactly
-    ``h_int[j, k] * exp(i tau (E_j - E_k))``.
-    """
-    return LinOp(h_free.space, _free_spectrum(h_free).two_sided(tau, h_int.matrix, tau))
 
 
 def free_propagator(h_free: LinOp, t: float) -> np.ndarray:

@@ -7,8 +7,8 @@ class AssumptionViolation(ValueError):
     """A model fails a structural requirement of the series construction.
 
     ``code`` is a stable machine-readable identifier naming the violated
-    requirement, e.g. ``"free-part-not-hermitian"`` or
-    ``"grading-not-preserved"``.
+    requirement: ``check_free_part`` raises ``"free-part-not-hermitian"`` and
+    ``"free-part-mixes-grades"``.
     """
 
     def __init__(self, code: str, message: str):

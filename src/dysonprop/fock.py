@@ -9,9 +9,8 @@ The grade of a state is its total boson occupation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,32 +56,6 @@ class ModeSpec:
         unknown = set(self.scalar_modes) - boson_labels
         if unknown:
             raise ValueError(f"scalar_modes not among boson labels: {sorted(unknown)}")
-
-    def to_json(self) -> dict:
-        return {
-            "bosons": [
-                {"label": m.label, "energy": m.energy, "cutoff": m.cutoff}
-                for m in self.bosons
-            ],
-            "fermions": [
-                {"label": m.label, "energy": m.energy} for m in self.fermions
-            ],
-            "scalar_modes": sorted(self.scalar_modes),
-        }
-
-    @staticmethod
-    def from_json(doc: dict | str) -> "ModeSpec":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        bosons = tuple(
-            BosonMode(str(m["label"]), float(m["energy"]), int(m["cutoff"]))
-            for m in doc.get("bosons", [])
-        )
-        fermions = tuple(
-            FermionMode(str(m["label"]), float(m["energy"]))
-            for m in doc.get("fermions", [])
-        )
-        return ModeSpec(bosons, fermions, frozenset(doc.get("scalar_modes", [])))
 
 
 def _boson_occupations(
@@ -228,18 +201,12 @@ def second_quantize(basis: FockBasis, energies: Mapping[str, float]) -> LinOp:
     return _diagonal_op(basis.graded_space(), diag.astype(complex))
 
 
-def number_operator(basis: FockBasis) -> LinOp:
-    """Total boson number; its diagonal equals the grading."""
-    return second_quantize(basis, {m.label: 1.0 for m in basis.spec.bosons})
-
-
-def eta_metric(basis: FockBasis, scalar_modes: Iterable[str] | None = None) -> LinOp:
-    """Indefinite metric  (-1)^(total occupation of the scalar modes).
+def eta_metric(basis: FockBasis) -> LinOp:
+    """Indefinite metric  (-1)^(total occupation of the basis's scalar modes).
 
     Diagonal, involutive and self-adjoint by construction; stored as CSR.
     """
-    labels = set(scalar_modes if scalar_modes is not None else basis.spec.scalar_modes)
-    slots = [basis.boson_slot(lb) for lb in labels]
+    slots = [basis.boson_slot(lb) for lb in basis.spec.scalar_modes]
     odd = basis.boson_occ[:, slots].sum(axis=1) % 2 == 1
     return _diagonal_op(basis.graded_space(), np.where(odd, -1.0, 1.0).astype(complex))
 

@@ -8,7 +8,7 @@ relative bound constant ``C`` with ``||T v|| <= C ||(A + 1)^{1/2} v||`` where
 
 An operator is stored dense or as a CSR array, as its builder made it.
 ``scipy.sparse`` is imported by the first CSR construction (a CSR storage
-passed to ``LinOp``, ``sector_projector``, the Fock diagonals, the QED
+passed to ``LinOp``, the Fock diagonals or the QED
 interaction), not with the package, so a run on dense operators alone loads
 numpy and nothing from scipy.  One block list per operator (``_op_blocks``)
 serves every reader.  The blocks are the connected components of the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class GradedSpace:
 
     def grade_array(self) -> np.ndarray:
         return np.asarray(self.grades, dtype=float)
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "grades": list(self.grades)}
 
     @staticmethod
     def from_json(doc: dict) -> "GradedSpace":
@@ -125,8 +122,7 @@ class LinOp:
     read-only array built afresh on each access and never cached.
 
     Immutable once constructed; derived data is computed lazily and memoised
-    in ``_memo``.  Sums and differences add the stored arrays, so CSR plus
-    CSR stays CSR.
+    in ``_memo``.  Sums add the stored arrays, so CSR plus CSR stays CSR.
     """
 
     space: GradedSpace
@@ -181,10 +177,6 @@ class LinOp:
     def __add__(self, other: "LinOp") -> "LinOp":
         self._same_space(other)
         return LinOp(self.space, self.storage + other.storage)
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        self._same_space(other)
-        return LinOp(self.space, self.storage - other.storage)
 
     def norm2(self) -> float:
         return _spectral_norm(_op_blocks(self))
@@ -345,11 +337,6 @@ def _op_blocks(op: LinOp) -> list[_Block]:
     return op._memo["blocks"]
 
 
-def sector_projector(space: GradedSpace, level: float) -> LinOp:
-    """Orthogonal projector onto basis indices with grade <= level."""
-    return _diagonal_op(space, (space.grade_array() <= level).astype(complex))
-
-
 def _diagonal_op(space: GradedSpace, diag: np.ndarray) -> LinOp:
     """The diagonal operator with entries ``diag``, stored as CSR."""
     from scipy.sparse import diags_array
@@ -494,10 +481,3 @@ def vectors_supported_below(
     sub /= np.linalg.norm(sub, axis=0, keepdims=True)
     cols[mask, :] = sub
     return cols
-
-
-def as_linop(space_or_grades: GradedSpace | Iterable[float], matrix: np.ndarray) -> LinOp:
-    """Convenience constructor accepting either a space or raw grades."""
-    if isinstance(space_or_grades, GradedSpace):
-        return LinOp(space_or_grades, matrix)
-    return LinOp(GradedSpace(tuple(float(g) for g in space_or_grades)), matrix)

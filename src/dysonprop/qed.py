@@ -144,24 +144,14 @@ def polarization_vectors(k: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Momentum points with positive quadrature weights."""
+    """Momentum points, shape (n, 3), with positive quadrature weights.
+
+    Made only by ``QedConfig.photon_grid``/``fermion_grid``, from lattice
+    data the config has checked.
+    """
 
     points: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise ValueError("points must be a non-empty (n, 3) array")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (pts.shape[0],):
-            raise ValueError("weights must match the number of points")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         return complex(np.sum(self.weights * np.conj(f) * g))
@@ -267,12 +257,12 @@ class QedConfig:
         return value
 
     def photon_grid(self) -> MomentumGrid:
-        return MomentumGrid(np.array(self.momentum_points),
-                            np.array(self._field("momentum_weights")))
+        return MomentumGrid(np.array(self.momentum_points, dtype=float),
+                            np.array(self._field("momentum_weights"), dtype=float))
 
     def fermion_grid(self) -> MomentumGrid:
-        return MomentumGrid(np.array(self.fermion_momenta),
-                            np.array(self._field("fermion_weights")))
+        return MomentumGrid(np.array(self.fermion_momenta, dtype=float),
+                            np.array(self._field("fermion_weights"), dtype=float))
 
     def to_json(self) -> dict:
         return {f.name: _to_wire(self._field(f.name)) for f in fields(self)}
@@ -303,36 +293,6 @@ class QedConfig:
         if isinstance(cap, float) and cap.is_integer():
             kwargs["photon_cap"] = int(cap)
         return QedConfig(**kwargs)
-
-
-def random_momentum_grid(
-    rng: np.random.Generator,
-    count: int,
-    radius_range: tuple[float, float] = (0.5, 2.0),
-    min_polar_angle: float = 0.1,
-    symmetric: bool = False,
-) -> MomentumGrid:
-    """Random points bounded away from the z-axis pole by min_polar_angle.
-
-    With ``symmetric`` the reflected points -k are appended, which keeps a
-    fermion grid closed under momentum reflection.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    radii = rng.uniform(*radius_range, size=count)
-    theta = rng.uniform(min_polar_angle, math.pi - min_polar_angle, size=count)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    pts = np.stack(
-        [
-            radii * np.sin(theta) * np.cos(phi),
-            radii * np.sin(theta) * np.sin(phi),
-            radii * np.cos(theta),
-        ],
-        axis=1,
-    )
-    if symmetric:
-        pts = np.concatenate([pts, -pts], axis=0)
-    return MomentumGrid(pts, np.full(pts.shape[0], 1.0))
 
 
 def default_toy_config() -> QedConfig:
@@ -552,16 +512,6 @@ def _eta_signs(model: QedModel) -> np.ndarray:
     return np.real(model.eta.storage.diagonal())
 
 
-def eta_adjoint(model: QedModel, op: LinOp) -> LinOp:
-    """The metric adjoint  eta T* eta  on the joint space.
-
-    The metric is a diagonal of signs, so the two products are exact
-    entrywise sign flips.
-    """
-    signs = _eta_signs(model)
-    return LinOp(model.space, signs[:, None] * op.matrix.conj().T * signs[None, :])
-
-
 def field_commutators(model: QedModel, seed: int = 101, samples: int = 4) -> Report:
     """Residual of [a_mu(f), a_nu^dagger(g)] + g_{mu nu} <f, g> below the cap.
 
@@ -607,8 +557,9 @@ def eta_unitarity_check(
     Random unit pairs are drawn with photon occupation at most cap - 2 so
     the cap has headroom; the drift |<W psi, eta W phi> - <psi, eta phi>| is
     maximised over pairs and times.  One report covers the pairing, one the
-    metric adjoint inverse applied through the adjoint series, and one the
-    top-sector leakage of every evolved state.  The times must all be
+    metric adjoint inverse applied through the adjoint series, one the group
+    inverse W(-t) W(t) = 1 through a backward run (``group-inverse``), and
+    one the top-sector leakage of every evolved state.  The times must all be
     multiples of max(times) / n for some n <= 64, else ValueError.
     """
     rng = np.random.default_rng(seed)

@@ -228,7 +228,7 @@ def test_criterion_09_weighted_convergence(toy_model):
         onsets.append(onset)
         col = table.norms[onset:, a]
         strict = strict and bool(np.all(np.diff(col) < 0.0))
-    dominated, worst_ratio = table.dominated(slack=1e-3)
+    dominated, worst_ratio = table.dominated()
     ok = strict and dominated and max(onsets) <= 3
     verdict(9, ok, f"onsets {onsets}, strictly decreasing beyond onset: "
                    f"{strict}, worst norm/tail ratio {worst_ratio:.4f} "

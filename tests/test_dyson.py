@@ -24,7 +24,6 @@ from dysonprop.dyson import (
     evolve_block,
     evolve_vector,
     free_propagator,
-    interaction_picture,
 )
 from dysonprop.errors import TruncationError
 from dysonprop.evolution import schrodinger_trajectory, strong_split_residual
@@ -32,7 +31,6 @@ from dysonprop.graded import (
     ENTRY_THRESHOLD,
     GradedSpace,
     LinOp,
-    as_linop,
     certify,
     grade_shift_bound,
     random_vector,
@@ -85,6 +83,10 @@ def test_grid_validation():
         TimeGrid(0.0, 1.0, panels=2, nodes_per_panel=1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, float("nan"), panels=1)
+    for panels, nodes in ((2.5, 4), (2.0, 4), (True, 4), (2, 3.0), (2, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TimeGrid(0.0, 1.0, panels=panels, nodes_per_panel=nodes)
+    assert TimeGrid(0.0, 1.0, panels=np.int64(2)).boundaries().size == 3
 
 
 @settings(max_examples=50, deadline=None)
@@ -183,11 +185,12 @@ def test_interaction_picture_flips_sign_at_pi():
     space = GradedSpace((0.0, 0.0))
     h0 = LinOp(space, np.diag([0.0, 1.0]).astype(complex))
     h1 = LinOp(space, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    rot = interaction_picture(h0, h1, math.pi)
-    np.testing.assert_allclose(rot.matrix, -h1.matrix, atol=1e-14)
+    free = dyson._free_spectrum(h0)
+    rot = free.two_sided(math.pi, h1.matrix, math.pi)
+    np.testing.assert_allclose(rot, -h1.matrix, atol=1e-14)
     # diagonal entries never move
-    same = interaction_picture(h0, as_linop(space.grades, np.eye(2)), 0.7)
-    np.testing.assert_allclose(same.matrix, np.eye(2), atol=1e-15)
+    same = free.two_sided(0.7, np.eye(2), 0.7)
+    np.testing.assert_allclose(same, np.eye(2), atol=1e-15)
 
 
 def test_free_propagator_diagonal_and_rotated():
@@ -247,10 +250,6 @@ def test_no_library_path_builds_a_dense_free_propagator(monkeypatch):
     obs = LinOp(small.h_free.space, rng.normal(size=(8, 8)) + 0j)
     strong_split_residual(small.h_free, small.h_int, obs, np.eye(8)[:, 1], t=0.4,
                           substeps=4)
-    fresh = random_graded_model(seed=22, dim=6, grade_shift=1, block_free_part=True)
-    before = len(certified)
-    interaction_picture(fresh.h_free, fresh.h_int, 0.3)
-    assert len(certified) == before
 
 
 def test_coupled_gap_reads_the_supported_entries():
@@ -578,7 +577,8 @@ def test_kept_terms_are_not_overwritten(toy_model, fleet_models):
         # increments: -i h_p sum_j w_j h_int(tau_pj) U_n(tau_pj) xi.
         _, weights, _ = dyson._reference_rule(grid.nodes_per_panel)
         halfw = 0.5 * np.diff(grid.boundaries())
-        rotated = [[interaction_picture(h_free, h_int, tau).matrix for tau in row]
+        free = dyson._free_spectrum(h_free)
+        rotated = [[free.two_sided(tau, h_int.matrix, tau) for tau in row]
                    for row in grid.nodes()]
         for lower, upper in zip(res.terms, res.terms[1:]):
             want = [-1j * h * sum(w * (m @ v) for w, m, v in zip(weights, mats, vals))
@@ -616,7 +616,7 @@ def test_order_one_closed_form():
     # -i g int_0^t e^{i tau delta} dtau = -g (e^{i t delta} - 1) / delta
     expected = -g * (np.exp(1j * t * delta) - 1.0) / delta
     np.testing.assert_allclose(
-        term1.value_at_end()[:, 0], [0.0, expected], atol=1e-12
+        term1.boundary_values[-1][:, 0], [0.0, expected], atol=1e-12
     )
 
 
@@ -862,7 +862,7 @@ def test_support_growth_per_order():
     grid = default_grid(model.h_free, model.h_int, 0.0, 0.5, support=start)
     res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-10)
     for term in res.terms:
-        lvl = support_level(space, term.value_at_end()[:, 0])
+        lvl = support_level(space, term.boundary_values[-1][:, 0])
         assert lvl <= start + term.order * res.cert.grade_shift + 1e-12
 
 

@@ -16,7 +16,7 @@ from dysonprop.evolution import (
     uniform_times,
     weak_residual,
 )
-from dysonprop.graded import GradedSpace, LinOp, as_linop
+from dysonprop.graded import GradedSpace, LinOp
 from dysonprop.oracles import matrix_exp
 from dysonprop.suite import dense_propagator, random_graded_model
 
@@ -131,10 +131,7 @@ def test_heisenberg_track_initial_value_and_oracle(small_model):
 
 
 def test_heisenberg_residuals_strong_and_weak(small_model):
-    obs = as_linop(
-        small_model.h_free.space.grades,
-        np.diag(np.arange(8, dtype=float)),
-    )
+    obs = LinOp(small_model.h_free.space, np.diag(np.arange(8, dtype=float)))
     track = heisenberg_track(
         small_model.h_free, small_model.h_int, obs, t_end=0.4, steps=40, tol=1e-12
     )

@@ -11,24 +11,21 @@ from scipy.sparse import csr_array, issparse
 from dysonprop import graded
 from dysonprop.dyson import _prepare, default_grid, evolve_block
 from dysonprop.evolution import schrodinger_defects, schrodinger_trajectory
-from dysonprop.fock import eta_metric, second_quantize
+from dysonprop.fock import FockBasis, eta_metric, second_quantize
 from dysonprop.graded import certify, grade_shift_bound, vectors_supported_below
 from dysonprop.oracles import ode_oracle
 from dysonprop.qed import (
     MINKOWSKI,
-    MomentumGrid,
     QedConfig,
     alpha_matrices,
     build_model,
     default_toy_config,
     dirac_spinors,
-    eta_adjoint,
     eta_unitarity_check,
     fermion_energy,
     field_commutators,
     gamma_matrices,
     polarization_vectors,
-    random_momentum_grid,
     structure_reports,
 )
 
@@ -124,21 +121,14 @@ def test_polarization_rejects_z_axis():
 # ------------------------------------------------------------ grids, config
 
 def test_momentum_grid_validation():
-    with pytest.raises(ValueError):
-        MomentumGrid(np.zeros((0, 3)), np.zeros(0))
-    with pytest.raises(ValueError):
-        MomentumGrid(np.ones((2, 3)), np.array([1.0, 0.0]))
-
-
-def test_random_momentum_grid_stays_off_axis():
-    rng = np.random.default_rng(3)
-    grid = random_momentum_grid(rng, 40, min_polar_angle=0.2)
-    perp = np.hypot(grid.points[:, 0], grid.points[:, 1])
-    radii = np.linalg.norm(grid.points, axis=1)
-    assert np.all(perp >= radii * math.sin(0.2) * 0.999)
-    sym = random_momentum_grid(rng, 5, symmetric=True)
-    assert len(sym) == 10
-    np.testing.assert_allclose(sym.points[5:], -sym.points[:5])
+    # The config checks the lattice data its grids are made from.
+    with pytest.raises(ValueError, match="momentum_points must be a non-empty"):
+        dataclasses.replace(small_config(), momentum_points=(), chi_ph=())
+    with pytest.raises(ValueError, match="momentum_weights must be positive"):
+        dataclasses.replace(small_config(), momentum_weights=(0.0,))
+    grid = dataclasses.replace(small_config(), momentum_points=((1, 2, 3),)).photon_grid()
+    assert grid.points.shape == (1, 3) and grid.points.dtype == float
+    assert grid.weights.tolist() == [1.0] and len(grid) == 1
 
 
 def test_config_roundtrip_and_validation():
@@ -251,10 +241,9 @@ def test_full_hamiltonian_is_metric_symmetric():
 
 def test_eta_adjoint_matches_field_structure():
     model = build_model(small_config())
-    a = model.photon_field(2, (0.1, 0.0, -0.2))
-    np.testing.assert_allclose(
-        eta_adjoint(model, a).matrix, a.matrix, atol=1e-13
-    )
+    a = model.photon_field(2, (0.1, 0.0, -0.2)).matrix
+    eta = model.eta.matrix
+    np.testing.assert_allclose(eta @ a.conj().T @ eta, a, atol=1e-13)
     j = model.current_factor(1, (0.0, 0.0, 0.0))
     np.testing.assert_allclose(j, j.conj().T, atol=1e-13)
 
@@ -394,7 +383,9 @@ def test_fock_diagonals_equal_the_loop_definition(config):
     for labels in (scalar, scalar[:1], []):
         sign = [(-1.0) ** sum(b[basis.boson_slot(lb)] for lb in labels)
                 for b, _ in basis.states]
-        assert np.array_equal(eta_metric(basis, labels).storage.diagonal(),
+        spec = dataclasses.replace(basis.spec, scalar_modes=frozenset(labels))
+        declared = FockBasis(spec, basis.total_boson_cap)
+        assert np.array_equal(eta_metric(declared).storage.diagonal(),
                               np.array(sign, dtype=complex))
     energy = np.zeros(basis.dim)
     for idx, (bocc, focc) in enumerate(basis.states):

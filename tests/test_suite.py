@@ -183,7 +183,7 @@ def test_onset_walks_back_through_the_decreasing_tail():
 def test_dominated_ratio():
     ok, worst = make_table([1.0, 0.5], [2.0, 0.5]).dominated()
     assert ok and worst == 1.0
-    ok, worst = make_table([1.0, 0.5], [0.25, 0.5]).dominated(slack=1e-3)
+    ok, worst = make_table([1.0, 0.5], [0.25, 0.5]).dominated()
     assert not ok and worst == 4.0
 
 
