@@ -11,8 +11,18 @@ certified by the product bound
                          prod_{k<n} (L + k*b + 1)^{1/2} * ||xi||
 
 where C is the relative bound constant of the interaction, b its grade
-shift, and L the support level of xi.  Summation stops once the certified
-tail, these bounds summed over every later order, is below the tolerance.
+shift, and L the support level of xi.  The engine reads every grade
+L + k b there as min(L + k b, g_top), g_top the space's top grade:
+``check_free_part`` makes h_free Hermitian and grade-preserving, so
+U_k(tau) xi lies in grades <= min(L + k b, g_top), and
+||h_int(tau) v|| <= C ||(A + 1)^{1/2} v|| <= C sqrt(min(L + k b, g_top) + 1)
+||v|| for such v, whether or not h_int is normal.  The term ratio
+|t - t'| C sqrt(min(L + k b, g_top) + 1) / (k + 1) still does not grow from
+order 1 on, so the tail's geometric closure holds as before; past g_top the
+terms shrink like 1/n! rather than 1/sqrt(n!).  ``apriori_bound`` and
+``apriori_tail`` keep the paper's uncapped formula.  Summation stops once
+the certified tail, these bounds summed over every later order, is below
+the tolerance.
 
 Quadrature: composite Gauss-Legendre panels.  Cumulative integrals inside a
 panel integrate the degree-(q-1) interpolant through the panel's own nodes.
@@ -207,20 +217,23 @@ class SeriesResult:
 
 def _apriori_table(
     n_max: int, duration: float, rel_bound: float, grade_shift: float,
-    supports, norms, alpha: float = 0.0,
+    supports, norms, alpha: float = 0.0, top: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A-priori bounds and closed tails of orders 0..n_max, one column each.
 
     Row n of ``bounds`` is the product bound times the sector weight
     (L + n b + 1)^{alpha/2}, infinite once its log passes 700; row n of
-    ``tails`` sums the bounds of every later order.  The term ratio does not
-    grow from order 1 on, so the sum runs to the first K where it is at most
-    1/2 and the term is below e^-40 of order n_max + 1, then adds the
-    geometric remainder ``bounds[K + 1] / (1 - ratio)``.
+    ``tails`` sums the bounds of every later order.  Every grade L + k b
+    there is read as min(L + k b, top), the space's top grade (the lemma in
+    the module docstring).  The term ratio does not grow from order 1 on,
+    so the sum runs to the first K where it is at most 1/2 and the term is
+    below e^-40 of order n_max + 1, then adds the geometric remainder
+    ``bounds[K + 1] / (1 - ratio)``.
     """
     levels = np.asarray(supports, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    if min(n_max, duration, rel_bound, grade_shift, alpha, *levels, *norms) < 0:
+    inputs = np.hstack([n_max, duration, rel_bound, grade_shift, alpha, top, levels, norms])
+    if not (inputs >= 0).all():  # also rejects NaN
         raise ValueError("orders and every a-priori input must be non-negative")
     with np.errstate(divide="ignore"):  # a zero factor has log -inf
         log_step = np.log(duration) + np.log(rel_bound)
@@ -228,7 +241,7 @@ def _apriori_table(
     first, rows = n_max + 1, n_max + 3
     while True:
         k = np.arange(rows, dtype=float)[:, None]
-        reach = np.log(levels + k * grade_shift + 1.0)
+        reach = np.log(np.minimum(levels + k * grade_shift, top) + 1.0)
         steps = log_step - np.log(k[1:]) + 0.5 * reach[:-1]  # log(b_{k+1} / b_k)
         logs = np.cumsum(np.vstack([log_norms, steps]), axis=0) + 0.5 * alpha * reach
         seg = logs[first:]
@@ -587,7 +600,7 @@ def _run_block(
     norms0 = np.linalg.norm(work, axis=0)
     bounds, tails = _apriori_table(
         max_order, grid.duration, prep.cert.rel_bound, prep.cert.grade_shift,
-        supports, norms0,
+        supports, norms0, top=max(prep.space.grades),
     )
 
     # Row q of applied is the integral's edge row; rows in no block stay zero.
@@ -729,11 +742,14 @@ def default_grid(
 ) -> TimeGrid:
     """Panel count satisfying both width caps for the given run.
 
-    The first cap keeps panels below PANEL_PRODUCT_FACTOR / (C * sqrt(L + N b
-    + 1)) with N the order the tail needs at this tolerance; the second keeps
-    the fastest coupled phase resolved.  ``panel_multiple`` rounds the count
-    up to a multiple, which aligns panel edges with output times; it must
-    be at least 1.
+    The first cap keeps panels below
+    PANEL_PRODUCT_FACTOR / (C * sqrt(min(L + N b, g_top) + 1)) with N the
+    order the tail needs at this tolerance and g_top the space's top grade:
+    no order rises above g_top, so neither the factor nor the tail that
+    picks N grows past it (the lemma in the module docstring).  The second
+    cap keeps the fastest coupled phase resolved.  ``panel_multiple`` rounds
+    the count up to a multiple, which aligns panel edges with output times;
+    it must be at least 1.
     """
     if panel_multiple < 1:
         raise ValueError("panel_multiple must be at least 1")
@@ -742,11 +758,13 @@ def default_grid(
     duration = abs(t_end - t_start)
     if duration == 0.0:
         return TimeGrid(t_start, t_end, panel_multiple)
+    top = max(prep.space.grades)
     _, tails = _apriori_table(
-        max(max_order, 1), duration, cert.rel_bound, cert.grade_shift, [support], [1.0]
+        max(max_order, 1), duration, cert.rel_bound, cert.grade_shift, [support], [1.0],
+        top=top,
     )
     order = next((n for n in range(1, max_order) if tails[n, 0] < tol), max(max_order, 1))
-    reach = support + order * cert.grade_shift + 1.0
+    reach = min(support + order * cert.grade_shift, top) + 1.0
     width_caps = [duration]
     if cert.rel_bound > 0:
         width_caps.append(PANEL_PRODUCT_FACTOR / (cert.rel_bound * math.sqrt(reach)))

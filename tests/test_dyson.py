@@ -132,6 +132,16 @@ def test_apriori_bound_edges():
         apriori_tail(0, 1.0, 1.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         apriori_tail(0, 1.0, 1.0, 1.0, 0.0, 1.0, alpha=-1.0)
+    for i in range(1, 6):  # NaN duration, C, shift, support or norm
+        args = [3, 1.0, 1.0, 1.0, 0.0, 1.0]
+        args[i] = math.nan
+        with pytest.raises(ValueError):
+            apriori_bound(*args)
+        with pytest.raises(ValueError):
+            apriori_tail(*args)
+    for top in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            dyson._apriori_table(3, 1.0, 1.0, 1.0, [0.0], [1.0], top=top)
 
 
 def test_apriori_bound_overflow_is_inf():
@@ -827,14 +837,39 @@ def test_block_bounds_match_the_per_column_bounds():
     cert = res.cert
     assert len(set(res.supports_in)) > 1
     for j in range(3):
-        args = (0.7, cert.rel_bound, cert.grade_shift, res.supports_in[j],
-                np.linalg.norm(block[:, j]))
         assert res.supports_in[j] == support_level(space, block[:, j])
-        want = [apriori_bound(n, *args) for n in range(res.achieved_order + 1)]
-        np.testing.assert_allclose(res.per_order_bounds[:, j], want, rtol=1e-13)
-        assert res.tail_bounds[j] == pytest.approx(
-            apriori_tail(res.achieved_order, *args), rel=1e-13
+        bounds, tails = dyson._apriori_table(
+            res.achieved_order, 0.7, cert.rel_bound, cert.grade_shift,
+            [res.supports_in[j]], [np.linalg.norm(block[:, j])],
+            top=max(space.grades),
         )
+        np.testing.assert_allclose(res.per_order_bounds[:, j], bounds[:, 0], rtol=1e-13)
+        assert res.tail_bounds[j] == pytest.approx(tails[-1, 0], rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+def test_grade_capped_bounds_dominate_every_order_on_the_fleet(fleet_models, t):
+    """Each order's sup norm stays below its bound, capped at the top grade."""
+    for model in fleet_models:
+        top = max(model.h_free.space.grades)
+        grid = default_grid(model.h_free, model.h_int, 0.0, t, support=top)
+        res = evolve_block(model.h_free, model.h_int, np.eye(model.h_free.dim),
+                           grid, tol=1e-10)
+        norms, bounds = res.per_order_sup_norms[1:], res.per_order_bounds[1:]
+        assert (norms <= bounds).all(), model.name
+
+
+def test_grade_cap_reaches_long_times_on_the_readme_model():
+    """The uncapped bound gives up at t = 8 (tail 1.3e-7 at order 64)."""
+    model = random_graded_model(seed=3, dim=12, grade_shift=2)
+    xi = np.zeros(12, dtype=complex)
+    xi[0] = 1.0
+    for t, order, panels in ((8.0, 29, 56), (16.0, 46, 112)):
+        grid = default_grid(model.h_free, model.h_int, 0.0, t, support=0, tol=1e-10)
+        res = evolve_vector(model.h_free, model.h_int, xi, grid, tol=1e-10)
+        assert (res.achieved_order, grid.panels) == (order, panels)
+        want = oracle_propagator(model.h_free, model.h_int, t, 0.0) @ xi
+        assert np.linalg.norm(res.final()[:, 0] - want) <= 1e-9
 
 
 def test_adjoint_route_is_the_conjugate_transpose():
