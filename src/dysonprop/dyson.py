@@ -44,6 +44,17 @@ batched product per order maps the applied values and the panel-frame edge
 starts to the next order's node values.  Edges and boundary sums stay in the
 interaction picture.  A run reuses two order buffers for all its orders.
 
+Output rows: a trajectory run (``evolution._aligned_run``) also reads its
+sums at r - 1 uniform interior points of every panel, from the same
+degree-(q-1) interpolant that gives the node values, exact to degree q - 1.
+Row k of the rows integrates each Lagrange basis polynomial from the left
+edge to -1 + 2k/r (``_reference_rule``, rows past the ``S`` map).  The
+recursion is linear, so the run sums h_int applied at the nodes over every
+order that feeds the next (one add per order) and maps that sum to every
+interior point with one batched product after the loop; the rows feed only
+the sums, never the next order.  With r = 1 there are no rows and no sum,
+and the loop is the plain one.
+
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
 Every free evolution e^{-i t h_free} of the library is applied in
@@ -86,7 +97,8 @@ DEFAULT_NODES_PER_PANEL = 8
 # oscillation cap set by the largest free-energy gap the interaction couples.
 PANEL_PRODUCT_FACTOR = 0.1
 PANEL_PHASE_FACTOR = 0.7
-# Panel count cap, applied before rounding up to a panel multiple.
+# Panel count cap of ``default_grid``; a trajectory run may round it up to
+# a multiple of its step count.
 MAX_PANELS = 4096
 # A CSR-stored interaction is applied as one CSR product per node once its
 # dense blocks hold more than this many entries per non-zero.  Per node
@@ -98,24 +110,23 @@ MAX_PANELS = 4096
 CSR_APPLY_RATIO = 10
 
 
-@lru_cache(maxsize=None)
-def _reference_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)  # keyed by step counts too, so bounded
+def _reference_rule(q: int, r: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] plus the partial-integral map.
 
     S[m, j] = integral_{-1}^{x_m} of the j-th Lagrange basis polynomial
     through the nodes, so ``S @ g`` integrates the interpolant of nodal data
-    g from the left panel edge to each node.  Every grid shares the cached
-    arrays, so they are read-only.
+    g from the left panel edge to each node.  With r > 1 output points per
+    panel, S goes on with r - 1 rows: row q + k - 1 integrates to the
+    uniform interior point -1 + 2k/r, k = 1..r-1.  Every grid shares the
+    cached arrays, so they are read-only.
     """
     if q < 2:
         raise ValueError("nodes_per_panel must be at least 2")
     x, w = npleg.leggauss(q)
-    vand = npleg.legvander(x, q - 1)
-    coeffs = np.linalg.inv(vand)  # column j: Legendre coefficients of ell_j
-    s = np.empty((q, q))
-    for j in range(q):
-        anti = npleg.legint(coeffs[:, j], lbnd=-1)
-        s[:, j] = npleg.legval(x, anti)
+    points = np.concatenate([x, -1.0 + 2.0 * np.arange(1, r) / r])
+    coeffs = np.linalg.inv(npleg.legvander(x, q - 1))  # column j: ell_j
+    s = npleg.legval(points, npleg.legint(coeffs, lbnd=-1)).T
     for arr in (x, w, s):
         arr.setflags(write=False)
     return x, w, s
@@ -193,11 +204,14 @@ class DysonTerm:
 class SeriesResult:
     """Series applied to a block of m columns, in the original basis.
 
-    Sums are in the interaction picture.  Bounds, norms and support levels
-    are per column; ``terms`` holds every order when the run kept them.
+    Sums are in the interaction picture.  ``output_sums`` holds them at
+    t_start and at r uniform output points per panel, the r-th its right
+    edge; r is 1 except in the runs of ``evolution._aligned_run``.  Bounds,
+    norms and support levels are per column; ``terms`` holds every order
+    when the run kept them.
     """
 
-    boundary_sums: np.ndarray  # (panels + 1, dim, m), running sum at panel edges
+    output_sums: np.ndarray  # (panels * r + 1, dim, m), running sum at output points
     achieved_order: int
     tail_bounds: np.ndarray  # (m,) certified tail after achieved_order
     per_order_sup_norms: np.ndarray  # (orders + 1, m), sup over nodes and edges
@@ -206,6 +220,11 @@ class SeriesResult:
     cert: GradeCert
     grid: TimeGrid
     terms: tuple[DysonTerm, ...] = ()
+
+    @property
+    def boundary_sums(self) -> np.ndarray:
+        """The running sums at the panel edges, (panels + 1, dim, m)."""
+        return self.output_sums[:: (len(self.output_sums) - 1) // self.grid.panels]
 
     @property
     def tail_bound(self) -> float:
@@ -505,11 +524,14 @@ class _GridKernels:
     phase of the recursion sits in three small arrays: ``panel_phase`` is pi
     (d, P); ``step`` (d, q, q + 1) holds, per state r, the partial-integral
     map S[j, i] scaled to phi-[j, r] S[j, i] phi+[i, r], followed by the
-    column phi-[:, r]; ``weights`` (d, 1, q) holds w_i phi+[i, r].
+    column phi-[:, r]; ``weights`` (d, 1, q) holds w_i phi+[i, r].  With
+    r > 1 output points per panel, ``outputs`` (d, r - 1, q) holds the
+    rows of S past the nodes, the partial integrals R[k, i] to the r - 1
+    interior points, scaled to R[k, i] phi+[i, r].
     """
 
-    def __init__(self, grid: TimeGrid, energies: np.ndarray):
-        x, w, s = _reference_rule(grid.nodes_per_panel)
+    def __init__(self, grid: TimeGrid, energies: np.ndarray, per_panel: int = 1):
+        x, w, s = _reference_rule(grid.nodes_per_panel, per_panel)
         self.panels = grid.panels
         bnd = grid.boundaries()
         h = 0.5 * (grid.t_end - grid.t_start) / grid.panels
@@ -519,9 +541,10 @@ class _GridKernels:
         plus = -1j * h * minus.conj()
         q = x.size
         self.step = np.empty((energies.size, q, q + 1), dtype=complex)
-        np.multiply(minus[:, :, None] * s, plus[:, None, :], out=self.step[:, :, :q])
+        np.multiply(minus[:, :, None] * s[:q], plus[:, None, :], out=self.step[:, :, :q])
         self.step[:, :, q] = minus
         self.weights = (w * plus)[:, None, :]
+        self.outputs = s[q:] * plus[:, None, :]
 
     def order_zero(self, xi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """Node-frame values of the constant xi (d, m) into out (q, d, P*m).
@@ -565,6 +588,23 @@ class _GridKernels:
         np.multiply(self.panel_phase[:, :, None], edges[:, :-1], out=totals)
         np.matmul(self.step, rows, out=out.transpose(1, 0, 2))
 
+    def output_sums(self, applied: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """Running sums at every output point, as a new (d, P r + 1, m) array.
+
+        ``applied`` (q, d, P*m) sums the applied node values of every order
+        that fed the next one, and ``sums`` (d, P + 1, m) holds the running
+        sums at the edges.  The recursion is linear, so one product with
+        ``outputs`` integrates all those orders to the interior points; the
+        conjugate panel phase takes the integrals to the interaction
+        picture, where each adds to its panel's left-edge sum.
+        """
+        d, _, m = sums.shape
+        inner = np.matmul(self.outputs, applied.transpose(1, 0, 2))
+        inner = inner.reshape(d, -1, self.panels, m) * self.panel_phase.conj()[:, None, :, None]
+        left = sums[:, None, :-1]  # each panel's left-edge sum, (d, 1, P, m)
+        points = np.concatenate([left, inner + left], axis=1).transpose(0, 2, 1, 3)
+        return np.concatenate([points.reshape(d, -1, m), sums[:, -1:]], axis=1)
+
 
 def _column_norms(node_vals: np.ndarray, edge_vals: np.ndarray) -> np.ndarray:
     """Largest 2-norm of each column over nodes (q, d, P*m) and edges (d, P+1, m)."""
@@ -582,6 +622,7 @@ def _run_block(
     tol: float,
     max_order: int,
     keep_terms: bool,
+    per_panel: int = 1,
 ) -> SeriesResult:
     """Core series loop in the rotated basis; block has shape (dim, m).
 
@@ -590,9 +631,12 @@ def _run_block(
     kernel's basis (``prep.order``) and the node frame (``_GridKernels``);
     sums and kept terms leave both, in the original basis and the
     interaction picture.  Each order is built in the buffers of the order
-    before, so two order-sized buffers serve the whole run.
+    before, so two order-sized buffers serve the whole run.  With
+    ``per_panel`` r > 1 a third sums h_int applied to the node values of
+    every order, and the sums at the r - 1 interior output points of each
+    panel are read from it after the loop.
     """
-    kern = _GridKernels(grid, prep.energies[prep.order])
+    kern = _GridKernels(grid, prep.energies[prep.order], per_panel)
     dim, m = block.shape
     p, q = grid.panels, grid.nodes_per_panel
     work = prep.to_working(block)
@@ -612,6 +656,7 @@ def _run_block(
     sums = edge_vals.copy()
     sup_norms = [norms0]
     terms: list[DysonTerm] = []
+    applied_sum = np.zeros_like(node_vals) if per_panel > 1 else None
 
     order = 0
     while True:
@@ -626,16 +671,20 @@ def _run_block(
         if order >= max_order or tails[order].max() < tol:
             break
         prep.apply_interaction(node_vals, applied[:q])
+        if applied_sum is not None:
+            applied_sum += applied[:q]
         kern.integrate(applied, out=node_vals, edges=edge_vals)
         sums += edge_vals
         order += 1
         sup_norms.append(_column_norms(node_vals, edge_vals))
 
     del node_vals, applied  # so the conversion below does not add to the peak
+    if applied_sum is not None:
+        sums = kern.output_sums(applied_sum, sums)
     sums = prep.from_working(sums[prep.unorder].reshape(dim, -1))
-    sums = sums.reshape(dim, p + 1, m)
+    sums = sums.reshape(dim, -1, m)
     return SeriesResult(
-        boundary_sums=np.moveaxis(sums, 1, 0),
+        output_sums=np.moveaxis(sums, 1, 0),
         achieved_order=order,
         tail_bounds=tails[order],
         per_order_sup_norms=np.array(sup_norms),
@@ -666,19 +715,21 @@ def evolve_block(
     grid: TimeGrid,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
+    _per_panel: int = 1,
 ) -> SeriesResult:
     """Apply the series propagator U(t_end, t_start) to a block of columns.
 
     Column support levels are tracked individually, so the certified tails
     are tight for basis columns of differing grades.  Raises TruncationError
     carrying the last tail bound when some column's certified tail cannot be
-    brought below ``tol`` within ``max_order`` orders.
+    brought below ``tol`` within ``max_order`` orders.  ``_per_panel`` is
+    private to ``evolution._aligned_run``: the r of ``SeriesResult.output_sums``.
     """
     blk = np.asarray(block, dtype=complex)
     if blk.ndim == 1:
         blk = blk[:, None]
     result = _run_block(_prepare(h_free, h_int), grid, blk, tol, max_order,
-                        keep_terms=False)
+                        keep_terms=False, per_panel=_per_panel)
     return _require_tail(result, tol, max_order)
 
 
@@ -738,7 +789,6 @@ def default_grid(
     support: float,
     tol: float = 1e-10,
     max_order: int = DEFAULT_MAX_ORDER,
-    panel_multiple: int = 1,
 ) -> TimeGrid:
     """Panel count satisfying both width caps for the given run.
 
@@ -747,17 +797,14 @@ def default_grid(
     order the tail needs at this tolerance and g_top the space's top grade:
     no order rises above g_top, so neither the factor nor the tail that
     picks N grows past it (the lemma in the module docstring).  The second
-    cap keeps the fastest coupled phase resolved.  ``panel_multiple`` rounds
-    the count up to a multiple, which aligns panel edges with output times;
-    it must be at least 1.
+    cap keeps the fastest coupled phase resolved.  The count depends on
+    accuracy alone; ``evolution._aligned_run`` fits it to its output times.
     """
-    if panel_multiple < 1:
-        raise ValueError("panel_multiple must be at least 1")
     prep = _prepare(h_free, h_int)
     cert = prep.cert
     duration = abs(t_end - t_start)
     if duration == 0.0:
-        return TimeGrid(t_start, t_end, panel_multiple)
+        return TimeGrid(t_start, t_end, 1)
     top = max(prep.space.grades)
     _, tails = _apriori_table(
         max(max_order, 1), duration, cert.rel_bound, cert.grade_shift, [support], [1.0],
@@ -772,7 +819,4 @@ def default_grid(
         width_caps.append(PANEL_PHASE_FACTOR / prep.gap)
     width = min(width_caps)
     panels = max(1, math.ceil(duration / width))
-    panels = min(MAX_PANELS, panels)
-    if panels % panel_multiple:
-        panels += panel_multiple - panels % panel_multiple
-    return TimeGrid(t_start, t_end, panels)
+    return TimeGrid(t_start, t_end, min(MAX_PANELS, panels))

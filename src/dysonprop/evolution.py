@@ -1,14 +1,15 @@
 """Lab-frame state trajectories and Heisenberg observable tracks.
 
 The series engine produces the interaction-picture propagator U(t, 0) at
-every panel boundary of a single run; the lab-frame group is
+every panel boundary of a single run, and at uniform points inside each
+panel from the panel's interpolant; the lab-frame group is
 
     W(t) = e^{-i t h_free} U(t, 0),
 
 so one run yields a whole trajectory.  ``_aligned_run`` is that run: it is
-the one place that puts the output times on panel edges, and it returns a
+the one place that fits the panels to the output times, and it returns a
 ``Trajectory`` whose ``series`` keeps the interaction-picture sums at every
-edge.  Callers look states up by time (``Trajectory.at_time``).
+output point.  Callers look states up by time (``Trajectory.at_time``).
 
 Heisenberg evolution B(t) = W(-t) B W(t) has one route per form of its
 equation of motion:
@@ -132,27 +133,35 @@ def _aligned_run(
     tol: float,
     max_order: int,
 ) -> Trajectory:
-    """One block run whose panel edges include steps+1 uniform times from 0.
+    """One block run that samples steps+1 uniform times from 0.
+
+    The panel count is the smallest at or above ``default_grid``'s, P0, that
+    divides ``steps`` or is a multiple of it.  With P0 >= steps that is a
+    multiple, and every output time is a panel edge.  Otherwise it is a
+    divisor P, and each panel holds steps / P output times: its right edge
+    and the rest read from the panel's interpolant
+    (``SeriesResult.output_sums``).  A prime step count thus keeps one panel
+    per step unless P0 is 1.
 
     Returns the block's trajectory on those times, without residuals; its
-    ``series`` is the run, whose ``boundary_sums`` hold the
-    interaction-picture sums at every panel edge (``grid.boundaries()``).
+    ``series`` is the run, whose ``output_sums`` hold the interaction-picture
+    sums at every output point.
     """
     times = uniform_times(t_end, steps)
     support = float(support_level(h_free.space, block).max())
-    grid = default_grid(
-        h_free, h_int, 0.0, float(t_end), support, tol=tol,
-        max_order=max_order, panel_multiple=steps,
-    )
-    result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order)
-    stride = grid.panels // steps
-    drift = np.abs(grid.boundaries()[::stride] - times).max()
-    if drift > _time_slack(t_end):
-        raise AssertionError("panel boundaries drifted off the output times")
+    grid = default_grid(h_free, h_int, 0.0, float(t_end), support, tol=tol,
+                        max_order=max_order)
+    # The next multiple of steps lies below P0 + steps.
+    panels = next(p for p in range(grid.panels, grid.panels + steps)
+                  if steps % p == 0 or p % steps == 0)
+    per_panel = max(1, steps // panels)
+    result = evolve_block(h_free, h_int, block, replace(grid, panels=panels), tol,
+                          max_order=max_order, _per_panel=per_panel)
     # W(t) = e^{-i t h_free} U(t, 0) at every output time at once.
-    states = _free_spectrum(h_free).evolve(times, result.boundary_sums[::stride])
+    states = _free_spectrum(h_free).evolve(
+        times, result.output_sums[:: max(1, panels // steps)])
     return Trajectory(times, states, result.achieved_order, result.tail_bound,
-                      grid, series=result)
+                      result.grid, series=result)
 
 
 def _joint_certificate(*runs) -> tuple[int, float]:

@@ -929,17 +929,11 @@ def test_truncation_error_carries_the_tail():
         assert exc.value.max_order == 3
 
 
-def test_default_grid_aligns_to_multiple():
+def test_default_grid_of_zero_duration():
     model = random_graded_model(seed=2, dim=4, grade_shift=1)
-    grid = default_grid(model.h_free, model.h_int, 0.0, 1.0, support=0.0,
-                        panel_multiple=7)
-    assert grid.panels % 7 == 0
     zero_len = default_grid(model.h_free, model.h_int, 0.5, 0.5, support=0.0)
     assert zero_len.duration == 0.0
-    for bad in (0, -2):
-        with pytest.raises(ValueError, match="panel_multiple"):
-            default_grid(model.h_free, model.h_int, 0.0, 1.0, support=0.0,
-                         panel_multiple=bad)
+    assert zero_len.panels == 1
 
 
 @settings(max_examples=12, deadline=None)

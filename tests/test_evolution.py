@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dysonprop.dyson import free_propagator
+from dysonprop.dyson import _free_spectrum, free_propagator
 from dysonprop.evolution import (
     heisenberg_pairing_track,
     heisenberg_residuals,
@@ -16,8 +16,8 @@ from dysonprop.evolution import (
     uniform_times,
     weak_residual,
 )
-from dysonprop.graded import GradedSpace, LinOp
-from dysonprop.oracles import matrix_exp
+from dysonprop.graded import GradedSpace, LinOp, vectors_supported_below
+from dysonprop.oracles import matrix_exp, oracle_propagator
 from dysonprop.suite import dense_propagator, random_graded_model
 
 
@@ -320,3 +320,43 @@ def test_check_times_off_the_steps_fail_before_any_run(small_model, toy_model,
         qed.eta_unitarity_check(toy_model, times=off, pairs=2)
     assert evolution._aligned_steps((0.5 + 1e-14, 1.0)) == 2
     assert evolution._aligned_steps((0.1, 0.2, 0.3)) == 3
+
+
+def lab_frame_oracle(model, t, block):
+    """W(t) block = e^{-i t h_free} U(t, 0) block from the exact propagator."""
+    u = oracle_propagator(model.h_free, model.h_int, float(t), 0.0)
+    return _free_spectrum(model.h_free).evolve(float(t), u @ block)
+
+
+def test_interior_outputs_track_the_oracle_on_the_stock_model(toy_model):
+    # default_grid asks for 5 panels at t = 1; each then holds 40 output times.
+    rng = np.random.default_rng(5)
+    level = toy_model.config.photon_cap - 2
+    xi = vectors_supported_below(rng, toy_model.space, level, 1)
+    traj = schrodinger_trajectory(toy_model.h_free, toy_model.h_int, xi,
+                                  1.0, 200, tol=1e-10)
+    assert traj.grid.panels == 5
+    for k in range(0, 201, 10):
+        want = lab_frame_oracle(toy_model, traj.times[k], xi)
+        assert np.linalg.norm(traj.states[k] - want) <= 1e-10, k
+
+
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+def test_interior_outputs_of_an_identity_block_stay_within_tol(fleet_models, t_end):
+    model = fleet_models[8]
+    dim, tol = model.h_free.dim, 1e-10
+    eye = np.eye(dim, dtype=complex)
+    traj = schrodinger_trajectory(model.h_free, model.h_int, eye, t_end, 40, tol)
+    assert traj.grid.panels < 40
+    for t, state in zip(traj.times, traj.states):
+        assert np.linalg.norm(state - lab_frame_oracle(model, t, eye), 2) <= tol, t
+
+
+def test_prime_step_count_keeps_every_output_on_an_edge(toy_model):
+    xi = unit(toy_model.space.dim, 0)
+    traj = schrodinger_trajectory(toy_model.h_free, toy_model.h_int, xi,
+                                  1.0, 7, tol=1e-10)
+    assert traj.grid.panels == 7
+    sums = traj.series.output_sums
+    assert len(sums) == 8
+    np.testing.assert_array_equal(sums, traj.series.boundary_sums)

@@ -1,9 +1,11 @@
 """A slice of the soundness harness (tools/soundness.py): on the default
-grid the series lies within both the tolerance and its certified tail."""
+grid, and at every output time of a trajectory, the series lies within
+both the tolerance and its certified tail."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +26,17 @@ def test_default_grid_errors_stay_below_tol_and_tail(soundness, fleet_models):
             assert not rec["raised"]
             where = f"{model.name} t={t}: {rec}"
             assert rec["error"] <= tol and rec["error"] <= rec["tail"], where
+
+
+def test_trajectory_outputs_stay_below_tol_and_tail(soundness, fleet_models):
+    # Output times inside a panel are read from its interpolant; each must
+    # meet the tolerance and the tail as the edges do, unless at the floor.
+    tol, t, steps = 1e-10, 1.0, soundness.FLEET_STEPS
+    for model in fleet_models[::4]:
+        eye = np.eye(model.h_free.dim, dtype=complex)
+        refs = soundness.references(model, t, steps, eye)
+        rec = soundness.trajectory_cell(model, t, tol, steps, eye, *refs)
+        where = f"{model.name}: {rec}"
+        assert rec["outputs_per_panel"] > 1, where
+        for error in rec["errors"]:
+            assert rec["floor"] or (error <= tol and error <= rec["tail"]), where

@@ -135,6 +135,13 @@ def test_oracle_reports_bundle():
     assert all(r.context["model"] == "m60" for r in reports)
 
 
+def test_oracle_reports_reads_check_times_inside_panels():
+    # Two panels serve the four steps, so t = 0.25 and 0.75 sit inside them.
+    model = random_graded_model(9, 4, 1, target_rel_bound=0.01)
+    reports = oracle_reports(model)
+    assert all(r.passed for r in reports)
+
+
 def test_oracle_reports_rejects_incommensurate_times():
     model = random_graded_model(seed=61, dim=4, grade_shift=1)
     # A non-positive time has no index among the uniform times from 0 up.

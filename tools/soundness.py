@@ -12,7 +12,12 @@ Corpus:
   t in {0.25, 1, 2} and tol in {1e-6, 1e-10, 1e-13}, each on the default
   grid and on one panel of 4 nodes; the reference is ``oracle_propagator``;
 * the README model (``random_graded_model(3, 12, 2)``, e_0, tol 1e-10,
-  default grid) at t in {4, 8, 16, 32}.
+  default grid) at t in {4, 8, 16, 32};
+* trajectories (``schrodinger_trajectory``): the fleet's identity blocks at
+  the same times and tols with 40 steps, and the stock QED model (four
+  seeded unit columns of photon grade <= cap - 2) at t = 1 with 200 steps
+  and the same tols.  Their panels are fitted to the output times, so most
+  output times lie inside a panel.
 
 Per cell: ``error`` is the spectral norm of the computed block minus the
 oracle's (for one column, its 2-norm) and ``tail`` the largest column tail
@@ -22,8 +27,15 @@ at most FLOOR_MULTIPLE * d * u * ||U||_2 (u the unit roundoff): the error
 that rounding alone leaves in a d-state propagator of that norm.  Each cell
 whose error exceeds its tail is run again on 4x the panels and 16 nodes
 (``refined_error``): an error that stays put there is rounding, not
-quadrature or truncation.  Numbers are kept to 4 significant digits, so a
-rerun on the same machine writes the same file.
+quadrature or truncation.  A trajectory cell compares the run's
+interaction-picture sum at every output time (``output_sums``) with the
+oracle's U(t, 0) applied to the block, as the other cells compare the
+final sum, and keeps each time's error (``errors``); its ``error`` is the
+largest, and its floor uses the largest ||U(t)||_2 times ||block||_2.
+``edge_error`` and ``interior_error`` split that largest error between
+output times on a panel edge and those inside a panel.  Numbers are kept
+to 4 significant digits, so a rerun on the same machine writes the same
+file.
 """
 
 from __future__ import annotations
@@ -46,8 +58,10 @@ import numpy as np  # noqa: E402
 
 from dysonprop.dyson import TimeGrid, default_grid, evolve_block  # noqa: E402
 from dysonprop.errors import TruncationError  # noqa: E402
-from dysonprop.graded import support_level  # noqa: E402
+from dysonprop.evolution import schrodinger_trajectory  # noqa: E402
+from dysonprop.graded import support_level, vectors_supported_below  # noqa: E402
 from dysonprop.oracles import oracle_propagator  # noqa: E402
+from dysonprop.qed import build_model, default_toy_config  # noqa: E402
 from dysonprop.suite import fleet, random_graded_model  # noqa: E402
 
 FLEET_TIMES = (0.25, 1.0, 2.0)
@@ -60,6 +74,11 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # series' orders.  The fleet's default-grid cells whose error exceeds their
 # tail read 0.45-1.99 units, and their refined-grid errors agree within 0.3 %.
 FLOOR_MULTIPLE = 4.0
+FLEET_STEPS = 40
+QED_STEPS = 200
+QED_TIME = 1.0
+QED_COLUMNS = 4
+QED_SEED = 29
 
 
 def cell(model, t: float, tol: float, block=None, grid=None) -> dict:
@@ -90,18 +109,85 @@ def cell(model, t: float, tol: float, block=None, grid=None) -> dict:
     }
 
 
+def references(model, t_end: float, steps: int, block) -> tuple[list, float]:
+    """The oracle's U(t, 0) block at each output time, and the largest
+    ||U(t, 0)||_2 among them."""
+    refs, u_norm = [], 0.0
+    for t in np.linspace(0.0, t_end, steps + 1):
+        exact = oracle_propagator(model.h_free, model.h_int, t, 0.0)
+        refs.append(exact @ block)
+        u_norm = max(u_norm, float(np.linalg.norm(exact, 2)))
+    return refs, u_norm
+
+
+def trajectory_cell(model, t: float, tol: float, steps: int, block, refs, u_norm) -> dict:
+    """One trajectory against the oracle's ``refs``: every output time's error.
+
+    ``refs`` and ``u_norm`` are ``references`` of the same times; the record
+    leaves the model's name to the caller.
+    """
+    traj = schrodinger_trajectory(model.h_free, model.h_int, block, t, steps, tol)
+    panels = traj.grid.panels
+    per_panel = max(1, steps // panels)
+    # U(t, 0) block at each output time: every max(1, P / steps)-th sum.
+    sums = traj.series.output_sums[:: max(1, panels // steps)]
+    errors = [float(np.linalg.norm(got - ref, 2)) for got, ref in zip(sums, refs)]
+    edge = [e for k, e in enumerate(errors) if k % per_panel == 0]
+    inside = [e for k, e in enumerate(errors) if k % per_panel]
+    floor = (FLOOR_MULTIPLE * model.h_free.dim * UNIT_ROUNDOFF * u_norm
+             * np.linalg.norm(block, 2))
+    error = max(errors)
+    return {
+        "t": t, "tol": tol, "steps": steps, "panels": panels,
+        "outputs_per_panel": per_panel, "raised": False, "order": traj.achieved_order,
+        "tail": traj.tail_bound, "error": error, "error_over_tol": error / tol,
+        "error_over_tail": error / traj.tail_bound, "floor": bool(error <= floor),
+        "edge_error": max(edge), "interior_error": max(inside, default=None),
+        "errors": errors,
+    }
+
+
+def trajectory_sections() -> dict[str, list[dict]]:
+    sections: dict[str, list[dict]] = {}
+    for model in fleet():
+        eye = np.eye(model.h_free.dim, dtype=complex)
+        for t in FLEET_TIMES:
+            refs = references(model, t, FLEET_STEPS, eye)
+            for tol in TOLS:
+                rec = trajectory_cell(model, t, tol, FLEET_STEPS, eye, *refs)
+                sections.setdefault(f"trajectory tol={tol:g}", []).append(
+                    {"model": model.name, **rec})
+    qed = build_model(default_toy_config())
+    rng = np.random.default_rng(QED_SEED)
+    cols = vectors_supported_below(rng, qed.space, qed.config.photon_cap - 2, QED_COLUMNS)
+    refs = references(qed, QED_TIME, QED_STEPS, cols)
+    sections["trajectory qed"] = [
+        {"model": "qed-default", **trajectory_cell(qed, QED_TIME, tol, QED_STEPS, cols, *refs)}
+        for tol in TOLS
+    ]
+    return sections
+
+
 def summary(cells: list[dict]) -> dict:
     done = [c for c in cells if not c["raised"]]
     over_tail = [c for c in done if c["error_over_tail"] > 1.0]
-    return {
+    over_tol = [c for c in done if c["error_over_tol"] > 1.0]
+    row = {
         "cells": len(cells),
         "raised": len(cells) - len(done),
         "worst_error_over_tol": max(c["error_over_tol"] for c in done),
         "median_tail_over_error": statistics.median(c["tail"] / c["error"] for c in done),
-        "error_over_tol_gt_1": sum(c["error_over_tol"] > 1.0 for c in done),
+        "error_over_tol_gt_1": len(over_tol),
+        "error_over_tol_gt_1_not_floor": sum(not c["floor"] for c in over_tol),
         "error_over_tail_gt_1": len(over_tail),
         "error_over_tail_gt_1_not_floor": sum(not c["floor"] for c in over_tail),
     }
+    if "errors" in done[0]:
+        row["worst_edge_error_over_tol"] = max(c["edge_error"] / c["tol"] for c in done)
+        row["worst_interior_error_over_tol"] = max(
+            (c["interior_error"] / c["tol"] for c in done if c["interior_error"] is not None),
+            default=None)
+    return row
 
 
 def run_corpus() -> dict:
@@ -120,7 +206,7 @@ def run_corpus() -> dict:
     xi = np.zeros((12, 1), dtype=complex)
     xi[0] = 1.0
     sections["readme"] = [cell(readme, t, README_TOL, block=xi) for t in README_TIMES]
-    return sections
+    return {**sections, **trajectory_sections()}
 
 
 def machine_block() -> dict:
@@ -159,6 +245,7 @@ def main(argv: list[str]) -> int:
             "floor_multiple": FLOOR_MULTIPLE,
             "unit_roundoff": UNIT_ROUNDOFF,
             "coarse_grid": {"panels": COARSE[0], "nodes_per_panel": COARSE[1]},
+            "trajectory_steps": {"fleet": FLEET_STEPS, "qed": QED_STEPS},
         },
         "summary": {name: summary(cells) for name, cells in sections.items()},
         "cells": sections,
