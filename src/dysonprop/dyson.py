@@ -44,16 +44,17 @@ batched product per order maps the applied values and the panel-frame edge
 starts to the next order's node values.  Edges and boundary sums stay in the
 interaction picture.  A run reuses two order buffers for all its orders.
 
-Output rows: a trajectory run (``evolution._aligned_run``) also reads its
-sums at r - 1 uniform interior points of every panel, from the same
-degree-(q-1) interpolant that gives the node values, exact to degree q - 1.
-Row k of the rows integrates each Lagrange basis polynomial from the left
-edge to -1 + 2k/r (``_reference_rule``, rows past the ``S`` map).  The
-recursion is linear, so the run sums h_int applied at the nodes over every
-order that feeds the next (one add per order) and maps that sum to every
-interior point with one batched product after the loop; the rows feed only
-the sums, never the next order.  With r = 1 there are no rows and no sum,
-and the loop is the plain one.
+Output times: a trajectory run (``evolution._sampled_run``) also reads its
+sums at the caller's times.  A time on a panel edge reads that edge's sum.
+Any other time is read from its panel's degree-(q-1) interpolant, the one
+that gives the node values, exact to degree q - 1: its row integrates each
+Lagrange basis polynomial from the panel's left edge to the time's local
+point (``_partial_integrals``, the ``S`` map at that point).  The recursion
+is linear, so the run sums h_int applied at the nodes over every order that
+feeds the next (one add per order) and applies each panel's rows to that sum
+with one product after the loop; the rows feed only the sums, never the next
+order.  A run given no times, or only edge times, keeps no sum, and its loop
+is the plain one.
 
 Derived model data (free spectrum, rotated interaction, certificate, coupled
 gap) is computed once per operator pair and memoised on the operators.
@@ -68,7 +69,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -97,8 +98,7 @@ DEFAULT_NODES_PER_PANEL = 8
 # oscillation cap set by the largest free-energy gap the interaction couples.
 PANEL_PRODUCT_FACTOR = 0.1
 PANEL_PHASE_FACTOR = 0.7
-# Panel count cap of ``default_grid``; a trajectory run may round it up to
-# a multiple of its step count.
+# Panel count cap of ``default_grid``.
 MAX_PANELS = 4096
 # A CSR-stored interaction is applied as one CSR product per node once its
 # dense blocks hold more than this many entries per non-zero.  Per node
@@ -110,23 +110,27 @@ MAX_PANELS = 4096
 CSR_APPLY_RATIO = 10
 
 
-@lru_cache(maxsize=64)  # keyed by step counts too, so bounded
-def _reference_rule(q: int, r: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _partial_integrals(q: int, points) -> np.ndarray:
+    """Row k integrates each Lagrange basis polynomial through the q
+    Gauss-Legendre nodes from -1 to ``points[k]``: (len(points), q)."""
+    x, _ = npleg.leggauss(q)
+    coeffs = np.linalg.inv(npleg.legvander(x, q - 1))  # column j: ell_j
+    return npleg.legval(np.asarray(points, dtype=float), npleg.legint(coeffs, lbnd=-1)).T
+
+
+@cache
+def _reference_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] plus the partial-integral map.
 
     S[m, j] = integral_{-1}^{x_m} of the j-th Lagrange basis polynomial
-    through the nodes, so ``S @ g`` integrates the interpolant of nodal data
-    g from the left panel edge to each node.  With r > 1 output points per
-    panel, S goes on with r - 1 rows: row q + k - 1 integrates to the
-    uniform interior point -1 + 2k/r, k = 1..r-1.  Every grid shares the
-    cached arrays, so they are read-only.
+    through the nodes (``_partial_integrals`` at the nodes), so ``S @ g``
+    integrates the interpolant of nodal data g from the left panel edge to
+    each node.  Every grid shares the cached arrays, so they are read-only.
     """
     if q < 2:
         raise ValueError("nodes_per_panel must be at least 2")
     x, w = npleg.leggauss(q)
-    points = np.concatenate([x, -1.0 + 2.0 * np.arange(1, r) / r])
-    coeffs = np.linalg.inv(npleg.legvander(x, q - 1))  # column j: ell_j
-    s = npleg.legval(points, npleg.legint(coeffs, lbnd=-1)).T
+    s = _partial_integrals(q, x)
     for arr in (x, w, s):
         arr.setflags(write=False)
     return x, w, s
@@ -204,14 +208,14 @@ class DysonTerm:
 class SeriesResult:
     """Series applied to a block of m columns, in the original basis.
 
-    Sums are in the interaction picture.  ``output_sums`` holds them at
-    t_start and at r uniform output points per panel, the r-th its right
-    edge; r is 1 except in the runs of ``evolution._aligned_run``.  Bounds,
-    norms and support levels are per column; ``terms`` holds every order
-    when the run kept them.
+    Sums are in the interaction picture: ``boundary_sums`` at every panel
+    edge, and ``output_sums`` at the times a trajectory run
+    (``evolution._sampled_run``) asked for, in its order; None on a plain
+    run.  Bounds, norms and support levels are per column; ``terms`` holds
+    every order when the run kept them.
     """
 
-    output_sums: np.ndarray  # (panels * r + 1, dim, m), running sum at output points
+    boundary_sums: np.ndarray  # (panels + 1, dim, m), running sum at the edges
     achieved_order: int
     tail_bounds: np.ndarray  # (m,) certified tail after achieved_order
     per_order_sup_norms: np.ndarray  # (orders + 1, m), sup over nodes and edges
@@ -220,11 +224,7 @@ class SeriesResult:
     cert: GradeCert
     grid: TimeGrid
     terms: tuple[DysonTerm, ...] = ()
-
-    @property
-    def boundary_sums(self) -> np.ndarray:
-        """The running sums at the panel edges, (panels + 1, dim, m)."""
-        return self.output_sums[:: (len(self.output_sums) - 1) // self.grid.panels]
+    output_sums: np.ndarray | None = None  # (times, dim, m), running sum at each time
 
     @property
     def tail_bound(self) -> float:
@@ -524,27 +524,25 @@ class _GridKernels:
     phase of the recursion sits in three small arrays: ``panel_phase`` is pi
     (d, P); ``step`` (d, q, q + 1) holds, per state r, the partial-integral
     map S[j, i] scaled to phi-[j, r] S[j, i] phi+[i, r], followed by the
-    column phi-[:, r]; ``weights`` (d, 1, q) holds w_i phi+[i, r].  With
-    r > 1 output points per panel, ``outputs`` (d, r - 1, q) holds the
-    rows of S past the nodes, the partial integrals R[k, i] to the r - 1
-    interior points, scaled to R[k, i] phi+[i, r].
+    column phi-[:, r]; ``weights`` (d, 1, q) holds w_i phi+[i, r].  The
+    output times of a trajectory run take phi+ from that phi- column and
+    ``half_width`` h (``time_sums``).
     """
 
-    def __init__(self, grid: TimeGrid, energies: np.ndarray, per_panel: int = 1):
-        x, w, s = _reference_rule(grid.nodes_per_panel, per_panel)
+    def __init__(self, grid: TimeGrid, energies: np.ndarray):
+        x, w, s = _reference_rule(grid.nodes_per_panel)
         self.panels = grid.panels
         bnd = grid.boundaries()
-        h = 0.5 * (grid.t_end - grid.t_start) / grid.panels
+        self.half_width = h = 0.5 * (grid.t_end - grid.t_start) / grid.panels
         mid = 0.5 * (bnd[1:] + bnd[:-1])
         self.panel_phase = np.exp(-1j * energies[:, None] * mid)
         minus = np.exp(-1j * h * energies[:, None] * x)  # (d, q)
         plus = -1j * h * minus.conj()
         q = x.size
         self.step = np.empty((energies.size, q, q + 1), dtype=complex)
-        np.multiply(minus[:, :, None] * s[:q], plus[:, None, :], out=self.step[:, :, :q])
+        np.multiply(minus[:, :, None] * s, plus[:, None, :], out=self.step[:, :, :q])
         self.step[:, :, q] = minus
         self.weights = (w * plus)[:, None, :]
-        self.outputs = s[q:] * plus[:, None, :]
 
     def order_zero(self, xi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """Node-frame values of the constant xi (d, m) into out (q, d, P*m).
@@ -588,22 +586,38 @@ class _GridKernels:
         np.multiply(self.panel_phase[:, :, None], edges[:, :-1], out=totals)
         np.matmul(self.step, rows, out=out.transpose(1, 0, 2))
 
-    def output_sums(self, applied: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """Running sums at every output point, as a new (d, P r + 1, m) array.
+    def time_sums(
+        self, applied: np.ndarray | None, sums: np.ndarray, pos: np.ndarray
+    ) -> np.ndarray:
+        """Running sums at the output times, as a new (d, n, m) array.
 
-        ``applied`` (q, d, P*m) sums the applied node values of every order
-        that fed the next one, and ``sums`` (d, P + 1, m) holds the running
-        sums at the edges.  The recursion is linear, so one product with
-        ``outputs`` integrates all those orders to the interior points; the
-        conjugate panel phase takes the integrals to the interaction
-        picture, where each adds to its panel's left-edge sum.
+        Time k lies ``pos[k]`` panels from t_start.  On an edge (an integer
+        ``pos[k]``) it reads that edge's sum in ``sums`` (d, P + 1, m).  Any
+        other time adds one row, the partial integrals R[i] of
+        ``_partial_integrals`` to its local point, to its panel's left-edge
+        sum.  ``applied`` (q, d, P*m) sums the applied node values of every
+        order that fed the next one; it is None when no time lies inside a
+        panel.  The recursion is linear, so per panel one product of its rows
+        with that sum, scaled by phi+, integrates all those orders to its
+        times, and the conjugate panel phase takes them to the interaction
+        picture.
         """
-        d, _, m = sums.shape
-        inner = np.matmul(self.outputs, applied.transpose(1, 0, 2))
-        inner = inner.reshape(d, -1, self.panels, m) * self.panel_phase.conj()[:, None, :, None]
-        left = sums[:, None, :-1]  # each panel's left-edge sum, (d, 1, P, m)
-        points = np.concatenate([left, inner + left], axis=1).transpose(0, 2, 1, 3)
-        return np.concatenate([points.reshape(d, -1, m), sums[:, -1:]], axis=1)
+        left = np.floor(pos).astype(int)
+        out = sums[:, left]
+        inside = pos != left
+        if not inside.any():
+            return out
+        q, d, _ = applied.shape
+        m = sums.shape[2]
+        plus = -1j * self.half_width * self.step[:, :, q].conj()  # (d, q)
+        rows = _partial_integrals(q, 2.0 * (pos - left) - 1.0)
+        shaped = applied.reshape(q, d, self.panels, m)
+        for p in np.unique(left[inside]):
+            ks = np.flatnonzero(inside & (left == p))
+            scaled = shaped[:, :, p] * plus.T[:, :, None]  # (q, d, m)
+            inner = (rows[ks] @ scaled.reshape(q, -1)).reshape(-1, d, m)
+            out[:, ks] += self.panel_phase[:, p, None, None].conj() * inner.transpose(1, 0, 2)
+        return out
 
 
 def _column_norms(node_vals: np.ndarray, edge_vals: np.ndarray) -> np.ndarray:
@@ -622,7 +636,7 @@ def _run_block(
     tol: float,
     max_order: int,
     keep_terms: bool,
-    per_panel: int = 1,
+    times: np.ndarray | None = None,
 ) -> SeriesResult:
     """Core series loop in the rotated basis; block has shape (dim, m).
 
@@ -631,12 +645,12 @@ def _run_block(
     kernel's basis (``prep.order``) and the node frame (``_GridKernels``);
     sums and kept terms leave both, in the original basis and the
     interaction picture.  Each order is built in the buffers of the order
-    before, so two order-sized buffers serve the whole run.  With
-    ``per_panel`` r > 1 a third sums h_int applied to the node values of
-    every order, and the sums at the r - 1 interior output points of each
-    panel are read from it after the loop.
+    before, so two order-sized buffers serve the whole run.  When some of
+    ``times`` lies inside a panel, a third sums h_int applied to the node
+    values of every order, and the sums at those times are read from it
+    after the loop (``_GridKernels.time_sums``).
     """
-    kern = _GridKernels(grid, prep.energies[prep.order], per_panel)
+    kern = _GridKernels(grid, prep.energies[prep.order])
     dim, m = block.shape
     p, q = grid.panels, grid.nodes_per_panel
     work = prep.to_working(block)
@@ -656,7 +670,10 @@ def _run_block(
     sums = edge_vals.copy()
     sup_norms = [norms0]
     terms: list[DysonTerm] = []
-    applied_sum = np.zeros_like(node_vals) if per_panel > 1 else None
+    pos = None  # each time's distance from t_start, in panels
+    if times is not None:
+        pos = (np.asarray(times, dtype=float) - grid.t_start) / (grid.t_end - grid.t_start) * p
+    applied_sum = np.zeros_like(node_vals) if pos is not None and (pos % 1).any() else None
 
     order = 0
     while True:
@@ -678,13 +695,15 @@ def _run_block(
         order += 1
         sup_norms.append(_column_norms(node_vals, edge_vals))
 
-    del node_vals, applied  # so the conversion below does not add to the peak
-    if applied_sum is not None:
-        sums = kern.output_sums(applied_sum, sums)
-    sums = prep.from_working(sums[prep.unorder].reshape(dim, -1))
-    sums = sums.reshape(dim, -1, m)
+    del node_vals, applied  # so the conversions below do not add to the peak
+
+    def original(kernel_sums: np.ndarray) -> np.ndarray:
+        """(d, k, m) kernel-basis sums as (k, d, m) in the original basis."""
+        out = prep.from_working(kernel_sums[prep.unorder].reshape(dim, -1))
+        return np.moveaxis(out.reshape(dim, -1, m), 1, 0)
+
     return SeriesResult(
-        output_sums=np.moveaxis(sums, 1, 0),
+        boundary_sums=original(sums),
         achieved_order=order,
         tail_bounds=tails[order],
         per_order_sup_norms=np.array(sup_norms),
@@ -693,6 +712,7 @@ def _run_block(
         cert=prep.cert,
         grid=grid,
         terms=tuple(terms),
+        output_sums=None if pos is None else original(kern.time_sums(applied_sum, sums, pos)),
     )
 
 
@@ -715,21 +735,22 @@ def evolve_block(
     grid: TimeGrid,
     tol: float,
     max_order: int = DEFAULT_MAX_ORDER,
-    _per_panel: int = 1,
+    _times: np.ndarray | None = None,
 ) -> SeriesResult:
     """Apply the series propagator U(t_end, t_start) to a block of columns.
 
     Column support levels are tracked individually, so the certified tails
     are tight for basis columns of differing grades.  Raises TruncationError
     carrying the last tail bound when some column's certified tail cannot be
-    brought below ``tol`` within ``max_order`` orders.  ``_per_panel`` is
-    private to ``evolution._aligned_run``: the r of ``SeriesResult.output_sums``.
+    brought below ``tol`` within ``max_order`` orders.  ``_times`` is private
+    to ``evolution._sampled_run``: the times of ``SeriesResult.output_sums``,
+    each between t_start and t_end.
     """
     blk = np.asarray(block, dtype=complex)
     if blk.ndim == 1:
         blk = blk[:, None]
     result = _run_block(_prepare(h_free, h_int), grid, blk, tol, max_order,
-                        keep_terms=False, per_panel=_per_panel)
+                        keep_terms=False, times=_times)
     return _require_tail(result, tol, max_order)
 
 
@@ -798,7 +819,8 @@ def default_grid(
     no order rises above g_top, so neither the factor nor the tail that
     picks N grows past it (the lemma in the module docstring).  The second
     cap keeps the fastest coupled phase resolved.  The count depends on
-    accuracy alone; ``evolution._aligned_run`` fits it to its output times.
+    accuracy alone: a trajectory run reads its output times off these
+    panels as they are.
     """
     prep = _prepare(h_free, h_int)
     cert = prep.cert

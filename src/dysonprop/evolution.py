@@ -1,15 +1,17 @@
 """Lab-frame state trajectories and Heisenberg observable tracks.
 
 The series engine produces the interaction-picture propagator U(t, 0) at
-every panel boundary of a single run, and at uniform points inside each
-panel from the panel's interpolant; the lab-frame group is
+every time of a single run's interval: at a panel edge from the running
+sum, and inside a panel from the panel's interpolant.  The lab-frame group
+is
 
     W(t) = e^{-i t h_free} U(t, 0),
 
-so one run yields a whole trajectory.  ``_aligned_run`` is that run: it is
-the one place that fits the panels to the output times, and it returns a
-``Trajectory`` whose ``series`` keeps the interaction-picture sums at every
-output point.  Callers look states up by time (``Trajectory.at_time``).
+so one run yields a whole trajectory.  ``_sampled_run`` is that run: it
+takes the caller's output times as they are, runs ``default_grid``'s panels
+to the time farthest from 0, and returns a ``Trajectory`` whose
+``states[k]`` belongs to ``times[k]`` and whose ``series`` keeps the
+interaction-picture sums at every output time.
 
 Heisenberg evolution B(t) = W(-t) B W(t) has one route per form of its
 equation of motion:
@@ -63,53 +65,26 @@ def _as_block(states) -> np.ndarray:
     return arr
 
 
-# How far, relative to the latest time (or 1, if larger), a time may sit
-# from an output time and still be that output time.
-_TIME_RTOL = 1e-12
-
-
-def _time_slack(t_max: float) -> float:
-    return _TIME_RTOL * max(1.0, abs(t_max))
-
-
-def _time_index(times: np.ndarray, t: float) -> int:
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > _time_slack(float(np.abs(times).max())):
-        raise ValueError(f"time {t} is not one of the sampled times")
-    return idx
-
-
-def _aligned_steps(times) -> int:
-    """Fewest uniform steps from 0 to max(times) that land on every time.
-
-    Raises ValueError unless every time is positive and some count up to 64
-    lands on all of them, each within the slack ``_time_index`` allows.
-    """
-    if min(times) <= 0:
+def _check_times(times) -> np.ndarray:
+    """The verification layer's check times as an array; each must be positive."""
+    times = np.asarray(times, dtype=float)
+    if not (times > 0).all():
         raise ValueError("check times must be positive")
-    t_max = max(times)
-    slack = _time_slack(t_max)
-    steps = 1
-    while any(abs(t - round(t / t_max * steps) * t_max / steps) > slack
-              for t in times):
-        steps += 1
-        if steps > 64:
-            raise ValueError("times do not share a coarse refinement")
-    return steps
+    return times
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled on uniform times, certified by the runs they were read from.
+    """States at the caller's times, certified by the runs they were read from.
 
     ``states[k]`` has shape (dim, columns) and holds W(times[k]) applied to
     the initial block; ``heisenberg_track`` stores B(times[k]) itself there.
     ``tail_bound`` covers the interaction-picture sums
     the states were read from; the free phase does not change norms.
     ``residuals[k]`` is the central-difference defect of the Schrodinger
-    equation at interior times (NaN at the two endpoints), maximised over
-    columns.  ``series`` keeps the underlying block run for per-order
-    reporting.
+    equation at interior times of a uniform track (NaN at the two
+    endpoints), maximised over columns.  ``series`` keeps the underlying
+    block run for per-order reporting.
     """
 
     times: np.ndarray
@@ -120,46 +95,37 @@ class Trajectory:
     residuals: np.ndarray | None = None
     series: SeriesResult | None = None
 
-    def at_time(self, t: float) -> np.ndarray:
-        return self.states[_time_index(self.times, t)]
 
-
-def _aligned_run(
+def _sampled_run(
     h_free: LinOp,
     h_int: LinOp,
     block: np.ndarray,
-    t_end: float,
-    steps: int,
+    times,
     tol: float,
     max_order: int,
 ) -> Trajectory:
-    """One block run that samples steps+1 uniform times from 0.
+    """One block run from 0 that samples W at each of ``times``, in order.
 
-    The panel count is the smallest at or above ``default_grid``'s, P0, that
-    divides ``steps`` or is a multiple of it.  With P0 >= steps that is a
-    multiple, and every output time is a panel edge.  Otherwise it is a
-    divisor P, and each panel holds steps / P output times: its right edge
-    and the rest read from the panel's interpolant
-    (``SeriesResult.output_sums``).  A prime step count thus keeps one panel
-    per step unless P0 is 1.
+    Every time must lie between 0 and the time farthest from 0, where the
+    run's grid ends; ValueError otherwise, before any series runs.  The grid
+    takes ``default_grid``'s panel count as it is.  A time on a panel edge
+    reads that edge's sum, any other its panel's interpolant
+    (``SeriesResult.output_sums``).
 
     Returns the block's trajectory on those times, without residuals; its
-    ``series`` is the run, whose ``output_sums`` hold the interaction-picture
-    sums at every output point.
+    ``series`` is the run.
     """
-    times = uniform_times(t_end, steps)
+    times = np.asarray(times, dtype=float)
+    t_end = float(times[np.argmax(np.abs(times))])
+    if t_end == 0.0 or (times * t_end < 0).any():
+        raise ValueError("output times must lie between 0 and a non-zero time")
     support = float(support_level(h_free.space, block).max())
-    grid = default_grid(h_free, h_int, 0.0, float(t_end), support, tol=tol,
+    grid = default_grid(h_free, h_int, 0.0, t_end, support, tol=tol,
                         max_order=max_order)
-    # The next multiple of steps lies below P0 + steps.
-    panels = next(p for p in range(grid.panels, grid.panels + steps)
-                  if steps % p == 0 or p % steps == 0)
-    per_panel = max(1, steps // panels)
-    result = evolve_block(h_free, h_int, block, replace(grid, panels=panels), tol,
-                          max_order=max_order, _per_panel=per_panel)
+    result = evolve_block(h_free, h_int, block, grid, tol, max_order=max_order,
+                          _times=times)
     # W(t) = e^{-i t h_free} U(t, 0) at every output time at once.
-    states = _free_spectrum(h_free).evolve(
-        times, result.output_sums[:: max(1, panels // steps)])
+    states = _free_spectrum(h_free).evolve(times, result.output_sums)
     return Trajectory(times, states, result.achieved_order, result.tail_bound,
                       result.grid, series=result)
 
@@ -204,8 +170,8 @@ def schrodinger_trajectory(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> Trajectory:
     """W(t) applied to the initial block at steps+1 uniform times from 0."""
-    run = _aligned_run(h_free, h_int, _as_block(states0), t_end, steps, tol,
-                       max_order)
+    run = _sampled_run(h_free, h_int, _as_block(states0), uniform_times(t_end, steps),
+                       tol, max_order)
     residuals = schrodinger_defects(run.times, run.states,
                                     h_free.storage + h_int.storage)
     return replace(run, residuals=residuals)
@@ -213,7 +179,7 @@ def schrodinger_trajectory(
 
 @dataclass(frozen=True)
 class HeisenbergTrack:
-    """Weak-form samples  <eta(t), B xi(t)>  on uniform times, with derivatives.
+    """Weak-form samples  <eta(t), B xi(t)>  at uniform times, with derivatives.
 
     eta(t) runs under the conjugate-transposed interaction, so the pairing
     equals the matrix element of B(t) between the two fixed vectors even
@@ -250,8 +216,9 @@ def heisenberg_pairing_track(
     xi_block = _as_block(xis)
     if eta_block.shape != xi_block.shape:
         raise ValueError("eta and xi blocks must have matching shapes")
-    fwd = _aligned_run(h_free, h_int, xi_block, t_end, steps, tol, max_order)
-    dual = _aligned_run(h_free, h_int.H, eta_block, t_end, steps, tol, max_order)
+    times = uniform_times(t_end, steps)
+    fwd = _sampled_run(h_free, h_int, xi_block, times, tol, max_order)
+    dual = _sampled_run(h_free, h_int.H, eta_block, times, tol, max_order)
     h_mat = (h_free + h_int).matrix
     b_mat = observable.matrix
     comm = h_mat @ b_mat - b_mat @ h_mat
@@ -301,8 +268,8 @@ def heisenberg_track(
     cross-checks.
     """
     eye = np.eye(h_free.space.dim, dtype=complex)
-    fwd = _aligned_run(h_free, h_int, eye, t_end, steps, tol, max_order)
-    bwd = _aligned_run(h_free, h_int, eye, -t_end, steps, tol, max_order)
+    fwd = _sampled_run(h_free, h_int, eye, uniform_times(t_end, steps), tol, max_order)
+    bwd = _sampled_run(h_free, h_int, eye, uniform_times(-t_end, steps), tol, max_order)
     mats = bwd.states @ observable.matrix @ fwd.states
     return Trajectory(fwd.times, mats, *_joint_certificate(fwd, bwd), fwd.grid)
 
@@ -391,12 +358,12 @@ def strong_split_residual(
     b_prev, b_here, b_next = track.states[substeps - 1:substeps + 2]
     diff = (b_next - b_prev) @ xi / (2.0 * dt)
 
-    fwd = _aligned_run(h_free, h_int, xi[:, None], t, 1, tol, max_order)
+    fwd = _sampled_run(h_free, h_int, xi[:, None], (0.0, t), tol, max_order)
     w_xi = fwd.states[1][:, 0]
     h1, b_mat = h_int.matrix, observable.matrix
     comm_int = 1j * (h1 @ b_mat - b_mat @ h1)
     staged = comm_int @ w_xi
-    backward = _aligned_run(h_free, h_int, staged[:, None], -t, 1, tol, max_order)
+    backward = _sampled_run(h_free, h_int, staged[:, None], (0.0, -t), tol, max_order)
     term1 = backward.states[1][:, 0]
 
     # B0'(t) U(t, 0) xi = e^{i t h0} i[h0, B] W(t) xi.

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyson import DEFAULT_MAX_ORDER, _free_spectrum, evolve_adjoint
-from .evolution import _aligned_run, _aligned_steps
+from .evolution import _check_times, _sampled_run
 from .fock import (
     LEAKAGE_WARN_THRESHOLD,
     BosonMode,
@@ -559,8 +559,9 @@ def eta_unitarity_check(
     maximised over pairs and times.  One report covers the pairing, one the
     metric adjoint inverse applied through the adjoint series, one the group
     inverse W(-t) W(t) = 1 through a backward run (``group-inverse``), and
-    one the top-sector leakage of every evolved state.  The times must all be
-    multiples of max(times) / n for some n <= 64, else ValueError.
+    one the top-sector leakage of every evolved state.  The two inverse
+    checks run at the largest time.  Every time must be positive, else
+    ValueError.
     """
     rng = np.random.default_rng(seed)
     cap = model.config.photon_cap
@@ -569,18 +570,15 @@ def eta_unitarity_check(
     phi = vectors_supported_below(rng, model.space, level, pairs)
     block = np.concatenate([psi, phi], axis=1)
 
-    t_max = max(times)
-    run = _aligned_run(
-        model.h_free, model.h_int, block, t_max, _aligned_steps(times),
-        series_tol, DEFAULT_MAX_ORDER,
-    )
+    times = _check_times(times)
+    run = _sampled_run(model.h_free, model.h_int, block, times, series_tol,
+                       DEFAULT_MAX_ORDER)
     eta_diag = _eta_signs(model)
     base = np.einsum("dm,d,dm->m", psi.conj(), eta_diag, phi)
 
     drift = 0.0
     leakage = 0.0
-    for t in times:
-        w_cols = run.at_time(t)
+    for w_cols in run.states:
         w_psi, w_phi = w_cols[:, :pairs], w_cols[:, pairs:]
         pairing = np.einsum("dm,d,dm->m", w_psi.conj(), eta_diag, w_phi)
         drift = max(drift, float(np.max(np.abs(pairing - base))))
@@ -590,7 +588,9 @@ def eta_unitarity_check(
     # U(t, 0)* runs on the reversed grid under h_int*, after the free phase
     # e^{i t h0} and before the outer eta.
     sample = min(4, pairs)
-    w_final = run.states[-1][:, :sample]
+    last = int(np.argmax(times))
+    t_max = float(times[last])
+    w_final = run.states[last][:, :sample]
     rotated = _free_spectrum(model.h_free).evolve(-t_max, eta_diag[:, None] * w_final)
     adjoint = evolve_adjoint(
         model.h_free, model.h_int, rotated, run.grid, series_tol
@@ -599,17 +599,15 @@ def eta_unitarity_check(
         np.max(np.linalg.norm(eta_diag[:, None] * adjoint - psi[:, :sample], axis=0))
     )
     # W(-t) W(t) = 1 on the same handful, via a backward run.
-    back = _aligned_run(
-        model.h_free, model.h_int, w_final, -t_max, 1, series_tol,
-        DEFAULT_MAX_ORDER,
-    )
+    back = _sampled_run(model.h_free, model.h_int, w_final, (0.0, -t_max),
+                        series_tol, DEFAULT_MAX_ORDER)
     group_residual = float(
         np.max(np.linalg.norm(back.states[-1] - psi[:, :sample], axis=0))
     )
 
     context = {
         "pairs": pairs,
-        "times": list(times),
+        "times": times.tolist(),
         "series_tol": series_tol,
         "achieved_order": run.achieved_order,
     }

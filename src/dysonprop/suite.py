@@ -25,7 +25,7 @@ from .dyson import (
     evolve_block,
     evolve_vector,
 )
-from .evolution import _aligned_run, _aligned_steps
+from .evolution import _check_times, _sampled_run
 from .graded import (
     GradedSpace,
     LinOp,
@@ -241,16 +241,14 @@ def oracle_reports(
     h_free, h_int = model.h_free, model.h_int
     space = h_free.space
     dim = space.dim
-    traj = _aligned_run(
-        h_free, h_int, np.eye(dim, dtype=complex), max(times),
-        _aligned_steps(times), series_tol, DEFAULT_MAX_ORDER,
-    )
+    traj = _sampled_run(h_free, h_int, np.eye(dim, dtype=complex),
+                        _check_times(times), series_tol, DEFAULT_MAX_ORDER)
     free = _free_spectrum(h_free)
     worst = 0.0
-    for t in times:
+    for t, w_run in zip(times, traj.states):
         # W(t) = e^{-i t h_free} U(t, 0) from the run against the oracle's.
         w_ref = free.evolve(t, oracle_propagator(h_free, h_int, t, 0.0))
-        worst = max(worst, float(np.linalg.norm(traj.at_time(t) - w_ref, 2)))
+        worst = max(worst, float(np.linalg.norm(w_run - w_ref, 2)))
     run = traj.series
     context = {"model": model.name, "dim": dim, "times": list(times),
                "series_tol": series_tol}

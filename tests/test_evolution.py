@@ -68,9 +68,8 @@ def test_trajectory_matches_full_exponential(small_model):
             want = matrix_exp(-1j * t * h) @ xi
             assert np.linalg.norm(traj.states[k][:, 0] - want) < 1e-9
         assert traj.tail_bound < 1e-12
-        np.testing.assert_allclose(traj.at_time(0.4), traj.states[4])
-        with pytest.raises(ValueError):
-            traj.at_time(0.37)
+        # states[k] belongs to times[k], the uniform times asked for.
+        np.testing.assert_array_equal(traj.times, uniform_times(0.8, 8))
 
 
 def test_central_difference_defect_scales_quadratically(small_model):
@@ -127,7 +126,7 @@ def test_heisenberg_track_initial_value_and_oracle(small_model):
         t = track.times[k]
         want = matrix_exp(1j * t * h) @ b @ matrix_exp(-1j * t * h)
         assert np.linalg.norm(track.states[k] - want, 2) < 1e-8
-    np.testing.assert_array_equal(track.at_time(0.3), track.states[3])
+    assert track.times[3] == pytest.approx(0.3)
 
 
 def test_heisenberg_residuals_strong_and_weak(small_model):
@@ -303,23 +302,24 @@ def test_track_drivers_compute_no_schrodinger_defects(small_model, monkeypatch):
     assert calls == [1]
 
 
-def test_check_times_off_the_steps_fail_before_any_run(small_model, toy_model,
-                                                       monkeypatch):
-    # One slack decides both where a check time may sit and where it is
-    # looked up, so a time just off a step multiple is refused up front.
+def test_bad_output_times_fail_before_any_run(small_model, toy_model, monkeypatch):
+    # Every time must lie between 0 and the time farthest from 0, and a check
+    # time must be positive; both are refused before any series runs.
     from dysonprop import evolution, qed, suite
 
     def no_run(*args, **kwargs):
         raise AssertionError("a series ran")
 
     monkeypatch.setattr(evolution, "evolve_block", no_run)
-    off = (0.5 + 1e-11, 1.0)
-    with pytest.raises(ValueError, match="coarse refinement"):
-        suite.oracle_reports(small_model, times=off)
-    with pytest.raises(ValueError, match="coarse refinement"):
-        qed.eta_unitarity_check(toy_model, times=off, pairs=2)
-    assert evolution._aligned_steps((0.5 + 1e-14, 1.0)) == 2
-    assert evolution._aligned_steps((0.1, 0.2, 0.3)) == 3
+    h_free, h_int = small_model.h_free, small_model.h_int
+    xi = np.eye(8, dtype=complex)[:, :1]
+    for times in ((0.0, 0.5, -0.25), (-1.0, 0.5), (0.0,), (0.0, 0.0)):
+        with pytest.raises(ValueError):
+            evolution._sampled_run(h_free, h_int, xi, times, 1e-10, 64)
+    with pytest.raises(ValueError, match="positive"):
+        suite.oracle_reports(small_model, times=(0.0, 1.0))
+    with pytest.raises(ValueError, match="positive"):
+        qed.eta_unitarity_check(toy_model, times=(-0.5, 1.0), pairs=2)
 
 
 def lab_frame_oracle(model, t, block):
@@ -352,11 +352,17 @@ def test_interior_outputs_of_an_identity_block_stay_within_tol(fleet_models, t_e
         assert np.linalg.norm(state - lab_frame_oracle(model, t, eye), 2) <= tol, t
 
 
-def test_prime_step_count_keeps_every_output_on_an_edge(toy_model):
-    xi = unit(toy_model.space.dim, 0)
-    traj = schrodinger_trajectory(toy_model.h_free, toy_model.h_int, xi,
-                                  1.0, 7, tol=1e-10)
-    assert traj.grid.panels == 7
-    sums = traj.series.output_sums
-    assert len(sums) == 8
-    np.testing.assert_array_equal(sums, traj.series.boundary_sums)
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+def test_irregular_output_times_of_an_identity_block_stay_within_tol(fleet_models,
+                                                                    t_end):
+    from dysonprop.evolution import _sampled_run
+
+    model = fleet_models[8]
+    dim, tol = model.h_free.dim, 1e-10
+    eye = np.eye(dim, dtype=complex)
+    times = t_end * np.array([0.0, 0.1, 1.0 / 3.0, 2.0 ** -0.5, 0.9, 1.0])
+    traj = _sampled_run(model.h_free, model.h_int, eye, times, tol, 64)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.states[0], eye)
+    for t, state in zip(times, traj.states):
+        assert np.linalg.norm(state - lab_frame_oracle(model, t, eye), 2) <= tol, t

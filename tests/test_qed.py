@@ -281,8 +281,8 @@ def test_metric_symmetry_report_is_the_dense_norm_of_the_defect():
 
 def test_eta_unitarity_check_small_model():
     model = build_model(small_config(cap=3))
-    # (0.25, 1.0) needs four steps, not one per listed time
-    for times in ((0.5, 1.0), (0.25, 1.0)):
+    # The times need not share a uniform step.
+    for times in ((0.5, 1.0), (0.25, 1.0), (1.0, math.sqrt(2))):
         reports = eta_unitarity_check(
             model, times=times, pairs=4, tol=1e-6, series_tol=1e-9, seed=1
         )
@@ -295,8 +295,23 @@ def test_eta_unitarity_check_small_model():
         assert all(r.passed for r in reports), times
     with pytest.raises(ValueError):
         eta_unitarity_check(model, times=(0.0, 1.0), pairs=2)
-    with pytest.raises(ValueError):
-        eta_unitarity_check(model, times=(1.0, math.sqrt(2)), pairs=2)
+
+
+@pytest.mark.parametrize("times", [(1.0, 0.5), (math.sqrt(2), 1.0)])
+def test_eta_unitarity_inverse_checks_run_at_the_largest_time(times):
+    # The states come back in the order of the times asked for, so the
+    # inverse checks must find the largest time, not take the last state.
+    model = build_model(small_config(cap=3))
+    kwargs = dict(pairs=4, tol=1e-6, series_tol=1e-9, seed=1)
+    got = eta_unitarity_check(model, times=times, **kwargs)
+    want = eta_unitarity_check(model, times=sorted(times), **kwargs)
+    assert all(r.passed for r in got)
+    assert [r.check_name for r in got] == [r.check_name for r in want]
+    # The largest time ends the grid, so both orders read the same edge sum.
+    for g, w in zip(got[1:3], want[1:3]):
+        assert g.residual == w.residual, g.check_name
+    for g, w in zip(got[::3], want[::3]):
+        assert g.residual == pytest.approx(w.residual, rel=1e-9), g.check_name
 
 
 # ------------------------------------------------------- operator storage

@@ -13,11 +13,13 @@ Corpus:
   grid and on one panel of 4 nodes; the reference is ``oracle_propagator``;
 * the README model (``random_graded_model(3, 12, 2)``, e_0, tol 1e-10,
   default grid) at t in {4, 8, 16, 32};
-* trajectories (``schrodinger_trajectory``): the fleet's identity blocks at
-  the same times and tols with 40 steps, and the stock QED model (four
-  seeded unit columns of photon grade <= cap - 2) at t = 1 with 200 steps
-  and the same tols.  Their panels are fitted to the output times, so most
-  output times lie inside a panel.
+* trajectories (one ``evolution._sampled_run`` each, the run behind
+  ``schrodinger_trajectory``): the fleet's identity blocks at the same
+  times and tols, on 40 uniform steps and on the irregular times
+  t * (0.1, 1/3, 1/sqrt 2, 0.9, 1); and the stock QED model (four seeded
+  unit columns of photon grade <= cap - 2) at t = 1 with 200 steps and the
+  same tols.  Each runs ``default_grid``'s panels, so most output times lie
+  inside a panel.
 
 Per cell: ``error`` is the spectral norm of the computed block minus the
 oracle's (for one column, its 2-norm) and ``tail`` the largest column tail
@@ -33,7 +35,8 @@ oracle's U(t, 0) applied to the block, as the other cells compare the
 final sum, and keeps each time's error (``errors``); its ``error`` is the
 largest, and its floor uses the largest ||U(t)||_2 times ||block||_2.
 ``edge_error`` and ``interior_error`` split that largest error between
-output times on a panel edge and those inside a panel.  Numbers are kept
+output times on a panel edge and those inside a panel, and
+``interior_outputs`` counts the latter.  Numbers are kept
 to 4 significant digits, so a rerun on the same machine writes the same
 file.
 """
@@ -56,9 +59,14 @@ if __name__ == "__main__":  # before numpy loads its BLAS
 
 import numpy as np  # noqa: E402
 
-from dysonprop.dyson import TimeGrid, default_grid, evolve_block  # noqa: E402
+from dysonprop.dyson import (  # noqa: E402
+    DEFAULT_MAX_ORDER,
+    TimeGrid,
+    default_grid,
+    evolve_block,
+)
 from dysonprop.errors import TruncationError  # noqa: E402
-from dysonprop.evolution import schrodinger_trajectory  # noqa: E402
+from dysonprop.evolution import _sampled_run, uniform_times  # noqa: E402
 from dysonprop.graded import support_level, vectors_supported_below  # noqa: E402
 from dysonprop.oracles import oracle_propagator  # noqa: E402
 from dysonprop.qed import build_model, default_toy_config  # noqa: E402
@@ -75,6 +83,8 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # tail read 0.45-1.99 units, and their refined-grid errors agree within 0.3 %.
 FLOOR_MULTIPLE = 4.0
 FLEET_STEPS = 40
+# Output times of the irregular cells, as fractions of t.
+IRREGULAR = (0.1, 1.0 / 3.0, 2.0 ** -0.5, 0.9, 1.0)
 QED_STEPS = 200
 QED_TIME = 1.0
 QED_COLUMNS = 4
@@ -109,40 +119,41 @@ def cell(model, t: float, tol: float, block=None, grid=None) -> dict:
     }
 
 
-def references(model, t_end: float, steps: int, block) -> tuple[list, float]:
-    """The oracle's U(t, 0) block at each output time, and the largest
+def references(model, times, block) -> tuple[list, float]:
+    """The oracle's U(t, 0) block at each of ``times``, and the largest
     ||U(t, 0)||_2 among them."""
     refs, u_norm = [], 0.0
-    for t in np.linspace(0.0, t_end, steps + 1):
-        exact = oracle_propagator(model.h_free, model.h_int, t, 0.0)
+    for t in times:
+        exact = oracle_propagator(model.h_free, model.h_int, float(t), 0.0)
         refs.append(exact @ block)
         u_norm = max(u_norm, float(np.linalg.norm(exact, 2)))
     return refs, u_norm
 
 
-def trajectory_cell(model, t: float, tol: float, steps: int, block, refs, u_norm) -> dict:
-    """One trajectory against the oracle's ``refs``: every output time's error.
+def trajectory_cell(model, times, tol: float, block, refs, u_norm) -> dict:
+    """One run sampled at ``times`` against the oracle's ``refs``: every
+    output time's error.
 
     ``refs`` and ``u_norm`` are ``references`` of the same times; the record
     leaves the model's name to the caller.
     """
-    traj = schrodinger_trajectory(model.h_free, model.h_int, block, t, steps, tol)
-    panels = traj.grid.panels
-    per_panel = max(1, steps // panels)
-    # U(t, 0) block at each output time: every max(1, P / steps)-th sum.
-    sums = traj.series.output_sums[:: max(1, panels // steps)]
-    errors = [float(np.linalg.norm(got - ref, 2)) for got, ref in zip(sums, refs)]
-    edge = [e for k, e in enumerate(errors) if k % per_panel == 0]
-    inside = [e for k, e in enumerate(errors) if k % per_panel]
+    traj = _sampled_run(model.h_free, model.h_int, block, times, tol, DEFAULT_MAX_ORDER)
+    grid = traj.grid
+    errors = [float(np.linalg.norm(got - ref, 2))
+              for got, ref in zip(traj.series.output_sums, refs)]
+    # A time inside a panel sits a non-integer number of panels from 0.
+    inside = (traj.times / grid.t_end * grid.panels) % 1 != 0
+    edge = [e for e, i in zip(errors, inside) if not i]
+    interior = [e for e, i in zip(errors, inside) if i]
     floor = (FLOOR_MULTIPLE * model.h_free.dim * UNIT_ROUNDOFF * u_norm
              * np.linalg.norm(block, 2))
     error = max(errors)
     return {
-        "t": t, "tol": tol, "steps": steps, "panels": panels,
-        "outputs_per_panel": per_panel, "raised": False, "order": traj.achieved_order,
+        "t": float(grid.t_end), "tol": tol, "outputs": len(errors), "panels": grid.panels,
+        "interior_outputs": len(interior), "raised": False, "order": traj.achieved_order,
         "tail": traj.tail_bound, "error": error, "error_over_tol": error / tol,
         "error_over_tail": error / traj.tail_bound, "floor": bool(error <= floor),
-        "edge_error": max(edge), "interior_error": max(inside, default=None),
+        "edge_error": max(edge, default=None), "interior_error": max(interior, default=None),
         "errors": errors,
     }
 
@@ -152,17 +163,20 @@ def trajectory_sections() -> dict[str, list[dict]]:
     for model in fleet():
         eye = np.eye(model.h_free.dim, dtype=complex)
         for t in FLEET_TIMES:
-            refs = references(model, t, FLEET_STEPS, eye)
-            for tol in TOLS:
-                rec = trajectory_cell(model, t, tol, FLEET_STEPS, eye, *refs)
-                sections.setdefault(f"trajectory tol={tol:g}", []).append(
-                    {"model": model.name, **rec})
+            for kind, times in (("", uniform_times(t, FLEET_STEPS)),
+                                (" irregular", t * np.array(IRREGULAR))):
+                refs = references(model, times, eye)
+                for tol in TOLS:
+                    rec = trajectory_cell(model, times, tol, eye, *refs)
+                    sections.setdefault(f"trajectory{kind} tol={tol:g}", []).append(
+                        {"model": model.name, **rec})
     qed = build_model(default_toy_config())
     rng = np.random.default_rng(QED_SEED)
     cols = vectors_supported_below(rng, qed.space, qed.config.photon_cap - 2, QED_COLUMNS)
-    refs = references(qed, QED_TIME, QED_STEPS, cols)
+    times = uniform_times(QED_TIME, QED_STEPS)
+    refs = references(qed, times, cols)
     sections["trajectory qed"] = [
-        {"model": "qed-default", **trajectory_cell(qed, QED_TIME, tol, QED_STEPS, cols, *refs)}
+        {"model": "qed-default", **trajectory_cell(qed, times, tol, cols, *refs)}
         for tol in TOLS
     ]
     return sections
@@ -183,10 +197,10 @@ def summary(cells: list[dict]) -> dict:
         "error_over_tail_gt_1_not_floor": sum(not c["floor"] for c in over_tail),
     }
     if "errors" in done[0]:
-        row["worst_edge_error_over_tol"] = max(c["edge_error"] / c["tol"] for c in done)
-        row["worst_interior_error_over_tol"] = max(
-            (c["interior_error"] / c["tol"] for c in done if c["interior_error"] is not None),
-            default=None)
+        for kind in ("edge", "interior"):
+            row[f"worst_{kind}_error_over_tol"] = max(
+                (c[f"{kind}_error"] / c["tol"] for c in done
+                 if c[f"{kind}_error"] is not None), default=None)
     return row
 
 
@@ -246,6 +260,7 @@ def main(argv: list[str]) -> int:
             "unit_roundoff": UNIT_ROUNDOFF,
             "coarse_grid": {"panels": COARSE[0], "nodes_per_panel": COARSE[1]},
             "trajectory_steps": {"fleet": FLEET_STEPS, "qed": QED_STEPS},
+            "irregular_fractions": list(IRREGULAR),
         },
         "summary": {name: summary(cells) for name, cells in sections.items()},
         "cells": sections,

@@ -18,7 +18,7 @@ left out: the language calls them without naming them.
 
 Prints each name that nothing in ``src/`` or ``perfbench/`` references,
 with its count of test references and, for the names kept on purpose, the
-reason.
+reason.  Exits 1 when some such name is not listed in ``KEPT``, else 0.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ def main() -> int:
     for key in unused:
         reason = KEPT.get(key, "no library or benchmark reference")
         print(f"{key:<{width}}  tests {counts[key]['tests']:3d}  {reason}")
+    orphans = set(unused) - KEPT.keys()
     print(f"{len(unused)} of {len(counts)} names have no library or benchmark "
-          f"reference; {len(set(unused) - KEPT.keys())} of them are not kept on purpose")
-    return 0
+          f"reference; {len(orphans)} of them are not kept on purpose")
+    return 1 if orphans else 0
 
 
 if __name__ == "__main__":
