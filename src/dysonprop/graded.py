@@ -44,6 +44,11 @@ ENTRY_THRESHOLD = 1e-14
 # Hermiticity and sector-commutation checks are relative to this factor.
 STRUCTURE_RTOL = 1e-12
 
+# LAPACK's Hermitian eigensolvers return each eigenvalue of an n x n block
+# within p(n) eps ||K||_2, p(n) a modest function of n (LAPACK Users' Guide,
+# 3rd ed., section 4.7); ``growth_rates`` takes p(n) = GROWTH_SLACK * n.
+GROWTH_SLACK = 10
+
 # (rows, cols, block) of one independent block of a matrix; see _blocks.
 _Block = tuple[np.ndarray | slice, np.ndarray | slice, np.ndarray]
 
@@ -372,6 +377,33 @@ def certify(op: LinOp) -> GradeCert:
     if "cert" not in op._memo:
         op._memo["cert"] = GradeCert(grade_shift_bound(op), relative_bound_constant(op))
     return op._memo["cert"]
+
+
+def growth_rates(op: LinOp) -> tuple[float, float]:
+    """``(mu+, mu-)``: ||e^{-i tau (h0 + op)}|| <= e^{|tau| mu+} for tau >= 0
+    and <= e^{|tau| mu-} for tau <= 0, for every Hermitian h0 (memoised).
+
+    They are the logarithmic norms of -i(h0 + op) and i(h0 + op), in which h0
+    drops out: mu+ = lambda_max(K) and mu- = lambda_max(-K) for the Hermitian
+    K = (i/2)(op* - op), so ||K||_2 = max(mu+, mu-) and a Hermitian ``op``
+    gives (0, 0).  K is block-diagonal over the connected components of its
+    exact non-zero pattern (inside that of op and op^T), one ``eigvalsh``
+    each.  Each eigenvalue is moved outward by GROWTH_SLACK times the
+    block's size, eps and largest |eigenvalue|, above the eigensolver's
+    error; both rates are floored at 0.
+    """
+    if "growth" not in op._memo:
+        k = 0.5j * (op.storage.conj().T - op.storage)
+        rows, cols, _ = _entries(k)
+        _, labels = _components(op.dim, rows, cols)
+        up = down = 0.0
+        for label in np.unique(labels[rows]):
+            idx = np.flatnonzero(labels == label)
+            lam = np.linalg.eigvalsh(_gather(k, *np.ix_(idx, idx)))
+            slack = GROWTH_SLACK * idx.size * np.finfo(float).eps * np.abs(lam).max()
+            up, down = max(up, lam[-1] + slack), max(down, slack - lam[0])
+        op._memo["growth"] = (float(up), float(down))
+    return op._memo["growth"]
 
 
 def weighted_norm(space: GradedSpace, vec: np.ndarray, alpha: float) -> float:

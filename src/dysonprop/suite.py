@@ -9,6 +9,7 @@ target so series runs stay short.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .dyson import (
     DEFAULT_MAX_ORDER,
     TimeGrid,
+    _FreeBasis,
     _apriori_table,
     _free_spectrum,
     _prepare,
@@ -25,12 +27,15 @@ from .dyson import (
     evolve_block,
     evolve_vector,
 )
+from .errors import TruncationError
 from .evolution import _check_times, _sampled_run
 from .graded import (
+    STRUCTURE_RTOL,
     GradedSpace,
     LinOp,
     certify,
     grade_sectors,
+    growth_rates,
     support_level,
 )
 from .oracles import Report, ode_oracle, oracle_propagator
@@ -38,9 +43,9 @@ from .oracles import Report, ode_oracle, oracle_propagator
 FLEET_DIMS = (4, 5, 6, 8, 10, 12, 14, 16, 18, 20,
               24, 28, 32, 36, 40, 44, 48, 52, 58, 64)
 
-# The composition laws are checked on single, uncomposed runs, or a composed
-# run would be checked against itself; times drawn from this range keep
-# |t - t'| <= 1.6, where one run converges.
+# The composition laws compare powers of steps (``_step_power``) whose width
+# differs from one time pair to the next, so an error every step shares still
+# breaks them; times are drawn from this range.
 COMPOSITION_TIME_RANGE = (-0.8, 0.8)
 
 # A convergence-table entry may exceed its certified tail by this fraction.
@@ -143,16 +148,68 @@ def fleet(seed: int = 2026, count: int = 20) -> list[FleetModel]:
     return models
 
 
+def _step_power(
+    h_free: LinOp, h_int: LinOp, t: float, t_prime: float, tol: float
+) -> tuple[np.ndarray, float]:
+    """U(t, t') from the P-th power of one panel step, and the bound on its
+    error; raises TruncationError unless that bound is below ``tol``.
+
+    P is ``default_grid``'s panel count and h = (t - t') / P, signed.  The
+    pair does not depend on time, so U(t, t') = e^{i t h_free} S^P
+    e^{-i t' h_free} with S = e^{-i h (h_free + h_int)}, and one series run
+    over ``TimeGrid(0, h, 1)`` gives e^{i h h_free} S.  Its column tails
+    give eps = sqrt(sum_j eps_j^2) >= ||S~ - S||_2, so with
+    g = e^{|h| mu} >= ||S|| (mu from ``growth_rates`` in the step's
+    direction) the returned bound P eps (g + eps)^{P - 1} >= ||S~^P - S^P||_2.
+    The step runs at tol / (P sqrt(d) g^{P - 1}), which keeps the bound
+    below tol (1 + eps / g)^{P - 1} unless the step reaches the order cap;
+    the powers are formed only once the bound is below tol.
+    """
+    panels = default_grid(h_free, h_int, t_prime, t, max(h_free.space.grades), tol).panels
+    h = (t - t_prime) / panels
+    forward, backward = growth_rates(h_int)
+    rate = abs(h) * (backward if h < 0 else forward)  # log g, g >= ||S||
+    # The step, its powers and the free phases stay in the free eigenbasis,
+    # so the rotation's rounding enters once, not P times: the step runs on
+    # the pair rotated there, with a diagonal free part built once.
+    prep = _prepare(h_free, h_int)
+    eig_free, eig_int = h_free, h_int
+    if prep.rotation is not None:
+        eig_int = prep.h_int_rot
+        if "diagonal_free" not in eig_int._memo:
+            eig_int._memo["diagonal_free"] = LinOp(h_free.space, np.diag(prep.energies))
+        eig_free = eig_int._memo["diagonal_free"]
+    step_tol = tol / (panels * math.sqrt(h_free.dim)) * math.exp(-(panels - 1) * rate)
+    try:
+        run = evolve_block(eig_free, eig_int, np.eye(h_free.dim, dtype=complex),
+                           TimeGrid(0.0, h, 1), step_tol)
+        eps = float(np.linalg.norm(run.tail_bounds))
+    except TruncationError as exc:  # eps <= sqrt(d) max_j eps_j puts bound at tol or above
+        run, eps = None, math.sqrt(h_free.dim) * exc.tail_bound
+    with np.errstate(over="ignore"):  # an infinite bound fails
+        bound = float(panels * eps * (np.exp(rate) + eps) ** (panels - 1))
+    if run is None or not bound < tol:
+        raise TruncationError(f"composed step bound {bound:.3e} not below tolerance "
+                              f"{tol:.3e}", bound, DEFAULT_MAX_ORDER)
+    eigen = _FreeBasis(prep.energies, None)
+    u = eigen.two_sided(t, np.linalg.matrix_power(eigen.evolve(h, run.final()), panels), t_prime)
+    if prep.rotation is not None:
+        u = prep.rotation @ u @ prep.rotation.conj().T
+    return u, bound
+
+
 def dense_propagator(
     h_free: LinOp, h_int: LinOp, t: float, t_prime: float, tol: float = 1e-10
 ) -> np.ndarray:
-    """U(t, t') assembled column by column from one block run."""
-    space = h_free.space
-    grid = default_grid(
-        h_free, h_int, t_prime, t, support=max(space.grades), tol=tol
-    )
-    block = np.eye(space.dim, dtype=complex)
-    return evolve_block(h_free, h_int, block, grid, tol).final()
+    """U(t, t'), certified within ``tol`` in the spectral norm.
+
+    It is the P-th power of one certified panel step (``_step_power``),
+    formed by binary powering, about log2 P + popcount(P) products of
+    d x d.  Raises TruncationError carrying the composed bound unless that
+    bound is below ``tol``.  The rounding of the products is not in the
+    bound; no result bounds rounding yet.
+    """
+    return _step_power(h_free, h_int, t, t_prime, tol)[0]
 
 
 def identity_suite(
@@ -175,11 +232,8 @@ def identity_suite(
     rng = np.random.default_rng(seed)
     space = h_free.space
     dim = space.dim
-    h1 = h_int.matrix
-    hermitian = bool(
-        np.linalg.norm(h1 - h1.conj().T, 2)
-        <= 1e-12 * max(1.0, np.linalg.norm(h1, 2))
-    )
+    # ||h1 - h1*||_2 = 2 ||K||_2 = 2 max(mu+, mu-) (growth_rates).
+    hermitian = 2 * max(growth_rates(h_int)) <= STRUCTURE_RTOL * max(1.0, h_int.norm2())
     cocycle = covariance = inverse = unitarity = duality = 0.0
     eye = np.eye(dim)
     free = _free_spectrum(h_free)

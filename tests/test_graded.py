@@ -1,5 +1,6 @@
 """Graded spaces, operator certificates, and the wire format."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,10 +22,12 @@ from dysonprop.graded import (
     certify,
     check_free_part,
     grade_shift_bound,
+    growth_rates,
     relative_bound_constant,
     support_level,
     weighted_norm,
 )
+from dysonprop.oracles import oracle_propagator
 from dysonprop.suite import fleet
 
 
@@ -381,3 +384,34 @@ def test_free_part_verdicts_match_the_dense_check(fleet_models):
     ]
     assert {True, False, "free-part-not-hermitian",
             "free-part-mixes-grades"} <= set(verdicts)
+
+
+def test_growth_rates_bound_the_propagator_in_both_directions(fleet_models, toy_model):
+    # ||U(t, t')||_2 = ||e^{-i (t - t') (h_free + h_int)}||_2: e^{tau mu+}
+    # bounds it at (tau, 0), e^{tau mu-} at (0, tau).  A Hermitian interaction
+    # gives a unitary, whose computed norm is 1 up to the oracle's rounding.
+    cases = [(m, (1.0, 8.0)) for m in fleet_models] + [(toy_model, (1.0, 20.0))]
+    for model, taus in cases:
+        rates = growth_rates(model.h_int)
+        for tau in taus:
+            for rate, pair in zip(rates, ((tau, 0.0), (0.0, tau))):
+                u = oracle_propagator(model.h_free, model.h_int, *pair)
+                norm = float(np.linalg.norm(u, 2))
+                assert norm <= math.exp(tau * rate) * (1.0 + 1e-13), (model.h_int.dim, pair, rate)
+
+
+def test_growth_rates_give_the_skew_norm_and_are_memoised_apart_from_certify(
+    fleet_models, toy_model
+):
+    # max(mu+, mu-) = ||K||_2 = ||h1 - h1*||_2 / 2, which is all the Hermitian
+    # test of identity_suite reads; it is 0 exactly on the Hermitian models.
+    for model in [*fleet_models, toy_model]:
+        h1 = model.h_int.matrix
+        skew = float(np.linalg.norm(h1 - h1.conj().T, 2))
+        assert 2 * max(growth_rates(model.h_int)) == pytest.approx(skew, rel=1e-12, abs=0)
+    assert [max(growth_rates(m.h_int)) == 0.0 for m in fleet_models] == [
+        m.hermitian for m in fleet_models]
+    op = LinOp(toy_model.space, toy_model.h_int.storage)
+    certify(op)
+    assert "growth" not in op._memo
+    assert growth_rates(op) is growth_rates(op) == growth_rates(toy_model.h_int)

@@ -1,6 +1,7 @@
 """A slice of the soundness harness (tools/soundness.py): on the default
 grid, and at every output time of a trajectory, the series lies within
-both the tolerance and its certified tail."""
+both the tolerance and its certified tail; a dense propagator lies within
+its composed bound, itself below the tolerance."""
 
 import importlib
 from pathlib import Path
@@ -41,3 +42,14 @@ def test_trajectory_outputs_stay_below_tol_and_tail(soundness, fleet_models):
         assert rec["interior_outputs"] >= 1, where
         for error in rec["errors"]:
             assert rec["floor"] or (error <= tol and error <= rec["tail"]), where
+
+
+def test_dense_propagator_bounds_dominate_the_oracle_error(soundness, fleet_models):
+    # The composed bound of the step's powers, read through the private
+    # function dense_propagator itself calls.
+    tol = 1e-10
+    for model in fleet_models[::4]:
+        for t in soundness.FLEET_TIMES:
+            rec = soundness.dense_cell(model, t, tol)
+            where = f"{model.name} t={t}: {rec}"
+            assert not rec["raised"] and rec["error"] <= rec["bound"] < tol, where

@@ -1,21 +1,26 @@
 """Model fleet generation, identity/oracle report bundles, convergence tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dysonprop import suite
 from dysonprop.dyson import (
     TimeGrid,
     _prepare,
     _run_block,
     apriori_tail,
 )
+from dysonprop.errors import TruncationError
 from dysonprop.graded import (
     GradedSpace,
     LinOp,
     certify,
     grade_shift_bound,
+    growth_rates,
     weighted_norm,
 )
 from dysonprop.oracles import oracle_propagator
@@ -94,6 +99,63 @@ def test_dense_propagator_matches_oracle():
     u = dense_propagator(model.h_free, model.h_int, 0.6, -0.2, tol=1e-11)
     want = oracle_propagator(model.h_free, model.h_int, 0.6, -0.2)
     assert np.linalg.norm(u - want, 2) < 1e-8
+
+
+@pytest.mark.parametrize("index", [0, 1])  # diagonal and sector-block free parts
+def test_dense_propagator_at_equal_times_is_the_identity(fleet_models, index):
+    model = fleet_models[index]
+    u = dense_propagator(model.h_free, model.h_int, 0.3, 0.3)
+    dim = model.h_free.dim  # the free phases and eigenbasis round to a few eps
+    assert np.linalg.norm(u - np.eye(dim), 2) <= 4 * dim * np.finfo(float).eps
+
+
+def test_backward_dense_propagator_reads_the_backward_rate(fleet_models, monkeypatch):
+    model = fleet_models[7]  # non-Hermitian: mu+ != mu-
+    h_free, h_int = model.h_free, model.h_int
+    forward, backward = growth_rates(h_int)
+    assert forward != backward and not model.hermitian
+    u = dense_propagator(h_free, h_int, -0.2, 0.6)
+    assert np.linalg.norm(u - oracle_propagator(h_free, h_int, -0.2, 0.6), 2) < 1e-10
+    # A huge backward rate fails the backward pair's bound, not the forward one's.
+    monkeypatch.setattr(suite, "growth_rates", lambda op: (forward, 1e3))
+    with pytest.raises(TruncationError):
+        dense_propagator(h_free, h_int, -0.2, 0.6)
+    u = dense_propagator(h_free, h_int, 0.6, -0.2)
+    assert np.linalg.norm(u - oracle_propagator(h_free, h_int, 0.6, -0.2), 2) < 1e-10
+
+
+@pytest.mark.parametrize("t, tol", [(1.0, 1e-300), (1e4, 1e-10)])
+def test_dense_propagator_raises_when_the_composed_bound_misses_tol(small_model, t, tol):
+    # A tol below reach, and a non-Hermitian pair so long that the panel cap
+    # leaves wide steps and g^{P - 1} overflows: the bound is checked before
+    # any power is formed, and no matrix comes back.
+    with pytest.raises(TruncationError) as info:
+        dense_propagator(small_model.h_free, small_model.h_int, t, 0.0, tol=tol)
+    assert not info.value.tail_bound < tol
+
+
+def test_a_step_one_order_short_breaks_the_cocycle(fleet_models, monkeypatch):
+    # Every propagator is a power of its own step, and the step width differs
+    # between time pairs, so a step that silently drops its last order (its
+    # tails still those of the full run) breaks the cocycle.  At series_tol
+    # 1e-6 the dropped order sits above the laws' 1e-7; at 1e-10 it would not.
+    real = suite.evolve_block
+
+    def short(h_free, h_int, block, grid, tol):
+        full = real(h_free, h_int, block, grid, tol)
+        cut = _run_block(_prepare(h_free, h_int), grid, block, tol,
+                         full.achieved_order - 1, keep_terms=False)
+        return replace(cut, tail_bounds=full.tail_bounds)
+
+    for model in fleet_models[3::4]:
+        args = dict(h_free=model.h_free, h_int=model.h_int, tuples=3, pairs=4,
+                    series_tol=1e-6)
+        clean = {r.check_name: r for r in identity_suite(**args)}
+        with monkeypatch.context() as mp:
+            mp.setattr(suite, "evolve_block", short)
+            planted = {r.check_name: r for r in identity_suite(**args)}
+        assert clean["cocycle"].passed, (model.name, clean["cocycle"])
+        assert not planted["cocycle"].passed, (model.name, planted["cocycle"])
 
 
 def test_identity_suite_free_case_is_exact():

@@ -19,7 +19,11 @@ Corpus:
   t * (0.1, 1/3, 1/sqrt 2, 0.9, 1); and the stock QED model (four seeded
   unit columns of photon grade <= cap - 2) at t = 1 with 200 steps and the
   same tols.  Each runs ``default_grid``'s panels, so most output times lie
-  inside a panel.
+  inside a panel;
+* dense propagators: ``suite._step_power``, the route of
+  ``dense_propagator``, on the 20 fleet models at U(t, 0) for the same
+  times and tols; each cell keeps the composed ``bound`` in place of a
+  tail.
 
 Per cell: ``error`` is the spectral norm of the computed block minus the
 oracle's (for one column, its 2-norm) and ``tail`` the largest column tail
@@ -70,7 +74,7 @@ from dysonprop.evolution import _sampled_run, uniform_times  # noqa: E402
 from dysonprop.graded import support_level, vectors_supported_below  # noqa: E402
 from dysonprop.oracles import oracle_propagator  # noqa: E402
 from dysonprop.qed import build_model, default_toy_config  # noqa: E402
-from dysonprop.suite import fleet, random_graded_model  # noqa: E402
+from dysonprop.suite import _step_power, fleet, random_graded_model  # noqa: E402
 
 FLEET_TIMES = (0.25, 1.0, 2.0)
 TOLS = (1e-6, 1e-10, 1e-13)
@@ -116,6 +120,24 @@ def cell(model, t: float, tol: float, block=None, grid=None) -> dict:
         **record, "raised": False, "order": res.achieved_order,
         "error": error, "tail": res.tail_bound, "error_over_tol": error / tol,
         "error_over_tail": error / res.tail_bound, "floor": bool(error <= floor),
+    }
+
+
+def dense_cell(model, t: float, tol: float) -> dict:
+    """``_step_power`` at U(t, 0) against the oracle: its error and composed
+    bound as a record."""
+    record = {"model": model.name, "t": t, "tol": tol}
+    try:
+        u, bound = _step_power(model.h_free, model.h_int, t, 0.0, tol)
+    except TruncationError as exc:
+        return {**record, "raised": True, "bound": exc.tail_bound}
+    exact = oracle_propagator(model.h_free, model.h_int, t, 0.0)
+    error = float(np.linalg.norm(u - exact, 2))
+    floor = FLOOR_MULTIPLE * model.h_free.dim * UNIT_ROUNDOFF * np.linalg.norm(exact, 2)
+    return {
+        **record, "raised": False, "error": error, "bound": bound,
+        "error_over_tol": error / tol, "error_over_bound": error / bound,
+        "floor": bool(error <= floor),
     }
 
 
@@ -184,17 +206,18 @@ def trajectory_sections() -> dict[str, list[dict]]:
 
 def summary(cells: list[dict]) -> dict:
     done = [c for c in cells if not c["raised"]]
-    over_tail = [c for c in done if c["error_over_tail"] > 1.0]
+    bound = "bound" if "bound" in cells[0] else "tail"  # what the cells certify
+    over_bound = [c for c in done if c[f"error_over_{bound}"] > 1.0]
     over_tol = [c for c in done if c["error_over_tol"] > 1.0]
     row = {
         "cells": len(cells),
         "raised": len(cells) - len(done),
         "worst_error_over_tol": max(c["error_over_tol"] for c in done),
-        "median_tail_over_error": statistics.median(c["tail"] / c["error"] for c in done),
+        f"median_{bound}_over_error": statistics.median(c[bound] / c["error"] for c in done),
         "error_over_tol_gt_1": len(over_tol),
         "error_over_tol_gt_1_not_floor": sum(not c["floor"] for c in over_tol),
-        "error_over_tail_gt_1": len(over_tail),
-        "error_over_tail_gt_1_not_floor": sum(not c["floor"] for c in over_tail),
+        f"error_over_{bound}_gt_1": len(over_bound),
+        f"error_over_{bound}_gt_1_not_floor": sum(not c["floor"] for c in over_bound),
     }
     if "errors" in done[0]:
         for kind in ("edge", "interior"):
@@ -220,7 +243,10 @@ def run_corpus() -> dict:
     xi = np.zeros((12, 1), dtype=complex)
     xi[0] = 1.0
     sections["readme"] = [cell(readme, t, README_TOL, block=xi) for t in README_TIMES]
-    return {**sections, **trajectory_sections()}
+    models = fleet()
+    dense = {f"dense tol={tol:g}": [dense_cell(m, t, tol) for m in models for t in FLEET_TIMES]
+             for tol in TOLS}
+    return {**sections, **trajectory_sections(), **dense}
 
 
 def machine_block() -> dict:
