@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +73,7 @@ from .graded import (
 from .oracles import Report, oracle_propagator
 from .qed import (
     QedConfig,
+    _is_number,
     build_model,
     default_toy_config,
     eta_unitarity_check,
@@ -152,20 +152,11 @@ def _load_config_file(path: Path) -> dict:
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: "
             f"{err.msg}"
         ) from err
+    except ValueError as err:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
     return doc
-
-
-def _is_number(value) -> bool:
-    """A JSON number that is finite as a float: bools, NaN, the infinities
-    and integers beyond the float range are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _float(field: str, value) -> float:

@@ -174,17 +174,28 @@ _LATTICES = (
 _POINTS_OF = {weights: points for points, _, weights, _ in _LATTICES}
 
 
+def _is_number(value) -> bool:
+    """A real number that is finite as a float: bools, NaN, the infinities
+    and integers beyond the float range are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _finite(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    if not _is_number(value):
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
 def _from_wire(value):
-    """JSON lists become tuples and JSON numbers floats; the rest is checked later."""
+    """JSON lists become tuples and JSON numbers in the float range floats;
+    the rest is checked later."""
     if isinstance(value, list):
         return tuple(_from_wire(v) for v in value)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, int) and _is_number(value):
         return float(value)
     return value
 
@@ -223,7 +234,7 @@ class QedConfig:
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         cap = self.photon_cap
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        if not _is_number(cap) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError(f"photon_cap must be an integer >= 1, not {cap!r}")
         for points, chi, weights, zero_ok in _LATTICES:
             pts = getattr(self, points)
@@ -348,6 +359,7 @@ class QedModel:
             ModeSpec(spec.bosons, (), spec.scalar_modes),
             total_boson_cap=config.photon_cap,
         )
+        self._photon_eta = np.real(eta_metric(self.photon_basis).storage.diagonal())
         self.fermion_basis = FockBasis(ModeSpec((), spec.fermions))
         self.space = self.basis.graded_space()
 
@@ -395,16 +407,10 @@ class QedModel:
         return out
 
     def photon_creator_dagger(self, f_values: np.ndarray, mu: int) -> np.ndarray:
-        """The eta-adjoint creator entering the field (scalar row flips sign)."""
-        w = self.photon_grid.weights
-        out = np.zeros((self.photon_basis.dim,) * 2, dtype=complex)
-        for i in range(len(self.photon_grid)):
-            for lam in range(4):
-                sign = -1.0 if lam == 0 else 1.0
-                coeff = np.sqrt(w[i]) * f_values[i] * self.pol[i, lam, mu] * sign
-                if coeff != 0:
-                    out += coeff * self._photon_ann[(i, lam)].conj().T
-        return out
+        """The creator entering the field: eta a_mu(f)^* eta, the eta-adjoint of
+        the annihilator on the photon factor (the scalar row flips sign)."""
+        eta = self._photon_eta
+        return eta[:, None] * self.photon_annihilator(f_values, mu).conj().T * eta
 
     def photon_field_factor(self, mu: int, x: Sequence[float]) -> np.ndarray:
         """A_mu at position x on the photon factor."""

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from typing import Iterable, Sequence
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -84,13 +85,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], digest: str
 
 
 def _xml_escape_attr(text: str) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    return escape(str(text), {'"': "&quot;"})
 
 
 def junit_document(suite_name: str, reports: Sequence[Report], digest: str) -> str:

@@ -17,7 +17,6 @@ import numpy as np
 from .dyson import (
     DEFAULT_MAX_ORDER,
     TimeGrid,
-    _FreeBasis,
     _apriori_table,
     _free_spectrum,
     _prepare,
@@ -36,6 +35,7 @@ from .graded import (
     certify,
     grade_sectors,
     growth_rates,
+    random_vector,
     support_level,
 )
 from .oracles import Report, ode_oracle, oracle_propagator
@@ -191,7 +191,7 @@ def _step_power(
     if run is None or not bound < tol:
         raise TruncationError(f"composed step bound {bound:.3e} not below tolerance "
                               f"{tol:.3e}", bound, DEFAULT_MAX_ORDER)
-    eigen = _FreeBasis(prep.energies, None)
+    eigen = _free_spectrum(eig_free)
     u = eigen.two_sided(t, np.linalg.matrix_power(eigen.evolve(h, run.final()), panels), t_prime)
     if prep.rotation is not None:
         u = prep.rotation @ u @ prep.rotation.conj().T
@@ -318,8 +318,7 @@ def oracle_reports(
         Report("order-bound-compliance", compliance, 1e-6, context)
     )
 
-    xi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    xi /= np.linalg.norm(xi)
+    xi = random_vector(rng, dim)
     t_probe = 0.7
     grid_probe = default_grid(
         h_free, h_int, 0.0, t_probe,

@@ -105,23 +105,18 @@ def test_evolve_free_model_preserves_norms(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    names = ["evolve.json", "trajectory.csv", "orders.csv"]
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        cfg = write_config(
-            tmp_path,
-            {
-                "model": pair_model_doc(),
-                "t_end": 0.5,
-                "steps": 4,
-                "out_dir": str(out),
-            },
-            name=f"cfg-{tag}.json",
-        )
-        assert main(["evolve", cfg]) == 0
-        outs.append(read_all(out, names))
-    assert outs[0] == outs[1]
+    # Every command: two runs of one config write the same bytes.
+    for command, (doc, tables) in _TINY_RUNS.items():
+        stem = command.replace("-", "_")
+        names = [f"{stem}.json", f"{stem}.xml", *tables]
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / command / tag
+            cfg = write_config(tmp_path, {**doc, "out_dir": str(out)},
+                               name=f"{command}-{tag}.json")
+            assert main([command, cfg]) == 0, command
+            outs.append(read_all(out, names))
+        assert outs[0] == outs[1], command
 
 
 def test_override_changes_digest_and_document(tmp_path):
@@ -172,6 +167,14 @@ def test_json_syntax_error_reports_position(tmp_path, capsys):
     assert main(["evolve", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_integer_literal_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"model": "qed-default", "t_end": 1' + "0" * 5000 + "}")
+    assert main(["evolve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -306,10 +309,12 @@ def test_fields_no_pipeline_reads_are_unknown(tmp_path, capsys, command, field,
     [{"coupling": math.nan}, {"coupling": math.inf}, {"coupling": True},
      {"coupling": "0.1"}, {"photon_cap": 2.5}, {"momentum_weight": [1.0]},
      {"momentum_weights": [-1.0]}, {"position_weights": [-1.0]},
-     {"fermion_weights": [1.0, 1.0]}, {"momentum_points": [[0.0, 0.0, 1.0]]}],
+     {"fermion_weights": [1.0, 1.0]}, {"momentum_points": [[0.0, 0.0, 1.0]]},
+     {"mass": 10**400}, {"photon_cap": 10**400}],
     ids=["coupling-nan", "coupling-inf", "coupling-bool", "coupling-string",
          "photon_cap-fraction", "unknown-key", "momentum_weights-negative",
-         "position_weights-negative", "weights-length", "photon-on-axis"],
+         "position_weights-negative", "weights-length", "photon-on-axis",
+         "mass-huge-int", "photon_cap-huge-int"],
 )
 def test_bad_qed_fields_are_config_errors(tmp_path, capsys, edit):
     doc = small_qed_doc()
@@ -318,6 +323,24 @@ def test_bad_qed_fields_are_config_errors(tmp_path, capsys, edit):
     assert main(["evolve", cfg]) == 2
     assert "field 'model.qed'" in capsys.readouterr().err
     assert not any(tmp_path.glob("evolve.*"))
+
+
+@pytest.mark.parametrize("field", ["mass", "photon_cap"])
+def test_qed_demo_refuses_integers_beyond_the_float_range(tmp_path, capsys,
+                                                          monkeypatch, field):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(cli, "build_model", no_basis)
+    monkeypatch.setattr(cli, "fock_basis", no_basis)
+    doc = small_qed_doc()
+    doc["qed"][field] = 10**400
+    cfg = write_config(tmp_path, {"model": doc, "out_dir": str(tmp_path)})
+    assert main(["qed-demo", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field 'model.qed': {field}" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.glob("qed_demo.*"))
 
 
 @pytest.mark.parametrize("command", ["evolve", "verify", "convergence"])

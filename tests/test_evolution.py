@@ -140,8 +140,9 @@ def test_heisenberg_residuals_strong_and_weak(small_model):
     assert strong.max() < 1e-2
     _, weak = heisenberg_residuals(track, h_total, pairs=5, seed=3)
     assert weak.max() < strong.max() * 50  # random pairs scale, same dt order
-    with pytest.raises(ValueError):
-        heisenberg_residuals(track, h_total, stride=40)
+    for stride in (40, 0, -1):
+        with pytest.raises(ValueError):
+            heisenberg_residuals(track, h_total, stride=stride)
 
 
 def reference_residuals(track, h_total, mode, pairs=20, seed=11):
@@ -193,7 +194,17 @@ def test_one_pass_residuals_equal_the_separate_loops(small_model):
         np.testing.assert_array_equal(got, want)
 
 
-def test_split_form_matches_commutator_form(small_model):
+def test_split_form_matches_commutator_form(small_model, monkeypatch):
+    from dysonprop import evolution
+
+    runs = []
+    real = evolution.evolve_block
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolve_block", counted)
     rng = np.random.default_rng(21)
     b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     obs = LinOp(small_model.h_free.space, b)
@@ -206,10 +217,15 @@ def test_split_form_matches_commutator_form(small_model):
     assert check.commutator_residual < 1e-10
     assert check.difference_residual < 5e-3 * max(1.0, check.derivative_norm)
     assert check.dt == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        strong_split_residual(
-            small_model.h_free, small_model.h_int, obs, xi, t=-1.0
-        )
+    # B(t) from two runs, W(t) xi from one, and both split terms carried
+    # back from t in one.
+    assert len(runs) == 4
+    for kwargs in ({"t": -1.0}, {"t": 0.5, "substeps": 0}):
+        with pytest.raises(ValueError):
+            strong_split_residual(
+                small_model.h_free, small_model.h_int, obs, xi, **kwargs
+            )
+    assert len(runs) == 4
 
 
 def test_pairing_track_matches_dense_pairing(small_model):
@@ -271,8 +287,9 @@ def test_weak_residual_stride_doubling(small_model):
     assert coarse["dt"] == pytest.approx(2 * fine["dt"])
     ratio = coarse["max_residual"] / fine["max_residual"]
     assert ratio == pytest.approx(4.0, rel=0.1)
-    with pytest.raises(ValueError):
-        weak_residual(track, stride=50)
+    for stride in (50, 0, -2):
+        with pytest.raises(ValueError):
+            weak_residual(track, stride=stride)
 
 
 def test_interaction_is_actually_nonnormal(small_model):

@@ -164,6 +164,19 @@ def test_config_codec_reads_json_numbers_and_defaults():
         dataclasses.replace(small_config(), fermion_weights=(0.0,))
 
 
+def test_integers_beyond_the_float_range_are_refused():
+    # Such an integer has no float, so it must be a ValueError, not an
+    # OverflowError, and a cap must be refused before any basis is built.
+    for field in ("mass", "photon_cap"):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(small_config(), **{field: 10**400})
+    for field in ("mass", "coupling", "photon_cap"):
+        doc = small_config().to_json()
+        doc[field] = 10**400
+        with pytest.raises(ValueError, match=field):
+            QedConfig.from_json(doc)
+
+
 def test_photon_momentum_on_axis_is_rejected_at_build():
     doc = small_config().to_json()
     doc["momentum_points"] = [[0.0, 0.0, 1.0]]
@@ -382,6 +395,45 @@ def test_structured_operators_equal_the_dense_build(config):
         hi = min(lo + step, model.space.dim)
         for op, want in zip(ops, rows(lo, hi)):
             assert np.array_equal(op.storage[lo:hi].toarray(), want), (lo, op)
+
+
+def _creator_by_mode_loop(model, f_values, mu):
+    """The field's creator half summed mode by mode: sqrt(w_i) f_i e_lam^mu
+    a_{i,lam}^*, the scalar row (lam = 0) negated."""
+    w = model.photon_grid.weights
+    out = np.zeros((model.photon_basis.dim,) * 2, dtype=complex)
+    for i in range(len(model.photon_grid)):
+        for lam in range(4):
+            sign = -1.0 if lam == 0 else 1.0
+            coeff = np.sqrt(w[i]) * f_values[i] * model.pol[i, lam, mu] * sign
+            if coeff != 0:
+                out += coeff * model._photon_ann[(i, lam)].conj().T
+    return out
+
+
+@pytest.mark.parametrize(
+    "config",
+    [default_toy_config(), _two_momentum_config(),
+     dataclasses.replace(default_toy_config(), coupling=4.0)],
+    ids=["stock", "two-momentum", "coupling-4"],
+)
+def test_creator_equals_the_mode_loop(config):
+    model = build_model(config)
+    npts = len(model.photon_grid)
+    x = np.array([0.1, -0.2, 0.3])
+    field_f = (np.exp(-1j * model.photon_grid.points @ x) * np.asarray(config.chi_ph)
+               / np.sqrt(2.0 * model.omegas))
+    rng = np.random.default_rng(8)
+    for f in (field_f, rng.normal(size=npts) + 1j * rng.normal(size=npts)):
+        for mu in range(4):
+            # Equal entry for entry; an empty entry may be -0 where the loop
+            # has +0 (the metric's sign flip), which no sum below can see.
+            assert np.array_equal(model.photon_creator_dagger(f, mu),
+                                  _creator_by_mode_loop(model, f, mu))
+    for mu in range(4):
+        want = (model.photon_annihilator(field_f, mu)
+                + _creator_by_mode_loop(model, field_f, mu))
+        assert model.photon_field_factor(mu, x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("config", [default_toy_config(), _two_momentum_config()],
