@@ -6,24 +6,7 @@ an a-priori bound certifying every truncation.  On top of that sit
 Schrodinger and Heisenberg trajectory drivers, a verification suite with
 independent oracles, and a desk-scale covariant-gauge photon/electron
 model with an indefinite metric.
-
-Set DYSONPROP_THREADS before the first import to cap the BLAS worker
-count; the value is forwarded to the usual thread-count variables unless
-they are already set.
 """
-
-import os as _os
-
-_threads = _os.environ.get("DYSONPROP_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
 
 from ._version import VERSION as __version__
 from .errors import AssumptionViolation, StiffnessError, TruncationError

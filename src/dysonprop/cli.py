@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyson import default_grid, evolve_block
+from .dyson import DEFAULT_MAX_ORDER, default_grid, evolve_block
 from .errors import AssumptionViolation, TruncationError
 from .evolution import (
     heisenberg_pairing_track,
@@ -74,6 +74,7 @@ from .oracles import Report, oracle_propagator
 from .qed import (
     QedConfig,
     _is_number,
+    _shown,
     build_model,
     default_toy_config,
     eta_unitarity_check,
@@ -125,10 +126,10 @@ class RunConfig:
 # ``command`` and ``out_dir``, which stay out of this table.
 _FIELDS = {
     "evolve": {"tol": 1e-10, "model": None, "t_end": 1.0, "steps": 200,
-               "max_order": 64, "initial_state": {"basis_index": 0}},
+               "max_order": DEFAULT_MAX_ORDER, "initial_state": {"basis_index": 0}},
     "heisenberg": {"tol": 1e-10, "seed": 2026, "model": None,
                    "observable": None, "t_end": 1.0, "steps": 200,
-                   "max_order": 64, "pairs": 20},
+                   "max_order": DEFAULT_MAX_ORDER, "pairs": 20},
     "verify": {"tol": 1e-7, "seed": 2026, "count": 20, "tuples": 10,
                "series_tol": 1e-10},
     "qed-demo": {"tol": 1e-6, "seed": 2026, "model": "qed-default",
@@ -161,7 +162,7 @@ def _load_config_file(path: Path) -> dict:
 
 def _float(field: str, value) -> float:
     if not _is_number(value):
-        raise ConfigError(f"field '{field}': expected a finite number, got {value!r}")
+        raise ConfigError(f"field '{field}': expected a finite number, got {_shown(value)}")
     return float(value)
 
 
@@ -183,9 +184,9 @@ def _integer(minimum: int):
     def parse(field: str, value) -> int:
         _float(field, value)
         if int(value) != value:
-            raise ConfigError(f"field '{field}': expected an integer, got {value!r}")
+            raise ConfigError(f"field '{field}': expected an integer, got {_shown(value)}")
         if value < minimum:
-            raise ConfigError(f"field '{field}': must be >= {minimum}, got {value!r}")
+            raise ConfigError(f"field '{field}': must be >= {minimum}, got {_shown(value)}")
         return int(value)
     return parse
 

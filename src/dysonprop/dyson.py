@@ -211,8 +211,8 @@ class SeriesResult:
     Sums are in the interaction picture: ``boundary_sums`` at every panel
     edge, and ``output_sums`` at the times a trajectory run
     (``evolution._sampled_run``) asked for, in its order; None on a plain
-    run.  Bounds, norms and support levels are per column; ``terms`` holds
-    every order when the run kept them.
+    run.  Bounds and norms are per column; ``terms`` holds every order when
+    the run kept them.
     """
 
     boundary_sums: np.ndarray  # (panels + 1, dim, m), running sum at the edges
@@ -220,8 +220,6 @@ class SeriesResult:
     tail_bounds: np.ndarray  # (m,) certified tail after achieved_order
     per_order_sup_norms: np.ndarray  # (orders + 1, m), sup over nodes and edges
     per_order_bounds: np.ndarray  # matching a-priori bounds
-    supports_in: np.ndarray  # (m,) support level of each input column
-    cert: GradeCert
     grid: TimeGrid
     terms: tuple[DysonTerm, ...] = ()
     output_sums: np.ndarray | None = None  # (times, dim, m), running sum at each time
@@ -310,17 +308,14 @@ def apriori_tail(
     grade_shift: float,
     support: float,
     vec_norm: float,
-    alpha: float = 0.0,
 ) -> float:
     """Sum of the a-priori bounds over all orders beyond ``after_order``.
 
-    With ``alpha > 0`` this bounds the (grade + 1)^{alpha/2}-weighted norm
-    instead: the order-k term carries the sector weight
-    (L + k b + 1)^{alpha/2}.  Every later order counts: the sum is closed by
-    a geometric remainder, not cut off.
+    Every later order counts: the sum is closed by a geometric remainder,
+    not cut off.  ``_apriori_table`` also gives the grade-weighted tails.
     """
     _, tails = _apriori_table(
-        after_order, duration, rel_bound, grade_shift, [support], [vec_norm], alpha
+        after_order, duration, rel_bound, grade_shift, [support], [vec_norm]
     )
     return float(tails[after_order, 0])
 
@@ -708,8 +703,6 @@ def _run_block(
         tail_bounds=tails[order],
         per_order_sup_norms=np.array(sup_norms),
         per_order_bounds=bounds[: order + 1],
-        supports_in=supports,
-        cert=prep.cert,
         grid=grid,
         terms=tuple(terms),
         output_sums=None if pos is None else original(kern.time_sums(applied_sum, sums, pos)),
@@ -760,18 +753,18 @@ def evolve_vector(
     xi: np.ndarray,
     grid: TimeGrid,
     tol: float,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> SeriesResult:
     """``evolve_block`` on the one column xi, keeping every order.
 
     The result's ``terms`` hold each order as a ``DysonTerm`` with a column
     axis of length 1; ``final()[:, 0]`` is U(t_end, t_start) xi.  One series
-    pass, certified like ``evolve_block``.
+    pass of at most ``DEFAULT_MAX_ORDER`` orders, certified like
+    ``evolve_block``.
     """
     vec = np.asarray(xi, dtype=complex).reshape(-1, 1)
-    result = _run_block(_prepare(h_free, h_int), grid, vec, tol, max_order,
+    result = _run_block(_prepare(h_free, h_int), grid, vec, tol, DEFAULT_MAX_ORDER,
                         keep_terms=True)
-    return _require_tail(result, tol, max_order)
+    return _require_tail(result, tol, DEFAULT_MAX_ORDER)
 
 
 def evolve_adjoint(
@@ -780,17 +773,16 @@ def evolve_adjoint(
     block: np.ndarray,
     grid: TimeGrid,
     tol: float,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> SeriesResult:
     """Apply the adjoint U(t_end, t_start)* to a block of columns.
 
     The adjoint solves the same recursion with the conjugate-transposed
     interaction and the roles of the two time arguments exchanged, so this
-    is ``evolve_block`` under h_int* on the reversed grid; the result's grid
-    is that reversed grid.  Every adjoint run of the library is formed here.
+    is ``evolve_block`` under h_int* on the reversed grid, at most
+    ``DEFAULT_MAX_ORDER`` orders; the result's grid is that reversed grid.
+    Every adjoint run of the library is formed here.
     """
-    return evolve_block(h_free, h_int.H, block, grid.reversed(), tol,
-                        max_order=max_order)
+    return evolve_block(h_free, h_int.H, block, grid.reversed(), tol)
 
 
 def coupled_gap(h_free: LinOp, h_int: LinOp) -> float:

@@ -65,14 +65,6 @@ def _as_block(states) -> np.ndarray:
     return arr
 
 
-def _check_times(times) -> np.ndarray:
-    """The verification layer's check times as an array; each must be positive."""
-    times = np.asarray(times, dtype=float)
-    if not (times > 0).all():
-        raise ValueError("check times must be positive")
-    return times
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """States at the caller's times, certified by the runs they were read from.
@@ -218,21 +210,21 @@ def heisenberg_pairing_track(
     t_end: float,
     steps: int,
     tol: float,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> HeisenbergTrack:
     """The weak-form track of B between each column pair (eta, xi).
 
     xi runs forward under h and eta under h_free + h_int^*; each time's
     pairings and their derivatives are read from the two runs' states, so
-    the track costs two series runs with one column per pair.
+    the track costs two series runs with one column per pair, each of at
+    most ``DEFAULT_MAX_ORDER`` orders.
     """
     eta_block = _as_block(etas)
     xi_block = _as_block(xis)
     if eta_block.shape != xi_block.shape:
         raise ValueError("eta and xi blocks must have matching shapes")
     times = uniform_times(t_end, steps)
-    fwd = _sampled_run(h_free, h_int, xi_block, times, tol, max_order)
-    dual = _sampled_run(h_free, h_int.H, eta_block, times, tol, max_order)
+    fwd = _sampled_run(h_free, h_int, xi_block, times, tol, DEFAULT_MAX_ORDER)
+    dual = _sampled_run(h_free, h_int.H, eta_block, times, tol, DEFAULT_MAX_ORDER)
     h_mat = (h_free + h_int).matrix
     b_mat = observable.matrix
     comm = h_mat @ b_mat - b_mat @ h_mat

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyson import DEFAULT_MAX_ORDER, _free_spectrum, evolve_adjoint
-from .evolution import _check_times, _sampled_run
+from .evolution import _sampled_run
 from .fock import (
     LEAKAGE_WARN_THRESHOLD,
     BosonMode,
@@ -40,6 +40,14 @@ from .graded import (
 from .oracles import Report
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
+
+# Random test-function pairs of ``field_commutators``.
+COMMUTATOR_SAMPLES = 4
+# The times ``eta_unitarity_check`` reads the pairing at, ascending; the
+# inverse checks run at the last.
+PAIRING_TIMES = (0.25, 0.5, 0.75, 1.0)
+# An error message shows at most this many characters of a rejected value.
+SHOWN_CHARS = 40
 
 _SPINS = (0.5, -0.5)
 _SPIN_TAG = {0.5: "+", -0.5: "-"}
@@ -185,9 +193,18 @@ def _is_number(value) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to ``SHOWN_CHARS`` with its
+    length noted, so a huge number does not flood the message."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} chars)"
+
+
 def _finite(name: str, value) -> None:
     if not _is_number(value):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+        raise ValueError(f"{name}: expected a finite number, got {_shown(value)}")
 
 
 def _from_wire(value):
@@ -235,7 +252,7 @@ class QedConfig:
             raise ValueError("mass must be positive")
         cap = self.photon_cap
         if not _is_number(cap) or not isinstance(cap, numbers.Integral) or cap < 1:
-            raise ValueError(f"photon_cap must be an integer >= 1, not {cap!r}")
+            raise ValueError(f"photon_cap must be an integer >= 1, not {_shown(cap)}")
         for points, chi, weights, zero_ok in _LATTICES:
             pts = getattr(self, points)
             if (not isinstance(pts, (tuple, list)) or not pts or not all(
@@ -518,8 +535,9 @@ def _eta_signs(model: QedModel) -> np.ndarray:
     return np.real(model.eta.storage.diagonal())
 
 
-def field_commutators(model: QedModel, seed: int = 101, samples: int = 4) -> Report:
-    """Residual of [a_mu(f), a_nu^dagger(g)] + g_{mu nu} <f, g> below the cap.
+def field_commutators(model: QedModel, seed: int = 101) -> Report:
+    """Residual of [a_mu(f), a_nu^dagger(g)] + g_{mu nu} <f, g> below the cap,
+    the worst over ``COMMUTATOR_SAMPLES`` random pairs (f, g).
 
     The identity holds exactly on states whose total occupation stays below
     the cap; the projector removes the top sector where the truncation
@@ -530,7 +548,7 @@ def field_commutators(model: QedModel, seed: int = 101, samples: int = 4) -> Rep
     grades = model.photon_basis.grades()
     below = np.diag((grades <= model.config.photon_cap - 1).astype(complex))
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(COMMUTATOR_SAMPLES):
         f = rng.normal(size=npts) + 1j * rng.normal(size=npts)
         g = rng.normal(size=npts) + 1j * rng.normal(size=npts)
         pairing = model.photon_grid.inner(f, g)
@@ -546,13 +564,12 @@ def field_commutators(model: QedModel, seed: int = 101, samples: int = 4) -> Rep
         "photon-field-commutators",
         worst,
         1e-14,
-        {"samples": samples, "seed": seed},
+        {"samples": COMMUTATOR_SAMPLES, "seed": seed},
     )
 
 
 def eta_unitarity_check(
     model: QedModel,
-    times: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     pairs: int = 50,
     tol: float = 1e-6,
     series_tol: float = 1e-9,
@@ -562,12 +579,11 @@ def eta_unitarity_check(
 
     Random unit pairs are drawn with photon occupation at most cap - 2 so
     the cap has headroom; the drift |<W psi, eta W phi> - <psi, eta phi>| is
-    maximised over pairs and times.  One report covers the pairing, one the
-    metric adjoint inverse applied through the adjoint series, one the group
-    inverse W(-t) W(t) = 1 through a backward run (``group-inverse``), and
-    one the top-sector leakage of every evolved state.  The two inverse
-    checks run at the largest time.  Every time must be positive, else
-    ValueError.
+    maximised over pairs and the times ``PAIRING_TIMES``.  One report covers
+    the pairing, one the metric adjoint inverse applied through the adjoint
+    series, one the group inverse W(-t) W(t) = 1 through a backward run
+    (``group-inverse``), and one the top-sector leakage of every evolved
+    state.  The two inverse checks run at the last time.
     """
     rng = np.random.default_rng(seed)
     cap = model.config.photon_cap
@@ -576,8 +592,7 @@ def eta_unitarity_check(
     phi = vectors_supported_below(rng, model.space, level, pairs)
     block = np.concatenate([psi, phi], axis=1)
 
-    times = _check_times(times)
-    run = _sampled_run(model.h_free, model.h_int, block, times, series_tol,
+    run = _sampled_run(model.h_free, model.h_int, block, PAIRING_TIMES, series_tol,
                        DEFAULT_MAX_ORDER)
     eta_diag = _eta_signs(model)
     base = np.einsum("dm,d,dm->m", psi.conj(), eta_diag, phi)
@@ -594,9 +609,8 @@ def eta_unitarity_check(
     # U(t, 0)* runs on the reversed grid under h_int*, after the free phase
     # e^{i t h0} and before the outer eta.
     sample = min(4, pairs)
-    last = int(np.argmax(times))
-    t_max = float(times[last])
-    w_final = run.states[last][:, :sample]
+    t_max = PAIRING_TIMES[-1]
+    w_final = run.states[-1][:, :sample]
     rotated = _free_spectrum(model.h_free).evolve(-t_max, eta_diag[:, None] * w_final)
     adjoint = evolve_adjoint(
         model.h_free, model.h_int, rotated, run.grid, series_tol
@@ -613,7 +627,7 @@ def eta_unitarity_check(
 
     context = {
         "pairs": pairs,
-        "times": times.tolist(),
+        "times": list(PAIRING_TIMES),
         "series_tol": series_tol,
         "achieved_order": run.achieved_order,
     }

@@ -27,7 +27,7 @@ from .dyson import (
     evolve_vector,
 )
 from .errors import TruncationError
-from .evolution import _check_times, _sampled_run
+from .evolution import _sampled_run
 from .graded import (
     STRUCTURE_RTOL,
     GradedSpace,
@@ -51,6 +51,14 @@ COMPOSITION_TIME_RANGE = (-0.8, 0.8)
 # A convergence-table entry may exceed its certified tail by this fraction.
 TAIL_SLACK = 1e-3
 
+# The adjoint-duality check of ``identity_suite``: random (eta, xi) pairs and
+# the largest |<U eta, xi> - <eta, U* xi>| that passes.
+DUALITY_PAIRS = 20
+DUALITY_TOL = 1e-9
+
+# The times ``oracle_reports`` compares the series with the oracles at.
+ORACLE_TIMES = (0.25, 0.5, 1.0)
+
 
 @dataclass(frozen=True)
 class FleetModel:
@@ -58,8 +66,6 @@ class FleetModel:
     h_free: LinOp
     h_int: LinOp
     grade_shift: int
-    hermitian: bool
-    seed: int
 
     @property
     def space(self) -> GradedSpace:
@@ -121,8 +127,6 @@ def random_graded_model(
         h_free=h_free,
         h_int=h_int,
         grade_shift=grade_shift,
-        hermitian=hermitian,
-        seed=seed,
     )
 
 
@@ -216,9 +220,7 @@ def identity_suite(
     h_free: LinOp,
     h_int: LinOp,
     tuples: int = 10,
-    pairs: int = 20,
     tol: float = 1e-7,
-    duality_tol: float = 1e-9,
     seed: int = 505,
     series_tol: float = 1e-10,
     model_name: str = "model",
@@ -226,8 +228,9 @@ def identity_suite(
     """Composition-law checks on randomized time tuples.
 
     Emits one aggregated Report per law: cocycle, translation covariance,
-    inverse, adjoint duality, and (for Hermitian interactions) unitarity.
-    Failures come back as failing Reports, never exceptions.
+    inverse, adjoint duality on ``DUALITY_PAIRS`` random pairs within
+    ``DUALITY_TOL``, and (for Hermitian interactions) unitarity.  Failures
+    come back as failing Reports, never exceptions.
     """
     rng = np.random.default_rng(seed)
     space = h_free.space
@@ -260,8 +263,9 @@ def identity_suite(
     grid = default_grid(
         h_free, h_int, t_p, t, support=max(space.grades), tol=series_tol
     )
-    etas = rng.normal(size=(dim, pairs)) + 1j * rng.normal(size=(dim, pairs))
-    xis = rng.normal(size=(dim, pairs)) + 1j * rng.normal(size=(dim, pairs))
+    shape = (dim, DUALITY_PAIRS)
+    etas = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    xis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     forward = evolve_block(h_free, h_int, etas, grid, series_tol).final()
     adjoint = evolve_adjoint(h_free, h_int, xis, grid, series_tol).final()
     left = np.einsum("dp,dp->p", forward.conj(), xis)
@@ -274,8 +278,8 @@ def identity_suite(
         Report("cocycle", cocycle, tol, context),
         Report("translation-covariance", covariance, tol, context),
         Report("group-inverse", inverse, tol, context),
-        Report("adjoint-duality", duality, duality_tol,
-               {**context, "pairs": pairs}),
+        Report("adjoint-duality", duality, DUALITY_TOL,
+               {**context, "pairs": DUALITY_PAIRS}),
     ]
     if hermitian:
         reports.append(Report("unitarity", unitarity, 1e-8, context))
@@ -284,27 +288,27 @@ def identity_suite(
 
 def oracle_reports(
     model: FleetModel,
-    times: tuple[float, ...] = (0.25, 0.5, 1.0),
     tol: float = 1e-7,
     series_tol: float = 1e-10,
     seed: int = 707,
 ) -> list[Report]:
-    """Series engine against the two independent oracles, plus the a-priori
-    bound and support-growth certificates from the same runs."""
+    """Series engine against the two independent oracles at ``ORACLE_TIMES``,
+    plus the a-priori bound and support-growth certificates from the same
+    runs."""
     rng = np.random.default_rng(seed)
     h_free, h_int = model.h_free, model.h_int
     space = h_free.space
     dim = space.dim
     traj = _sampled_run(h_free, h_int, np.eye(dim, dtype=complex),
-                        _check_times(times), series_tol, DEFAULT_MAX_ORDER)
+                        ORACLE_TIMES, series_tol, DEFAULT_MAX_ORDER)
     free = _free_spectrum(h_free)
     worst = 0.0
-    for t, w_run in zip(times, traj.states):
+    for t, w_run in zip(ORACLE_TIMES, traj.states):
         # W(t) = e^{-i t h_free} U(t, 0) from the run against the oracle's.
         w_ref = free.evolve(t, oracle_propagator(h_free, h_int, t, 0.0))
         worst = max(worst, float(np.linalg.norm(w_run - w_ref, 2)))
     run = traj.series
-    context = {"model": model.name, "dim": dim, "times": list(times),
+    context = {"model": model.name, "dim": dim, "times": list(ORACLE_TIMES),
                "series_tol": series_tol}
     reports = [Report("oracle-propagator-agreement", worst, tol, context)]
 
@@ -435,13 +439,13 @@ def appendix_convergence(
     alphas: tuple[float, ...] = (0.0, 1.0, 2.0),
     n_max: int = 12,
     t_end: float = 1.0,
-    grid: TimeGrid | None = None,
 ) -> ConvergenceTable:
     """Convergence of partial sums in the grade-weighted sup norms.
 
     Terms are generated to exactly order ``n_max`` by the series kernel with
-    no early stopping, so the table exists even where the tolerance-driven
-    engine would have stopped sooner.
+    no early stopping, on ``default_grid``'s panels from 0 to ``t_end``, so
+    the table exists even where the tolerance-driven engine would have
+    stopped sooner.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -450,8 +454,7 @@ def appendix_convergence(
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     space = h_free.space
     level = support_level(space, xi)
-    if grid is None:
-        grid = default_grid(h_free, h_int, 0.0, t_end, support=level, tol=1e-10)
+    grid = default_grid(h_free, h_int, 0.0, t_end, support=level, tol=1e-10)
     prep = _prepare(h_free, h_int)
     cert = prep.cert
     terms = _run_block(

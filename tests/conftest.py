@@ -1,12 +1,27 @@
 import dataclasses
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, as the benchmark runs, unless the environment sets its
+# own.  BLAS reads these when numpy loads, so the warning filters that name
+# numpy and scipy classes are added in ``pytest_configure``, not in
+# pyproject.toml, where resolving them would load numpy before this file.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from dysonprop.qed import build_model, default_toy_config
-from dysonprop.suite import fleet, random_graded_model
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from dysonprop.qed import build_model, default_toy_config  # noqa: E402
+from dysonprop.suite import fleet, random_graded_model  # noqa: E402
 
 SEED = 2026
+
+
+def pytest_configure(config):
+    for line in ("error::numpy.exceptions.ComplexWarning",
+                 "error::scipy.sparse.SparseEfficiencyWarning"):
+        config.addinivalue_line("filterwarnings", line)
 
 
 @pytest.fixture(scope="session")

@@ -22,8 +22,11 @@ from dysonprop.evolution import (
 )
 from dysonprop.graded import LinOp, certify
 from dysonprop.oracles import matrix_exp
-from dysonprop.qed import eta_unitarity_check, structure_reports
+from dysonprop.qed import PAIRING_TIMES, eta_unitarity_check, structure_reports
 from dysonprop.suite import (
+    DUALITY_PAIRS,
+    DUALITY_TOL,
+    ORACLE_TIMES,
     appendix_convergence,
     dense_propagator,
     identity_suite,
@@ -42,10 +45,10 @@ def verdict(number: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def oracle_bundle(fleet_models):
     """Series-vs-oracle reports for every fleet model, with wall time."""
+    assert ORACLE_TIMES == (0.25, 0.5, 1.0)
     start = time.perf_counter()
     bundle = {
-        m.name: oracle_reports(m, times=(0.25, 0.5, 1.0), tol=1e-7,
-                               series_tol=1e-10, seed=SEED + 31 * i + 7)
+        m.name: oracle_reports(m, tol=1e-7, series_tol=1e-10, seed=SEED + 31 * i + 7)
         for i, m in enumerate(fleet_models)
     }
     return time.perf_counter() - start, bundle
@@ -54,11 +57,11 @@ def oracle_bundle(fleet_models):
 @pytest.fixture(scope="module")
 def identity_bundle(fleet_models):
     """Composition-law reports (10 tuples, 20 pairs) for every fleet model."""
+    assert (DUALITY_PAIRS, DUALITY_TOL) == (20, 1e-9)
     return {
         m.name: identity_suite(
-            m.h_free, m.h_int, tuples=10, pairs=20, tol=1e-7,
-            duality_tol=1e-9, seed=SEED + 31 * i, series_tol=1e-10,
-            model_name=m.name,
+            m.h_free, m.h_int, tuples=10, tol=1e-7, seed=SEED + 31 * i,
+            series_tol=1e-10, model_name=m.name,
         )
         for i, m in enumerate(fleet_models)
     }
@@ -201,10 +204,9 @@ def test_criterion_07_model_structure(toy_model):
 def test_criterion_08_metric_pairing_drift(toy_model):
     """Indefinite pairing preserved to 1e-6 over 50 pairs up to t = 1, with
     top-sector leakage below 1e-6."""
-    reports = eta_unitarity_check(
-        toy_model, times=(0.25, 0.5, 0.75, 1.0), pairs=50, tol=1e-6,
-        series_tol=1e-9, seed=7,
-    )
+    assert PAIRING_TIMES == (0.25, 0.5, 0.75, 1.0)
+    reports = eta_unitarity_check(toy_model, pairs=50, tol=1e-6, series_tol=1e-9,
+                                  seed=7)
     drift = pick(reports, "eta-pairing-drift")
     leak = pick(reports, "top-sector-leakage")
     ok = drift.residual <= 1e-6 and leak.residual <= 1e-6

@@ -262,6 +262,7 @@ def test_command_mismatch_rejected(tmp_path):
         ("evolve", {"tol": math.inf}, []),
         ("evolve", {"tol": math.nan}, []),
         ("evolve", {"t_end": 10**400}, []),
+        ("evolve", {"tol": 10**400}, []),
         ("evolve", {"initial_state": [[1.0, 0.0], [-math.inf, 0.0], [0.0, 0.0]]},
          []),
         ("verify", {"series_tol": math.nan}, []),
@@ -273,7 +274,7 @@ def test_command_mismatch_rejected(tmp_path):
         ("verify", {"count": 1, "tuples": 1, "series_tol": 0}, []),
         ("verify", {"count": 1, "tuples": 1}, ["--t-end", "2"]),
     ],
-    ids=["t_end", "tol-inf", "tol-nan", "t_end-huge-int", "initial_state",
+    ids=["t_end", "tol-inf", "tol-nan", "t_end-huge-int", "tol-huge-int", "initial_state",
          "series_tol", "alphas", "flag-tol", "flag-t-end", "verify-flag-tol",
          "tol-zero", "series_tol-zero", "verify-flag-not-taken"],
 )
@@ -282,7 +283,9 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, fields,
     base = {"model": pair_model_doc(), "steps": 4} if command == "evolve" else {}
     cfg = write_config(tmp_path, {**base, **fields, "out_dir": str(tmp_path)})
     assert main([command, cfg, *flags]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert max(map(len, err.splitlines())) <= 200  # a huge number is not echoed whole
 
 
 @pytest.mark.parametrize(
@@ -340,6 +343,7 @@ def test_qed_demo_refuses_integers_beyond_the_float_range(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and f"field 'model.qed': {field}" in err
     assert "Traceback" not in err
+    assert max(map(len, err.splitlines())) <= 200
     assert not any(tmp_path.glob("qed_demo.*"))
 
 

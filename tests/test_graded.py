@@ -410,7 +410,7 @@ def test_growth_rates_give_the_skew_norm_and_are_memoised_apart_from_certify(
         skew = float(np.linalg.norm(h1 - h1.conj().T, 2))
         assert 2 * max(growth_rates(model.h_int)) == pytest.approx(skew, rel=1e-12, abs=0)
     assert [max(growth_rates(m.h_int)) == 0.0 for m in fleet_models] == [
-        m.hermitian for m in fleet_models]
+        np.array_equal(m.h_int.matrix, m.h_int.matrix.conj().T) for m in fleet_models]
     op = LinOp(toy_model.space, toy_model.h_int.storage)
     certify(op)
     assert "growth" not in op._memo

@@ -263,7 +263,7 @@ def test_eta_adjoint_matches_field_structure():
 
 def test_field_commutators_below_cap():
     model = build_model(small_config(cap=3))
-    assert field_commutators(model, samples=2).passed
+    assert field_commutators(model).passed
 
 
 def test_structure_reports_all_pass_small_model():
@@ -294,37 +294,14 @@ def test_metric_symmetry_report_is_the_dense_norm_of_the_defect():
 
 def test_eta_unitarity_check_small_model():
     model = build_model(small_config(cap=3))
-    # The times need not share a uniform step.
-    for times in ((0.5, 1.0), (0.25, 1.0), (1.0, math.sqrt(2))):
-        reports = eta_unitarity_check(
-            model, times=times, pairs=4, tol=1e-6, series_tol=1e-9, seed=1
-        )
-        assert [r.check_name for r in reports] == [
-            "eta-pairing-drift",
-            "metric-adjoint-inverse",
-            "group-inverse",
-            "top-sector-leakage",
-        ]
-        assert all(r.passed for r in reports), times
-    with pytest.raises(ValueError):
-        eta_unitarity_check(model, times=(0.0, 1.0), pairs=2)
-
-
-@pytest.mark.parametrize("times", [(1.0, 0.5), (math.sqrt(2), 1.0)])
-def test_eta_unitarity_inverse_checks_run_at_the_largest_time(times):
-    # The states come back in the order of the times asked for, so the
-    # inverse checks must find the largest time, not take the last state.
-    model = build_model(small_config(cap=3))
-    kwargs = dict(pairs=4, tol=1e-6, series_tol=1e-9, seed=1)
-    got = eta_unitarity_check(model, times=times, **kwargs)
-    want = eta_unitarity_check(model, times=sorted(times), **kwargs)
-    assert all(r.passed for r in got)
-    assert [r.check_name for r in got] == [r.check_name for r in want]
-    # The largest time ends the grid, so both orders read the same edge sum.
-    for g, w in zip(got[1:3], want[1:3]):
-        assert g.residual == w.residual, g.check_name
-    for g, w in zip(got[::3], want[::3]):
-        assert g.residual == pytest.approx(w.residual, rel=1e-9), g.check_name
+    reports = eta_unitarity_check(model, pairs=4, tol=1e-6, series_tol=1e-9, seed=1)
+    assert [r.check_name for r in reports] == [
+        "eta-pairing-drift",
+        "metric-adjoint-inverse",
+        "group-inverse",
+        "top-sector-leakage",
+    ]
+    assert all(r.passed for r in reports)
 
 
 # ------------------------------------------------------- operator storage

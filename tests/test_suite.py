@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysonprop import suite
+from dysonprop import dyson, suite
 from dysonprop.dyson import (
-    TimeGrid,
     _prepare,
     _run_block,
     apriori_tail,
+    default_grid,
 )
 from dysonprop.errors import TruncationError
 from dysonprop.graded import (
@@ -21,6 +21,7 @@ from dysonprop.graded import (
     certify,
     grade_shift_bound,
     growth_rates,
+    support_level,
     weighted_norm,
 )
 from dysonprop.oracles import oracle_propagator
@@ -79,7 +80,7 @@ def test_fleet_composition(fleet_models):
     assert len(fleet_models) == 20
     assert [m.h_free.space.dim for m in fleet_models] == list(FLEET_DIMS)
     assert {m.grade_shift for m in fleet_models} == {1, 2, 3}
-    assert sum(m.hermitian for m in fleet_models) >= 6
+    assert sum(max(growth_rates(m.h_int)) == 0.0 for m in fleet_models) >= 6
     assert len({m.name for m in fleet_models}) == 20
 
 
@@ -113,7 +114,7 @@ def test_backward_dense_propagator_reads_the_backward_rate(fleet_models, monkeyp
     model = fleet_models[7]  # non-Hermitian: mu+ != mu-
     h_free, h_int = model.h_free, model.h_int
     forward, backward = growth_rates(h_int)
-    assert forward != backward and not model.hermitian
+    assert forward != backward
     u = dense_propagator(h_free, h_int, -0.2, 0.6)
     assert np.linalg.norm(u - oracle_propagator(h_free, h_int, -0.2, 0.6), 2) < 1e-10
     # A huge backward rate fails the backward pair's bound, not the forward one's.
@@ -148,8 +149,7 @@ def test_a_step_one_order_short_breaks_the_cocycle(fleet_models, monkeypatch):
         return replace(cut, tail_bounds=full.tail_bounds)
 
     for model in fleet_models[3::4]:
-        args = dict(h_free=model.h_free, h_int=model.h_int, tuples=3, pairs=4,
-                    series_tol=1e-6)
+        args = dict(h_free=model.h_free, h_int=model.h_int, tuples=3, series_tol=1e-6)
         clean = {r.check_name: r for r in identity_suite(**args)}
         with monkeypatch.context() as mp:
             mp.setattr(suite, "evolve_block", short)
@@ -162,7 +162,7 @@ def test_identity_suite_free_case_is_exact():
     space = GradedSpace((0.0, 1.0, 2.0, 2.0))
     h0 = LinOp(space, np.diag([0.0, 1.0, 2.0, 2.5]).astype(complex))
     zero = LinOp(space, np.zeros((4, 4), dtype=complex))
-    reports = identity_suite(h0, zero, tuples=3, pairs=4, seed=9)
+    reports = identity_suite(h0, zero, tuples=3, seed=9)
     names = [r.check_name for r in reports]
     assert names == [
         "cocycle",
@@ -177,7 +177,7 @@ def test_identity_suite_free_case_is_exact():
 
 def test_identity_suite_skips_unitarity_for_nonhermitian():
     model = random_graded_model(seed=50, dim=4, grade_shift=1)
-    reports = identity_suite(model.h_free, model.h_int, tuples=2, pairs=4)
+    reports = identity_suite(model.h_free, model.h_int, tuples=2)
     assert "unitarity" not in [r.check_name for r in reports]
     assert all(r.passed for r in reports)
     assert all(r.context["model"] == "model" for r in reports)
@@ -198,20 +198,10 @@ def test_oracle_reports_bundle():
 
 
 def test_oracle_reports_reads_check_times_inside_panels():
-    # Two panels serve the four steps, so t = 0.25 and 0.75 sit inside them.
+    # Two panels serve t = 1, so ORACLE_TIMES' 0.25 sits inside the first.
     model = random_graded_model(9, 4, 1, target_rel_bound=0.01)
     reports = oracle_reports(model)
     assert all(r.passed for r in reports)
-
-
-def test_oracle_reports_rejects_incommensurate_times():
-    model = random_graded_model(seed=61, dim=4, grade_shift=1)
-    # Times that share no uniform step are read off one run all the same.
-    assert all(r.passed for r in oracle_reports(model, times=(0.1, 1.0 / 3.0**0.5)))
-    # A check time must be positive.
-    for times in ((-0.5, 1.0), (0.0,)):
-        with pytest.raises(ValueError):
-            oracle_reports(model, times=times)
 
 
 def test_fleet_verification_report_count():
@@ -266,14 +256,10 @@ def test_table_json_shape():
 
 
 def test_weighted_tail_reduces_to_plain_tail_at_alpha_zero():
-    args = (2, 1.0, 0.5, 1.0, 0.0)
-    assert apriori_tail(*args, vec_norm=1.0, alpha=0.0) == pytest.approx(
-        apriori_tail(*args, 1.0), rel=1e-14
-    )
+    t0, t1, t2 = (dyson._apriori_table(2, 1.0, 0.5, 1.0, [0.0], [1.0], alpha)[1][2, 0]
+                  for alpha in (0.0, 1.0, 2.0))
+    assert t0 == pytest.approx(apriori_tail(2, 1.0, 0.5, 1.0, 0.0, 1.0), rel=1e-14)
     # heavier weights can only grow the tail
-    t0 = apriori_tail(*args, vec_norm=1.0, alpha=0.0)
-    t1 = apriori_tail(*args, vec_norm=1.0, alpha=1.0)
-    t2 = apriori_tail(*args, vec_norm=1.0, alpha=2.0)
     assert t0 <= t1 <= t2
 
 
@@ -304,8 +290,8 @@ def test_appendix_convergence_random_model():
         col = table.norms[onset:, a]
         assert np.all(np.diff(col) < 0.0)
     # the vectorised norms equal weighted_norm taken row by row
-    grid = TimeGrid(0.0, 1.0, 3, 6)
-    table = appendix_convergence(model.h_free, model.h_int, xi, n_max=8, grid=grid)
+    grid = default_grid(model.h_free, model.h_int, 0.0, 1.0,
+                        support=support_level(model.h_free.space, xi), tol=1e-10)
     prep = _prepare(model.h_free, model.h_int)
     run = _run_block(prep, grid, xi[:, None], tol=0.0, max_order=8, keep_terms=True)
     rows = [np.concatenate([t.node_values.reshape(-1, 6), t.boundary_values[..., 0]])
